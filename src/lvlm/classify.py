@@ -7,8 +7,6 @@ score rather than a calibrated likelihood.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,14 +44,7 @@ class ClassifierBundle:
 
     @property
     def variant(self) -> str:
-        return "discrete" if isinstance(self.classes[0].model, DiscreteModel) else "real"
-
-
-def _max_workers(n: int) -> int:
-    env = os.environ.get("LVLM_THREADS")
-    if env:
-        return max(1, min(n, int(env)))
-    return n
+        return self.classes[0].model.kind
 
 
 def classify_image(bundle: ClassifierBundle, obs: SymbolLattice):
@@ -63,13 +54,7 @@ def classify_image(bundle: ClassifierBundle, obs: SymbolLattice):
     in declaration order; ties go to the first-declared class.
     """
     evaluate = evaluate_discrete if bundle.variant == "discrete" else evaluate_real
-    workers = _max_workers(len(bundle.classes))
-    if workers > 1 and len(bundle.classes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evals = list(pool.map(lambda c: evaluate(c.model, obs), bundle.classes))
-    else:
-        evals = [evaluate(c.model, obs) for c in bundle.classes]
-    scores = [c.log_prior + e for c, e in zip(bundle.classes, evals)]
+    scores = [c.log_prior + evaluate(c.model, obs) for c in bundle.classes]
     best = 0
     for i, s in enumerate(scores):
         if s > scores[best]:

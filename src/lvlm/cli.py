@@ -46,7 +46,8 @@ def _parse_shape(text: str) -> LatticeShape:
 
 
 def _radii(args):
-    w = args.w if args.w is not None else 1
+    """(w, w_e, w_l): each explicit flag wins; --w, else --wl, sets the others."""
+    w = args.w if args.w is not None else args.wl if args.wl is not None else 1
     return w, (args.we if args.we is not None else w), (args.wl if args.wl is not None else w)
 
 
@@ -100,22 +101,25 @@ def _cmd_learn(args):
     if args.w is None and args.wl is None:
         raise InputError("learn needs --w or --wl")
     w, w_e, w_l = _radii(args)
-    if args.wl is not None and args.w is None:
-        w = w_e = w_l
     lattices = [io.read_lattice_auto(p, M=args.m) for p in args.inputs]
-    if args.variant == "discrete":
-        model = learn_discrete(lattices, w_l, args.n, w=w, w_e=w_e, alpha=args.alpha)
-    else:
-        model = learn_real(lattices, w_l, args.n, w=w, w_e=w_e, alpha=args.alpha)
+    learn = learn_discrete if args.variant == "discrete" else learn_real
+    model = learn(lattices, w_l, args.n, w=w, w_e=w_e, alpha=args.alpha)
     io.write_model(args.out, model)
     print(f"model={args.out}")
     return 0
 
 
+def _variant(model):
+    """The variant's decode and evaluate, and the alphabet its inputs are read with."""
+    if isinstance(model, DiscreteModel):
+        return decode_discrete, evaluate_discrete, model.M
+    return decode_real, evaluate_real, None
+
+
 def _cmd_decode(args):
     model = io.read_model(args.model)
-    obs = io.read_lattice_auto(args.input, M=model.M if isinstance(model, DiscreteModel) else None)
-    _, states = (decode_discrete if isinstance(model, DiscreteModel) else decode_real)(model, obs)
+    decode, _, M = _variant(model)
+    _, states = decode(model, io.read_lattice_auto(args.input, M=M))
     io.write_lattice(args.out, states)
     print(f"states={args.out}")
     if args.pgm:
@@ -126,16 +130,15 @@ def _cmd_decode(args):
 
 def _cmd_evaluate(args):
     model = io.read_model(args.model)
-    obs = io.read_lattice_auto(args.input, M=model.M if isinstance(model, DiscreteModel) else None)
-    score = (evaluate_discrete if isinstance(model, DiscreteModel) else evaluate_real)(model, obs)
+    _, evaluate, M = _variant(model)
+    score = evaluate(model, io.read_lattice_auto(args.input, M=M))
     print(f"logp={score:.17g}")
     return 0
 
 
 def _cmd_classify(args):
     bundle = io.read_bundle(args.bundle)
-    discrete = bundle.variant == "discrete"
-    obs = io.read_lattice_auto(args.input, M=bundle.classes[0].model.M if discrete else None)
+    obs = io.read_lattice_auto(args.input, M=_variant(bundle.classes[0].model)[2])
     label, scores = classify_image(bundle, obs)
     print(f"label={label}")
     for entry, score in zip(bundle.classes, scores):
@@ -255,7 +258,7 @@ def main(argv=None) -> int:
     except (NumericError, np.linalg.LinAlgError) as e:
         print(f"lvlm: numeric error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"lvlm: error: {e}", file=sys.stderr)
         return 1
 

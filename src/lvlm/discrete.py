@@ -1,11 +1,9 @@
-"""Discrete-symbol variant: parameters <A, B, w>, assignment, decoding,
-evaluation, and learning.
+"""Discrete-symbol variant: parameters <A, B, w> with categorical emissions.
 
-Decoding is nearest-centroid in the probability simplex: each node gets the
-state whose emission row B(j) is L2-closest to the node's window signature.
-Evaluation scores a lattice as sum over nodes of the log emission plus half
-the normalized neighbor-potential terms,: log b(q_t,o_t)
-+ 1/2 * sum_r [log alpha + log a(q_t,q_r) - log k_t], k_t = sum_r a(q_t,q_r).
+The emission rows are B itself: decoding is nearest-centroid in the
+probability simplex, the emission log-term of node t is log b(q_t, o_t), and
+learning renormalizes the VQ codebook onto the simplex to get B. The shared
+pipeline is in `model`.
 """
 
 from __future__ import annotations
@@ -14,150 +12,64 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model as core
 from .errors import InputError, NumericError
-from .lattice import SignatureField, StateLattice, SymbolLattice, sweep_signatures
-from .vq import pnn_quantize
-
-_ASSIGN_CHUNK = 8192
+from .lattice import SymbolLattice, sweep_signatures  # noqa: F401 (sweep_signatures is re-exported)
+from .model import _assign_field  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
-class DiscreteModel:
-    N: int
-    M: int
-    d: int
-    A: np.ndarray = field(repr=False)  # N x N nonnegative state adjacency potential
+class DiscreteModel(core.LatticeModel):
     B: np.ndarray = field(repr=False)  # N x M row-stochastic emission matrix
     w: int = 1
     w_e: int = 1
     w_l: int = 1
     alpha: float = 1.0
 
-    def __post_init__(self):
-        if self.N < 1 or self.M < 1 or self.d < 1:
-            raise InputError("N, M, d must be >= 1")
-        if min(self.w, self.w_e, self.w_l) < 0:
-            raise InputError("window radii must be >= 0")
-        if not 0.0 < self.alpha <= 1.0:
-            raise InputError("alpha must lie in (0, 1]")
-        if self.A.shape != (self.N, self.N) or self.A.min() < 0:
-            raise InputError("A must be N x N nonnegative")
+    kind, exact_alphabet = "discrete", False
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.B
+
+    def _check_emission(self):
         if self.B.shape != (self.N, self.M) or self.B.min() < 0:
             raise InputError("B must be N x M nonnegative")
         if np.abs(self.B.sum(axis=1) - 1.0).max() > 1e-9:
             raise InputError("rows of B must sum to 1")
 
+    @staticmethod
+    def _rows_from_codebook(centroids: np.ndarray) -> np.ndarray:
+        B = np.clip(centroids, 0.0, None)
+        rowsum = B.sum(axis=1)
+        if np.any(rowsum <= 0):
+            raise NumericError("degenerate VQ centroid with zero mass")
+        return B / rowsum[:, None]
+
+    @staticmethod
+    def _fit(B, lattices, states) -> dict:
+        return {"B": B}
+
+    def _log_emission(self, obs: SymbolLattice, q: np.ndarray) -> float:
+        b = self.B[q, obs.values]
+        if np.any(b <= 0):
+            return float("-inf")
+        return float(np.log(b).sum())
+
 
 def assign_discrete(model: DiscreteModel, x) -> int:
     """State whose B row is L2-closest to signature x; ties go to lowest index."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.M,):
-        raise InputError(f"signature has {x.shape} entries, model expects {model.M}")
-    d2 = ((x - model.B) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
-
-
-def _assign_field(rows: np.ndarray, X: SignatureField) -> np.ndarray:
-    """Vectorized nearest-row assignment; same arithmetic as the scalar assign."""
-    flat = X.flat()
-    out = np.empty(len(flat), dtype=np.int64)
-    for s in range(0, len(flat), _ASSIGN_CHUNK):
-        chunk = flat[s:s + _ASSIGN_CHUNK]
-        d2 = ((chunk[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
-        out[s:s + _ASSIGN_CHUNK] = np.argmin(d2, axis=1)
-    return out.reshape(X.shape.lengths)
-
-
-def _check_obs(model: DiscreteModel, obs: SymbolLattice):
-    if obs.kind != "discrete":
-        raise InputError("discrete model needs a discrete lattice")
-    if obs.M > model.M:
-        raise InputError(f"lattice alphabet {obs.M} exceeds model M={model.M}")
-    if obs.shape.d != model.d:
-        raise InputError(f"lattice is {obs.shape.d}-d, model expects {model.d}-d")
-
-
-def _decode(model: DiscreteModel, obs: SymbolLattice, w: int):
-    X = sweep_signatures(SymbolLattice(obs.shape, obs.values, model.M, "discrete"), w)
-    q = _assign_field(model.B, X)
-    return X, StateLattice(obs.shape, q, model.N)
+    return core.assign(model, x)
 
 
 def decode_discrete(model: DiscreteModel, obs: SymbolLattice):
     """Signature field and per-node nearest-emission state, window radius w."""
-    _check_obs(model, obs)
-    return _decode(model, obs, model.w)
-
-
-def _neighbor_terms(A: np.ndarray, q: np.ndarray, d: int):
-    """Per-node sums over lattice neighbors: k_t, sum_r log a(q_t,q_r), degree."""
-    k = np.zeros(q.shape)
-    with np.errstate(divide="ignore"):
-        logA = np.log(A)
-    sla = np.zeros(q.shape)
-    deg = np.zeros(q.shape, dtype=np.int64)
-    for axis in range(d):
-        lo = tuple(slice(None) if i != axis else slice(None, -1) for i in range(d))
-        hi = tuple(slice(None) if i != axis else slice(1, None) for i in range(d))
-        qa, qb = q[lo], q[hi]
-        k[lo] += A[qa, qb]
-        k[hi] += A[qb, qa]
-        sla[lo] += logA[qa, qb]
-        sla[hi] += logA[qb, qa]
-        deg[lo] += 1
-        deg[hi] += 1
-    return k, sla, deg
-
-
-def _pair_score(k, sla, deg, alpha):
-    has = deg > 0
-    if np.any(k[has] <= 0):
-        return float("-inf")
-    with np.errstate(divide="ignore"):
-        logk = np.where(has, np.log(np.where(has, k, 1.0)), 0.0)
-    val = 0.5 * (sla.sum() + np.log(alpha) * deg.sum() - (deg * logk).sum())
-    return float(val)
+    return core.decode(model, obs, model.w)
 
 
 def evaluate_discrete(model: DiscreteModel, obs: SymbolLattice) -> float:
     """Log-score of obs: decode with w_e, then emission + neighbor terms."""
-    _check_obs(model, obs)
-    _, Q = _decode(model, obs, model.w_e)
-    b = model.B[Q.states, obs.values]
-    if np.any(b <= 0):
-        return float("-inf")
-    emission = float(np.log(b).sum())
-    k, sla, deg = _neighbor_terms(model.A, Q.states, model.d)
-    pair = _pair_score(k, sla, deg, model.alpha)
-    return emission + pair
-
-
-def _adjacency_counts(N: int, q: np.ndarray, d: int) -> np.ndarray:
-    counts = np.zeros((N, N), dtype=np.float64)
-    for axis in range(d):
-        lo = tuple(slice(None) if i != axis else slice(None, -1) for i in range(d))
-        hi = tuple(slice(None) if i != axis else slice(1, None) for i in range(d))
-        qa, qb = q[lo].ravel(), q[hi].ravel()
-        np.add.at(counts, (qa, qb), 1.0)
-        np.add.at(counts, (qb, qa), 1.0)
-    return counts
-
-
-def _normalize_adjacency(counts: np.ndarray, occupied: np.ndarray) -> np.ndarray:
-    """Row-normalize by actual neighbor-pair counts; occupied isolated states
-    (possible only on single-node lattices) fall back to a uniform row."""
-    N = len(counts)
-    if not occupied.all():
-        missing = np.flatnonzero(~occupied)
-        raise NumericError(f"states {missing.tolist()} have no assigned nodes", state=int(missing[0]))
-    A = counts.copy()
-    rowsum = A.sum(axis=1)
-    for j in range(N):
-        if rowsum[j] > 0:
-            A[j] /= rowsum[j]
-        else:
-            A[j] = 1.0 / N
-    return A
+    return core.evaluate(model, obs)
 
 
 def learn_discrete(obs, w_l: int, n_states: int, *, w=None, w_e=None, alpha=1.0) -> DiscreteModel:
@@ -165,42 +77,4 @@ def learn_discrete(obs, w_l: int, n_states: int, *, w=None, w_e=None, alpha=1.0)
     PNN-quantized to N clusters; B is the codebook (renormalized onto the
     simplex), states are re-assigned by nearest B row, and A accumulates
     neighbor-pair counts (never across lattice boundaries)."""
-    lattices = [obs] if isinstance(obs, SymbolLattice) else list(obs)
-    if not lattices:
-        raise InputError("need at least one training lattice")
-    M = max(lat.M for lat in lattices)
-    d = lattices[0].shape.d
-    for lat in lattices:
-        if lat.kind != "discrete":
-            raise InputError("learn_discrete needs discrete lattices")
-        if lat.shape.d != d:
-            raise InputError("training lattices must share dimensionality")
-    total = sum(lat.shape.node_count for lat in lattices)
-    if total < n_states:
-        raise InputError(f"need at least {n_states} nodes, got {total}")
-
-    fields = [
-        sweep_signatures(SymbolLattice(lat.shape, lat.values, M, "discrete"), w_l)
-        for lat in lattices
-    ]
-    points = np.concatenate([f.flat() for f in fields])
-    codebook, _ = pnn_quantize(points, n_states)
-    B = np.clip(codebook.centroids, 0.0, None)
-    rowsum = B.sum(axis=1)
-    if np.any(rowsum <= 0):
-        raise NumericError("degenerate VQ centroid with zero mass")
-    B = B / rowsum[:, None]
-
-    counts = np.zeros((n_states, n_states))
-    occupied = np.zeros(n_states, dtype=bool)
-    for lat, f in zip(lattices, fields):
-        q = _assign_field(B, f)
-        occupied[np.unique(q)] = True
-        counts += _adjacency_counts(n_states, q, d)
-    A = _normalize_adjacency(counts, occupied)
-    return DiscreteModel(
-        N=n_states, M=M, d=d, A=A, B=B,
-        w=w_l if w is None else w,
-        w_e=w_l if w_e is None else w_e,
-        w_l=w_l, alpha=alpha,
-    )
+    return core.learn(DiscreteModel, obs, w_l, n_states, w=w, w_e=w_e, alpha=alpha)

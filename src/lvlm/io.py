@@ -80,6 +80,8 @@ def read_lattice(path, M: int | None = None) -> SymbolLattice:
         if len(vals) != count:
             raise InputError(f"{path}: expected {count} values, got {len(vals)}")
         arr = np.array([int(v) for v in vals], dtype=np.int64).reshape(lengths)
+        if arr.size and (arr.min() < 0 or arr.max() > 255):
+            raise InputError(f"{path}: u8 values must fit in [0, 255]")
         return SymbolLattice.discrete(arr, M=M)
     if dtype.startswith("f64x"):
         m = int(dtype[4:])
@@ -169,17 +171,15 @@ def _kv_lines(pairs):
 
 
 def write_model(path, model: DiscreteModel | RealModel):
-    common = [
-        ("N", model.N), ("M", model.M), ("d", model.d),
+    pairs = [
+        ("variant", model.kind), ("N", model.N), ("M", model.M), ("d", model.d),
         ("w", model.w), ("w_e", model.w_e), ("w_l", model.w_l),
         ("alpha", _fmt(model.alpha)), ("A", _fmt_vec(model.A)),
     ]
     if isinstance(model, DiscreteModel):
-        pairs = [("variant", "discrete")] + common + [("B", _fmt_vec(model.B))]
+        pairs.append(("B", _fmt_vec(model.B)))
     else:
-        pairs = [("variant", "real")] + common + [
-            ("mu", _fmt_vec(model.mu)), ("sigma", _fmt_vec(model.sigma)),
-        ]
+        pairs += [("mu", _fmt_vec(model.mu)), ("sigma", _fmt_vec(model.sigma))]
     write_atomic(path, _kv_lines(pairs).encode())
 
 

@@ -128,6 +128,18 @@ def neighbors(shape: LatticeShape, t) -> list[tuple[int, ...]]:
     return out
 
 
+def axis_pairs(d: int) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+    """Per-axis (lo, hi) index tuples of a d-dimensional array: arr[lo] and
+    arr[hi] line up every node with its successor along that axis, so each
+    axis-adjacent pair appears once."""
+    pairs = []
+    for axis in range(d):
+        lo = tuple(slice(None) if i != axis else slice(None, -1) for i in range(d))
+        hi = tuple(slice(None) if i != axis else slice(1, None) for i in range(d))
+        pairs.append((lo, hi))
+    return pairs
+
+
 def window_bounds(shape: LatticeShape, t, w: int):
     """Clamped hypercube [t-w, t+w]: returns (lo, hi, cell_count), inclusive."""
     t = tuple(int(c) for c in t)

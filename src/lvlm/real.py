@@ -2,7 +2,8 @@
 
 Assignment and decoding use only the state means (nearest mu in L2);
 covariances enter in evaluation, where the emission term is the multivariate
-normal log-density, computed through a Cholesky factorization.
+normal log-density, computed through a Cholesky factorization. The shared
+pipeline is in `model`.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from . import model as core
 from .errors import InputError, NumericError
-from .lattice import SignatureField, StateLattice, SymbolLattice, sweep_signatures
-from .vq import pnn_quantize
+from .lattice import SymbolLattice
+from .model import _assign_field  # noqa: F401 (re-exported)
 
-_ASSIGN_CHUNK = 8192
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-12
 
@@ -24,11 +25,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
-class RealModel:
-    N: int
-    M: int
-    d: int
-    A: np.ndarray = field(repr=False)      # N x N nonnegative
+class RealModel(core.LatticeModel):
     mu: np.ndarray = field(repr=False)     # N x M state means
     sigma: np.ndarray = field(repr=False)  # N x M x M covariances
     w: int = 1
@@ -36,15 +33,13 @@ class RealModel:
     w_l: int = 1
     alpha: float = 1.0
 
-    def __post_init__(self):
-        if self.N < 1 or self.M < 1 or self.d < 1:
-            raise InputError("N, M, d must be >= 1")
-        if min(self.w, self.w_e, self.w_l) < 0:
-            raise InputError("window radii must be >= 0")
-        if not 0.0 < self.alpha <= 1.0:
-            raise InputError("alpha must lie in (0, 1]")
-        if self.A.shape != (self.N, self.N) or self.A.min() < 0:
-            raise InputError("A must be N x N nonnegative")
+    kind, exact_alphabet = "real", True
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.mu
+
+    def _check_emission(self):
         if self.mu.shape != (self.N, self.M):
             raise InputError("mu must be N x M")
         if self.sigma.shape != (self.N, self.M, self.M):
@@ -52,45 +47,41 @@ class RealModel:
         if np.abs(self.sigma - self.sigma.transpose(0, 2, 1)).max() > 0:
             raise InputError("covariances must be symmetric")
 
+    @staticmethod
+    def _rows_from_codebook(centroids: np.ndarray) -> np.ndarray:
+        return centroids
 
-def assign_real(model: RealModel, x) -> int:
-    """State whose mean is L2-closest to x; ties go to lowest index."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.M,):
-        raise InputError(f"vector has {x.shape} entries, model expects {model.M}")
-    d2 = ((x - model.mu) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    @staticmethod
+    def _fit(mu, lattices, states) -> dict:
+        """Sigma(j): covariance of the raw-observation residuals of state j
+        about mu(j), plus a trace-scaled ridge."""
+        N, M = mu.shape
+        scatter = np.zeros((N, M, M))
+        statecount = np.zeros(N)
+        for lat, q in zip(lattices, states):
+            qf = q.ravel()
+            o = lat.values.reshape(-1, M)
+            for j in range(N):
+                resid = o[qf == j] - mu[j]
+                scatter[j] += resid.T @ resid
+                statecount[j] += len(resid)
+        sigma = np.empty_like(scatter)
+        for j in range(N):
+            S = scatter[j] / statecount[j]
+            S = 0.5 * (S + S.T)  # force exact symmetry against accumulation noise
+            ridge = max(RIDGE_FLOOR, RIDGE_SCALE * np.trace(S) / M)
+            sigma[j] = S + ridge * np.eye(M)
+        return {"mu": mu, "sigma": sigma}
 
-
-def _assign_field(mu: np.ndarray, X: SignatureField) -> np.ndarray:
-    flat = X.flat()
-    out = np.empty(len(flat), dtype=np.int64)
-    for s in range(0, len(flat), _ASSIGN_CHUNK):
-        chunk = flat[s:s + _ASSIGN_CHUNK]
-        d2 = ((chunk[:, None, :] - mu[None, :, :]) ** 2).sum(axis=2)
-        out[s:s + _ASSIGN_CHUNK] = np.argmin(d2, axis=1)
-    return out.reshape(X.shape.lengths)
-
-
-def _check_obs(model: RealModel, obs: SymbolLattice):
-    if obs.kind != "real":
-        raise InputError("real model needs a real-vector lattice")
-    if obs.M != model.M:
-        raise InputError(f"lattice vectors are {obs.M}-d, model expects {model.M}-d")
-    if obs.shape.d != model.d:
-        raise InputError(f"lattice is {obs.shape.d}-d, model expects {model.d}-d")
-
-
-def _decode(model: RealModel, obs: SymbolLattice, w: int):
-    X = sweep_signatures(obs, w)
-    q = _assign_field(model.mu, X)
-    return X, StateLattice(obs.shape, q, model.N)
-
-
-def decode_real(model: RealModel, obs: SymbolLattice):
-    """Sample-mean signature field and nearest-mean states, window radius w."""
-    _check_obs(model, obs)
-    return _decode(model, obs, model.w)
+    def _log_emission(self, obs: SymbolLattice, q: np.ndarray) -> float:
+        q = q.ravel()
+        o = obs.values.reshape(-1, self.M)
+        total = 0.0
+        for j in range(self.N):
+            mask = q == j
+            if mask.any():
+                total += float(gaussian_log_density(o[mask], self.mu[j], self.sigma[j], state=j).sum())
+        return total
 
 
 def gaussian_log_density(x: np.ndarray, mean: np.ndarray, cov: np.ndarray, state=None) -> np.ndarray:
@@ -106,75 +97,23 @@ def gaussian_log_density(x: np.ndarray, mean: np.ndarray, cov: np.ndarray, state
     return -0.5 * (len(mean) * _LOG_2PI + logdet + quad)
 
 
+def assign_real(model: RealModel, x) -> int:
+    """State whose mean is L2-closest to x; ties go to lowest index."""
+    return core.assign(model, x)
+
+
+def decode_real(model: RealModel, obs: SymbolLattice):
+    """Sample-mean signature field and nearest-mean states, window radius w."""
+    return core.decode(model, obs, model.w)
+
+
 def evaluate_real(model: RealModel, obs: SymbolLattice) -> float:
     """Log-score: decode with w_e, then Gaussian emission + neighbor terms."""
-    from .discrete import _neighbor_terms, _pair_score
-
-    _check_obs(model, obs)
-    _, Q = _decode(model, obs, model.w_e)
-    q = Q.states.ravel()
-    o = obs.values.reshape(-1, model.M)
-    emission = 0.0
-    for j in range(model.N):
-        mask = q == j
-        if not mask.any():
-            continue
-        emission += float(gaussian_log_density(o[mask], model.mu[j], model.sigma[j], state=j).sum())
-    k, sla, deg = _neighbor_terms(model.A, Q.states, model.d)
-    pair = _pair_score(k, sla, deg, model.alpha)
-    return emission + pair
+    return core.evaluate(model, obs)
 
 
 def learn_real(obs, w_l: int, n_states: int, *, w=None, w_e=None, alpha=1.0) -> RealModel:
     """Learn <A, mu, Sigma>: PNN-quantized window means give mu, states come
     from nearest-mean re-assignment, A from neighbor-pair counts, and Sigma(j)
     from raw-observation residuals plus a trace-scaled ridge."""
-    from .discrete import _adjacency_counts, _normalize_adjacency
-
-    lattices = [obs] if isinstance(obs, SymbolLattice) else list(obs)
-    if not lattices:
-        raise InputError("need at least one training lattice")
-    d = lattices[0].shape.d
-    M = lattices[0].M
-    for lat in lattices:
-        if lat.kind != "real":
-            raise InputError("learn_real needs real-vector lattices")
-        if lat.shape.d != d or lat.M != M:
-            raise InputError("training lattices must share dimensionality")
-    total = sum(lat.shape.node_count for lat in lattices)
-    if total < n_states:
-        raise InputError(f"need at least {n_states} nodes, got {total}")
-
-    fields = [sweep_signatures(lat, w_l) for lat in lattices]
-    points = np.concatenate([f.flat() for f in fields])
-    codebook, _ = pnn_quantize(points, n_states)
-    mu = codebook.centroids
-
-    counts = np.zeros((n_states, n_states))
-    occupied = np.zeros(n_states, dtype=bool)
-    scatter = np.zeros((n_states, M, M))
-    statecount = np.zeros(n_states)
-    for lat, f in zip(lattices, fields):
-        q = _assign_field(mu, f)
-        occupied[np.unique(q)] = True
-        counts += _adjacency_counts(n_states, q, d)
-        qf = q.ravel()
-        o = lat.values.reshape(-1, M)
-        for j in range(n_states):
-            resid = o[qf == j] - mu[j]
-            scatter[j] += resid.T @ resid
-            statecount[j] += len(resid)
-    A = _normalize_adjacency(counts, occupied)
-
-    sigma = np.empty_like(scatter)
-    for j in range(n_states):
-        S = scatter[j] / statecount[j]
-        S = 0.5 * (S + S.T)  # force exact symmetry against accumulation noise
-        ridge = max(RIDGE_FLOOR, RIDGE_SCALE * np.trace(S) / M)
-        sigma[j] = S + ridge * np.eye(M)
-    return RealModel(
-        N=n_states, M=M, d=d, A=A, mu=mu, sigma=sigma,
-        w=w_l if w is None else w,
-        w_e=w_l if w_e is None else w_e,
-        w_l=w_l, alpha=alpha,
-    )
+    return core.learn(RealModel, obs, w_l, n_states, w=w, w_e=w_e, alpha=alpha)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .lattice import LatticeShape, StateLattice, SymbolLattice
+from .lattice import LatticeShape, StateLattice, SymbolLattice, axis_pairs
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,11 @@ def gibbs_sample(config: SynthConfig) -> StateLattice:
         idx = np.arange(n).reshape((1,) * axis + (n,) + (1,) * (len(lengths) - axis - 1))
         parity = parity + idx
     parity %= 2
-    d = len(lengths)
+    pairs = axis_pairs(len(lengths))
     for _ in range(config.sweeps):
         for color in (0, 1):
             loglik = np.zeros(lengths + (N,))
-            for axis in range(d):
-                lo = tuple(slice(None) if i != axis else slice(None, -1) for i in range(d))
-                hi = tuple(slice(None) if i != axis else slice(1, None) for i in range(d))
+            for lo, hi in pairs:
                 # contribution to each node from its neighbor's current state
                 loglik[lo] += logphi.T[states[hi]]
                 loglik[hi] += logphi.T[states[lo]]

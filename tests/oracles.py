@@ -127,3 +127,88 @@ def _straightline_pairs(model, shape, q, emission):
                 return -math.inf
             total += 0.5 * (math.log(model.alpha) + math.log(a) - math.log(k))
     return total
+
+
+def straightline_learn_discrete(lattices, M, w_l, centroids):
+    """Learned (A, B) recomputed node by node from a PNN codebook, or None
+    when some state gets no node. B is the codebook clipped at 0 and
+    renormalized onto the simplex; states are the nearest B rows to each
+    node's window signature; A row-normalizes the neighbor-pair counts."""
+    B = []
+    for row in centroids:
+        clipped = [max(0.0, float(c)) for c in row]
+        total = sum(clipped)
+        B.append([c / total for c in clipped])
+    B = np.array(B)
+    A = _straightline_adjacency(_straightline_states(lattices, M, w_l, B, "discrete"), len(B))
+    return None if A is None else (A, B)
+
+
+def straightline_learn_real(lattices, w_l, centroids, ridge_scale=1e-6, ridge_floor=1e-12):
+    """Learned (A, mu, sigma) recomputed node by node from a PNN codebook, or
+    None when some state gets no node. mu is the codebook; states are the
+    nearest means to each node's window mean; sigma(j) is the mean outer
+    product of the raw-observation residuals of state j plus a ridge of
+    max(ridge_floor, ridge_scale * trace / M) on the diagonal."""
+    mu = np.array(centroids, dtype=float)
+    N, M = mu.shape
+    labelled = _straightline_states(lattices, M, w_l, mu, "real")
+    A = _straightline_adjacency(labelled, N)
+    if A is None:
+        return None
+    sigma = np.zeros((N, M, M))
+    for j in range(N):
+        scatter = [[0.0] * M for _ in range(M)]
+        count = 0
+        for values, _, q in labelled:
+            for t, state in q.items():
+                if state != j:
+                    continue
+                resid = [float(values[t][a]) - mu[j][a] for a in range(M)]
+                for a in range(M):
+                    for b in range(M):
+                        scatter[a][b] += resid[a] * resid[b]
+                count += 1
+        S = [[scatter[a][b] / count for b in range(M)] for a in range(M)]
+        ridge = max(ridge_floor, ridge_scale * sum(S[a][a] for a in range(M)) / M)
+        for a in range(M):
+            for b in range(M):
+                sigma[j][a][b] = S[a][b] + (ridge if a == b else 0.0)
+    return A, mu, sigma
+
+
+def _straightline_states(lattices, M, w, rows, kind):
+    """[(values, shape, {node: nearest row to its naive window signature})].
+    Squared distances use the scalar assignment's arithmetic, so that rows
+    equidistant in exact arithmetic break the tie as the learner does."""
+    out = []
+    for values in lattices:
+        x = naive_signatures(values, M, w, kind)
+        shape = LatticeShape(values.shape if kind == "discrete" else values.shape[:-1])
+        q = {}
+        for t in np.ndindex(*shape.lengths):
+            q[t] = int(np.argmin(((x[t] - rows) ** 2).sum(axis=1)))
+        out.append((values, shape, q))
+    return out
+
+
+def _straightline_adjacency(labelled, N):
+    """Row-normalized neighbor-pair counts (uniform rows for states with no
+    neighbors), or None when some state labels no node."""
+    from lvlm.lattice import neighbors
+
+    counts = [[0.0] * N for _ in range(N)]
+    seen = set()
+    for _, shape, q in labelled:
+        for t, state in q.items():
+            seen.add(state)
+            for r in neighbors(shape, t):
+                counts[state][q[r]] += 1.0
+    if len(seen) < N:
+        return None
+    A = np.empty((N, N))
+    for j in range(N):
+        total = sum(counts[j])
+        for k in range(N):
+            A[j][k] = counts[j][k] / total if total > 0 else 1.0 / N
+    return A

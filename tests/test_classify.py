@@ -102,14 +102,3 @@ def test_softmax_display_normalization():
     p = softmax_scores([0.0, math.log(3)])
     assert p == pytest.approx([0.25, 0.75])
 
-
-def test_thread_cap_respected(monkeypatch):
-    monkeypatch.setenv("LVLM_THREADS", "1")
-    o = obs(5)
-    bundle = ClassifierBundle((
-        ClassEntry("a", model(B_A), math.log(0.5)),
-        ClassEntry("b", model(B_B), math.log(0.5)),
-    ))
-    serial = classify_image(bundle, o)
-    monkeypatch.delenv("LVLM_THREADS")
-    assert classify_image(bundle, o) == serial

@@ -133,3 +133,32 @@ def test_real_pipeline_via_cli(tmp_path, capsys):
     assert code == 0 and out.startswith("logp=")
     code, _, _ = run(capsys, "decode", "--model", model_p, "--in", obs_p, "--out", q_p)
     assert code == 0
+
+
+@pytest.mark.parametrize("flags, radii", [
+    (("--wl", "2", "--we", "3"), (2, 3, 2)),
+    (("--wl", "2"), (2, 2, 2)),
+    (("--w", "1", "--wl", "2"), (1, 1, 2)),
+    (("--wl", "2", "--w", "3"), (3, 3, 2)),
+    (("--w", "1", "--we", "2"), (1, 2, 1)),
+])
+def test_learn_window_flags(tmp_path, capsys, flags, radii):
+    obs_p, model_p = str(tmp_path / "o.lat"), str(tmp_path / "m.lvlm")
+    run(capsys, "synth", "--shape", "12x12", "--n", "2", "--b", "0.8,0.2;0.2,0.8",
+        "--seed", "1", "--out", obs_p)
+    code, _, err = run(capsys, "learn", "--variant", "discrete", "--n", "2", *flags,
+                       "--in", obs_p, "--out", model_p)
+    assert code == 0, err
+    model = io.read_model(model_p)
+    assert (model.w, model.w_e, model.w_l) == radii
+
+
+def test_directory_input_exits_1(tmp_path, capsys):
+    obs_p, model_p = str(tmp_path / "o.lat"), str(tmp_path / "m.lvlm")
+    run(capsys, "synth", "--shape", "8x8", "--n", "2", "--b", "0.8,0.2;0.2,0.8",
+        "--seed", "1", "--out", obs_p)
+    run(capsys, "learn", "--variant", "discrete", "--n", "2", "--w", "1", "--in", obs_p, "--out", model_p)
+    for argv in (("decode", "--model", model_p, "--in", str(tmp_path), "--out", str(tmp_path / "q.lat")),
+                 ("evaluate", "--model", str(tmp_path), "--in", obs_p)):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and len(err.strip().splitlines()) == 1

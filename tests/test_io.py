@@ -52,6 +52,16 @@ def test_read_lattice_rejects_garbage(tmp_path):
         io.read_lattice(p)
 
 
+@pytest.mark.parametrize("values", ["0 300 1", "0 256 1", "0 -1 1"])
+def test_read_lattice_rejects_values_outside_u8(tmp_path, values):
+    p = tmp_path / "big.lat"
+    p.write_text(f"LVLM-LATTICE 1 3 u8\n{values}\n")
+    with pytest.raises(InputError):
+        io.read_lattice(p)
+    with pytest.raises(InputError):
+        io.read_lattice(p, M=400)
+
+
 @pytest.mark.parametrize("binary", [True, False])
 def test_pgm_round_trip(tmp_path, binary):
     vals = np.random.default_rng(3).integers(0, 256, (5, 7))
