@@ -19,7 +19,7 @@ import numpy as np
 from .classify import ClassEntry, ClassifierBundle
 from .discrete import DiscreteModel
 from .errors import InputError
-from .lattice import StateLattice, SymbolLattice
+from .lattice import LatticeShape, StateLattice, SymbolLattice
 from .real import RealModel
 from .vq import Codebook
 
@@ -65,31 +65,35 @@ def write_lattice(path, lat: SymbolLattice | StateLattice):
 
 
 def read_lattice(path, M: int | None = None) -> SymbolLattice:
-    text = Path(path).read_text().split()
+    try:
+        text = Path(path).read_text().split()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not a text lattice file") from e
     if not text or text[0] != LATTICE_MAGIC:
         raise InputError(f"{path}: not a lattice file")
     try:
         d = int(text[1])
-        lengths = tuple(int(x) for x in text[2:2 + d])
+        # d < 1 leaves no lengths, which LatticeShape rejects
+        shape = LatticeShape(tuple(int(x) for x in text[2:2 + max(d, 0)]))
         dtype = text[2 + d]
-        vals = text[3 + d:]
+        m = int(dtype[4:]) if dtype.startswith("f64x") else 0
     except (IndexError, ValueError) as e:
-        raise InputError(f"{path}: malformed lattice header") from e
-    count = int(np.prod(lengths))
-    if dtype == "u8":
-        if len(vals) != count:
-            raise InputError(f"{path}: expected {count} values, got {len(vals)}")
-        arr = np.array([int(v) for v in vals], dtype=np.int64).reshape(lengths)
-        if arr.size and (arr.min() < 0 or arr.max() > 255):
-            raise InputError(f"{path}: u8 values must fit in [0, 255]")
-        return SymbolLattice.discrete(arr, M=M)
-    if dtype.startswith("f64x"):
-        m = int(dtype[4:])
-        if len(vals) != count * m:
-            raise InputError(f"{path}: expected {count * m} values, got {len(vals)}")
-        arr = np.array([float(v) for v in vals]).reshape(lengths + (m,))
-        return SymbolLattice.real(arr)
-    raise InputError(f"{path}: unknown dtype {dtype!r}")
+        raise InputError(f"{path}: malformed lattice header ({e})") from e
+    if dtype != "u8" and m < 1:
+        raise InputError(f"{path}: unknown dtype {dtype!r}")
+    vals = text[3 + d:]
+    count = shape.node_count * max(m, 1)
+    if len(vals) != count:
+        raise InputError(f"{path}: expected {count} values, got {len(vals)}")
+    try:
+        arr = np.array(vals, dtype=np.float64 if m else np.int64)
+    except (ValueError, OverflowError) as e:
+        raise InputError(f"{path}: malformed {dtype} value ({e})") from e
+    if m:
+        return SymbolLattice.real(arr.reshape(shape.lengths + (m,)))
+    if arr.min() < 0 or arr.max() > 255:
+        raise InputError(f"{path}: u8 values must fit in [0, 255]")
+    return SymbolLattice.discrete(arr.reshape(shape.lengths), M=M)
 
 
 # -- PGM ---------------------------------------------------------------------
@@ -112,17 +116,20 @@ def read_pgm(path, M: int | None = None) -> SymbolLattice:
         tokens.append(data[start:pos])
     if len(tokens) < 4 or tokens[0] not in (b"P2", b"P5"):
         raise InputError(f"{path}: not a P2/P5 PGM file")
-    width, height, maxval = (int(t) for t in tokens[1:4])
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:4])
+        shape = LatticeShape((height, width))
+        if tokens[0] == b"P5":  # one whitespace byte after maxval, then the raster
+            raster = np.frombuffer(data[pos + 1:pos + 1 + width * height], dtype=np.uint8)
+        else:
+            raster = np.array(data[pos:].split(), dtype=np.int64)
+    except (ValueError, OverflowError) as e:
+        raise InputError(f"{path}: malformed PGM file ({e})") from e
     if maxval > 255:
         raise InputError(f"{path}: maxval {maxval} > 255 unsupported")
-    if tokens[0] == b"P5":
-        pos += 1  # single whitespace byte after maxval
-        raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    else:
-        raster = np.array([int(v) for v in data[pos:].split()], dtype=np.int64)
-        if raster.size != width * height:
-            raise InputError(f"{path}: expected {width * height} samples")
-    arr = raster.astype(np.int64).reshape(height, width)
+    if raster.size != width * height:
+        raise InputError(f"{path}: expected {width * height} samples, got {raster.size}")
+    arr = raster.astype(np.int64).reshape(shape.lengths)
     return SymbolLattice.discrete(arr, M=M if M is not None else maxval + 1)
 
 
@@ -158,7 +165,8 @@ def states_to_pgm(path, states: StateLattice):
 
 def read_lattice_auto(path, M: int | None = None) -> SymbolLattice:
     """Dispatch on content: PGM magic or lattice magic."""
-    head = Path(path).open("rb").read(2)
+    with Path(path).open("rb") as fh:
+        head = fh.read(2)
     if head in (b"P2", b"P5"):
         return read_pgm(path, M=M)
     return read_lattice(path, M=M)

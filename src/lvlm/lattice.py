@@ -1,12 +1,15 @@
-"""Lattice geometry, neighborhoods, and incremental sliding-window signatures.
+"""Lattice geometry, neighborhoods, and sliding-window signatures.
 
 Coordinates are 0-based tuples, arrays are row-major. A node's w-window is
 the axis-aligned hypercube [t-w, t+w] clamped to the lattice; signatures are
 normalized by the actual (clamped) cell count so they stay valid at edges.
+The sweep sums each channel over these windows by a separable box sum, so no
+node is visited in a Python loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +36,7 @@ class LatticeShape:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.lengths))
+        return math.prod(self.lengths)
 
     def contains(self, t) -> bool:
         return len(t) == self.d and all(0 <= c < n for c, n in zip(t, self.lengths))
@@ -57,6 +60,8 @@ class SymbolLattice:
         if self.kind == "discrete":
             if self.values.size and (self.values.min() < 0 or self.values.max() >= self.M):
                 raise InputError(f"symbol indices must lie in [0, {self.M})")
+        elif not np.isfinite(self.values).all():
+            raise InputError("real lattice values must be finite")
 
     @classmethod
     def discrete(cls, values, M=None) -> "SymbolLattice":
@@ -153,56 +158,43 @@ def window_bounds(shape: LatticeShape, t, w: int):
     return lo, hi, cells
 
 
+def _box_sum(plane: np.ndarray, w: int) -> np.ndarray:
+    """Sum of `plane` over the clamped box [t-w, t+w] at every node t.
+
+    One axis at a time, the shifted slices for offsets -r..+r are added to
+    zeros in ascending order, so each node adds its window's cells in index
+    order and nodes with the same clamped window get bit-equal sums.
+    """
+    for axis, n in enumerate(plane.shape):
+        r = min(w, n - 1)
+        acc = np.zeros_like(plane)
+        for k in range(-r, r + 1):
+            dst = [slice(None)] * plane.ndim
+            src = [slice(None)] * plane.ndim
+            dst[axis] = slice(max(0, -k), n - max(0, k))
+            src[axis] = slice(max(0, k), n - max(0, -k))
+            acc[tuple(dst)] += plane[tuple(src)]
+        plane = acc
+    return plane
+
+
 def sweep_signatures(lattice: SymbolLattice, w: int) -> SignatureField:
-    """Window statistic at every node by an incremental row-major sweep.
+    """Window statistic at every node by a separable box sum, one channel at
+    a time.
 
     Discrete: empirical symbol distribution over the clamped window (exact
-    integer counts). Real: sample mean of the window vectors. The scan slides
-    along the last axis and reinitializes at the start of each row, so the
-    result matches naive per-node recomputation.
+    integer counts, so bit-identical to a per-node recount). Real: sample
+    mean of the window vectors.
     """
     if w < 0:
         raise InputError("window radius must be >= 0")
     lengths = lattice.shape.lengths
-    M = lattice.M
-    last = lengths[-1]
-    out = np.empty(lengths + (M,), dtype=np.float64)
-    discrete = lattice.kind == "discrete"
-
-    for prefix in np.ndindex(*lengths[:-1]):
-        row_slices = tuple(
-            slice(max(0, c - w), min(n - 1, c + w) + 1)
-            for c, n in zip(prefix, lengths[:-1])
-        )
-        block = lattice.values[row_slices + (slice(None),)]
-        if discrete:
-            flat = block.reshape(-1, last)
-            rows = flat.shape[0]
-            hi0 = min(last - 1, w)
-            counts = np.bincount(flat[:, : hi0 + 1].ravel(), minlength=M).astype(np.int64)
-            for j in range(last):
-                lo = max(0, j - w)
-                hi = min(last - 1, j + w)
-                if j > 0:
-                    if j + w <= last - 1:
-                        counts += np.bincount(flat[:, j + w], minlength=M)
-                    if j - 1 - w >= 0:
-                        counts -= np.bincount(flat[:, j - 1 - w], minlength=M)
-                out[prefix + (j,)] = counts / (rows * (hi - lo + 1))
+    out = np.empty(lengths + (lattice.M,), dtype=np.float64)
+    cells = _box_sum(np.ones(lengths, dtype=np.int64), w)
+    for c in range(lattice.M):
+        if lattice.kind == "discrete":
+            plane = (lattice.values == c).astype(np.int64)
         else:
-            flat = block.reshape(-1, last, M)
-            rows = flat.shape[0]
-            colsums = flat.sum(axis=0)  # (last, M)
-            hi0 = min(last - 1, w)
-            acc = colsums[: hi0 + 1].sum(axis=0)
-            for j in range(last):
-                lo = max(0, j - w)
-                hi = min(last - 1, j + w)
-                if j > 0:
-                    if j + w <= last - 1:
-                        acc = acc + colsums[j + w]
-                    if j - 1 - w >= 0:
-                        acc = acc - colsums[j - 1 - w]
-                out[prefix + (j,)] = acc / (rows * (hi - lo + 1))
-
+            plane = lattice.values[..., c]
+        out[..., c] = _box_sum(plane, w) / cells
     return SignatureField(lattice.shape, out)

@@ -193,20 +193,17 @@ class _Agglomerator:
 
     def result(self):
         survivors = np.flatnonzero(self.alive)
-        index = {int(s): i for i, s in enumerate(survivors)}
-        # resolve merge chains without recursion
-        assignment = np.empty(len(self.pts), dtype=np.int64)
-        for i in range(len(self.pts)):
-            r = i
-            while self.parent[r] != r:
-                r = self.parent[r]
-            # path compression for later lookups
-            j = i
-            while self.parent[j] != r:
-                self.parent[j], j = r, self.parent[j]
-            assignment[i] = index[r]
+        # resolve merge chains by pointer jumping; the roots are the survivors
+        root = self.parent
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        index = np.empty(len(self.pts), dtype=np.int64)
+        index[survivors] = np.arange(len(survivors))
         codebook = Codebook(self.centroid[survivors].copy(), self.size[survivors].copy())
-        return codebook, assignment
+        return codebook, index[root]
 
 
 def pnn_quantize(points, n_clusters, *, dedupe=True, exact_threshold=EXACT_THRESHOLD,

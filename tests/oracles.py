@@ -2,7 +2,7 @@
 
 Everything here recomputes from first principles (per-node window recounts,
 full pairwise merge scans, straight-line log-score accumulation) and stays
-independent of the incremental / accelerated code paths it checks.
+independent of the vectorized / accelerated code paths it checks.
 """
 
 import math
@@ -13,7 +13,7 @@ from lvlm.lattice import LatticeShape, window_bounds
 
 
 def naive_signatures(values, M, w, kind):
-    """Per-node window statistic by full recount, no incremental state."""
+    """Per-node window statistic by full recount of each node's window."""
     lengths = values.shape if kind == "discrete" else values.shape[:-1]
     shape = LatticeShape(lengths)
     out = np.empty(lengths + (M,))

@@ -162,3 +162,28 @@ def test_directory_input_exits_1(tmp_path, capsys):
                  ("evaluate", "--model", str(tmp_path), "--in", obs_p)):
         code, _, err = run(capsys, *argv)
         assert code == 1 and len(err.strip().splitlines()) == 1
+
+
+BAD_INPUTS = {
+    "u8-fraction": ("index", b"LVLM-LATTICE 1 3 u8\n0 1.5 1\n"),
+    "f64-word": ("quantize", b"LVLM-LATTICE 1 2 f64x1\n1.0 abc\n"),
+    "p5-truncated": ("quantize", b"P5\n4 4\n255\nabc"),
+    "pgm-header-word": ("quantize", b"P2\n2x 1\n255\n0 1\n"),
+    "p2-sample-word": ("quantize", b"P2\n2 1\n255\n0 1#\n"),
+    "non-utf8": ("quantize", b"LVLM-LATTICE 1 2 u8\n0 \xff\xfe\n"),
+    "nan": ("learn", b"LVLM-LATTICE 1 2 f64x1\nnan 1\n"),
+    "inf": ("learn", b"LVLM-LATTICE 1 2 f64x1\n1 inf\n"),
+    "1e400": ("learn", b"LVLM-LATTICE 1 2 f64x1\n1e400 1\n"),
+}
+
+
+@pytest.mark.parametrize("cmd,data", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_malformed_lattice_exits_1(tmp_path, capsys, cmd, data):
+    (tmp_path / "bad").write_bytes(data)
+    bad, out = str(tmp_path / "bad"), str(tmp_path / "out")
+    argv = {"index": ("index", "--states", bad),
+            "quantize": ("quantize", "--in", bad, "--n", "1", "--out", out),
+            "learn": ("learn", "--variant", "real", "--n", "1", "--w", "1", "--in", bad, "--out", out)}[cmd]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1

@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from lvlm import DiscreteModel, InputError, RealModel, StateLattice, SymbolLattice
 from lvlm import io
@@ -148,3 +150,69 @@ def test_atomic_write_no_partial_file(tmp_path):
     io.write_atomic(p, b"hello")
     assert p.read_bytes() == b"hello"
     assert list(tmp_path.iterdir()) == [p]
+
+
+MALFORMED = {
+    "u8 value not an integer": b"LVLM-LATTICE 1 3 u8\n0 1.5 1\n",
+    "u8 value overflows int64": b"LVLM-LATTICE 1 2 u8\n0 99999999999999999999999\n",
+    "f64 value not a number": b"LVLM-LATTICE 1 2 f64x1\n1.0 abc\n",
+    "f64 value nan": b"LVLM-LATTICE 1 2 f64x1\n1.0 nan\n",
+    "f64 value overflows to inf": b"LVLM-LATTICE 1 2 f64x1\n1.0 -1e400\n",
+    "f64 width not a number": b"LVLM-LATTICE 1 2 f64xa\n1.0 2.0\n",
+    "f64 width zero": b"LVLM-LATTICE 1 2 f64x0\n",
+    "negative dimension count": b"LVLM-LATTICE -2 1 2 3 u8 0\n",
+    "negative length": b"LVLM-LATTICE 2 -1 -2 u8\n0 1\n",
+    "non-UTF-8 bytes": b"LVLM-LATTICE 1 2 u8\n0 \xff\xfe\n",
+    "truncated P5 raster": b"P5\n4 4\n255\nabc",
+    "P5 without raster": b"P5\n4 4\n255",
+    "non-numeric PGM header": b"P2\n2x 1\n255\n0 1\n",
+    "negative PGM width": b"P5\n-1 -1\n255\n\x00",
+    "non-numeric P2 sample": b"P2\n2 1\n255\n0 1#\n",
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
+def test_read_lattice_auto_rejects_malformed_file(tmp_path, data):
+    p = tmp_path / "bad"
+    p.write_bytes(data)
+    with pytest.raises(InputError):
+        io.read_lattice_auto(p)
+
+
+VALID = [
+    b"LVLM-LATTICE 2 2 3 u8\n0 1 2\n2 1 0\n",
+    b"LVLM-LATTICE 1 2 f64x2\n0.5 -1e3 2 0.25\n",
+    b"P2\n# c\n3 2\n3\n0 1 2\n3 2 1\n",
+    b"P5\n3 2\n255\n\x00\x01\x02\x03\x04\x05",
+]
+
+
+@st.composite
+def lattice_bytes(draw):
+    """Random bytes, or a valid lattice/PGM file with random byte edits."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    data = bytearray(draw(st.sampled_from(VALID)))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        byte = draw(st.binary(min_size=1, max_size=1))
+        if edit == "insert" or pos == len(data):
+            data[pos:pos] = byte
+        elif edit == "replace":
+            data[pos:pos + 1] = byte
+        else:
+            del data[pos]
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=lattice_bytes())
+def test_read_lattice_auto_parses_or_raises_input_error(tmp_path, data):
+    p = tmp_path / "fuzz"
+    p.write_bytes(data)
+    try:
+        lat = io.read_lattice_auto(p)
+    except InputError:
+        return
+    assert isinstance(lat, SymbolLattice)

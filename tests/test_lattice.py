@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -103,3 +105,42 @@ def test_interior_window_cell_count(lengths, w):
 def test_symbol_lattice_rejects_bad_indices():
     with pytest.raises(InputError):
         SymbolLattice.discrete(np.array([0, 3]), M=2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_real_lattice_rejects_non_finite_values(value):
+    vals = np.zeros((3, 2))
+    vals[1, 0] = value
+    with pytest.raises(InputError):
+        SymbolLattice.real(vals)
+
+
+@given(lengths=shapes, w=st.integers(0, 4), m=st.integers(1, 3), seed=st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_real_equal_windows_give_equal_signatures(lengths, w, m, seed):
+    # nodes whose clamped windows coincide must get bit-equal signatures,
+    # or learning splits copies of one window into different states
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=lengths + (m,)) * 10.0 ** rng.integers(-3, 4, size=m) + rng.normal(size=m)
+    sigs = sweep_signatures(SymbolLattice.real(vals), w).signatures
+    shape = LatticeShape(lengths)
+    first = {}
+    for t in np.ndindex(*lengths):
+        lo, hi, _ = window_bounds(shape, t, w)
+        assert np.array_equal(sigs[t], sigs[first.setdefault((lo, hi), t)])
+
+
+def test_sweep_memory_wide_alphabet():
+    # one channel at a time: the peak stays near the output itself even at
+    # PGM alphabet size, and a corner crop equals the per-node recount
+    vals = np.random.default_rng(11).integers(0, 256, size=(128, 128))
+    lat = SymbolLattice.discrete(vals, M=256)
+    tracemalloc.start()
+    try:
+        got = sweep_signatures(lat, 2).signatures
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * got.nbytes
+    want = naive_signatures(vals[:12, :12], 256, 2, "discrete")
+    assert np.array_equal(got[:10, :10], want[:10, :10])
