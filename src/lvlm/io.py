@@ -10,6 +10,7 @@ bit-faithful. All writes go through a temp file plus rename.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -47,6 +48,13 @@ def write_atomic(path, data: bytes):
         raise
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not a UTF-8 text file") from e
+
+
 # -- lattice files -----------------------------------------------------------
 
 def write_lattice(path, lat: SymbolLattice | StateLattice):
@@ -65,10 +73,7 @@ def write_lattice(path, lat: SymbolLattice | StateLattice):
 
 
 def read_lattice(path, M: int | None = None) -> SymbolLattice:
-    try:
-        text = Path(path).read_text().split()
-    except UnicodeDecodeError as e:
-        raise InputError(f"{path}: not a text lattice file") from e
+    text = _read_text(path).split()
     if not text or text[0] != LATTICE_MAGIC:
         raise InputError(f"{path}: not a lattice file")
     try:
@@ -193,7 +198,7 @@ def write_model(path, model: DiscreteModel | RealModel):
 
 def _parse_kv(path) -> dict:
     fields = {}
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -260,18 +265,25 @@ def write_bundle(path, entries):
 
 
 def read_bundle(path) -> ClassifierBundle:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    """Model paths are relative to the manifest's directory unless absolute."""
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines or lines[0].strip() != BUNDLE_MAGIC:
         raise InputError(f"{path}: not a bundle manifest")
-    base = Path(path).parent
     entries = []
     for ln in lines[1:]:
         parts = ln.split(maxsplit=2)
-        if len(parts) != 3:
+        if len(parts) != 3 or "\0" in ln:  # no path holds a NUL byte
             raise InputError(f"{path}: malformed bundle line {ln!r}")
-        label, prior, model_path = parts[0], float(parts[1]), parts[2]
-        mp = Path(model_path)
-        if not mp.is_absolute():
-            mp = base / mp
-        entries.append(ClassEntry(label, read_model(mp), float(np.log(prior))))
+        label, prior, model_path = parts
+        try:
+            prior = float(prior)
+        except ValueError as e:
+            raise InputError(f"{path}: malformed prior {prior!r}") from e
+        if not (math.isfinite(prior) and prior > 0):
+            raise InputError(f"{path}: prior {prior!r} must be finite and > 0")
+        try:
+            model = read_model(Path(path).parent / model_path)
+        except OSError as e:
+            raise InputError(f"{path}: cannot read model {model_path!r} ({e.strerror})") from e
+        entries.append(ClassEntry(label, model, math.log(prior)))
     return ClassifierBundle(tuple(entries))

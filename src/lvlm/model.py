@@ -170,6 +170,10 @@ def learn(cls: type[LatticeModel], obs, w_l: int, n_states: int, *, w=None, w_e=
     points = np.concatenate([f.flat() for f in fields])
     codebook, _ = vq.pnn_quantize(points, n_states)
     rows = cls._rows_from_codebook(codebook.centroids)
+    distinct = len(np.unique(rows, axis=0))
+    if distinct < n_states:
+        raise NumericError(f"only {distinct} distinct emission rows for {n_states} states: "
+                           "too few distinct window signatures")
 
     counts = np.zeros((n_states, n_states))
     occupied = np.zeros(n_states, dtype=bool)

@@ -55,7 +55,10 @@ def greedy_pnn(points, n_clusters):
         cost, a, b = best
         ma, ca, na = clusters[a]
         mb, cb, nb = clusters[b]
-        clusters[a] = (ma + mb, (na * ca + nb * cb) / (na + nb), na + nb)
+        # the mean of equal vectors is that vector; the weighted-mean formula
+        # can round away from it, and identical points must stay zero-cost merges
+        centroid = ca if np.array_equal(ca, cb) else (na * ca + nb * cb) / (na + nb)
+        clusters[a] = (ma + mb, centroid, na + nb)
         del clusters[b]
         history.append((a, b, cost))
     ids = sorted(clusters)

@@ -303,7 +303,8 @@ def test_c10_learned_B_rows_stochastic(rows, cols, M, N, data_seed):
     obs = SymbolLattice.discrete(rng.integers(0, M, size=(rows, cols)), M=M)
     try:
         model = learn_discrete(obs, 1, N)
-    except NumericError:
+    except NumericError as e:
+        assert "too few distinct window signatures" in str(e)
         assume(False)
     assert model.B.min() >= 0
     np.testing.assert_allclose(model.B.sum(axis=1), 1.0, atol=1e-12)
@@ -317,7 +318,8 @@ def test_c10_learned_A_rows_stochastic(rows, cols, M, N, data_seed):
     obs = SymbolLattice.discrete(rng.integers(0, M, size=(rows, cols)), M=M)
     try:
         model = learn_discrete(obs, 1, N)
-    except NumericError:
+    except NumericError as e:
+        assert "too few distinct window signatures" in str(e)
         assume(False)
     assert model.A.min() >= 0
     np.testing.assert_allclose(model.A.sum(axis=1), 1.0, atol=1e-12)
@@ -331,7 +333,8 @@ def test_c10_learned_sigma_symmetric_psd(rows, cols, M, N, data_seed):
     obs = SymbolLattice.real(rng.normal(size=(rows, cols, M)))
     try:
         model = learn_real(obs, 1, N)
-    except NumericError:
+    except NumericError as e:
+        assert "too few distinct window signatures" in str(e)
         assume(False)
     for j in range(N):
         np.testing.assert_allclose(model.sigma[j], model.sigma[j].T, atol=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lvlm import SymbolLattice, io
+from lvlm import DiscreteModel, SymbolLattice, io
 from lvlm.cli import main
 
 
@@ -120,6 +120,14 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert code == 1 and err
 
 
+def test_learn_too_few_distinct_signatures_exits_2(tmp_path, capsys):
+    io.write_lattice(tmp_path / "c.lat", SymbolLattice.discrete(np.ones((6, 6), dtype=int), M=2))
+    code, _, err = run(capsys, "learn", "--variant", "discrete", "--n", "2", "--w", "1",
+                       "--in", str(tmp_path / "c.lat"), "--out", str(tmp_path / "m.lvlm"))
+    assert code == 2
+    assert err.startswith("lvlm: numeric error: only 1 distinct") and len(err.strip().splitlines()) == 1
+
+
 def test_real_pipeline_via_cli(tmp_path, capsys):
     obs_p, model_p, q_p = (str(tmp_path / n) for n in ("o.lat", "m.lvlm", "q.lat"))
     code, _, _ = run(capsys, "synth", "--shape", "16x16", "--n", "2",
@@ -185,5 +193,28 @@ def test_malformed_lattice_exits_1(tmp_path, capsys, cmd, data):
             "quantize": ("quantize", "--in", bad, "--n", "1", "--out", out),
             "learn": ("learn", "--variant", "real", "--n", "1", "--w", "1", "--in", bad, "--out", out)}[cmd]
     code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1
+
+
+BAD_MODEL_FILES = {
+    "model-non-utf8": ("evaluate", b"variant=discrete\nN=\xff\n"),
+    "bundle-prior-word": ("classify", b"LVLM-BUNDLE\na x m.lvlm\n"),
+    "bundle-prior-zero": ("classify", b"LVLM-BUNDLE\na 0 m.lvlm\nb 1 m.lvlm\n"),
+    "bundle-prior-negative": ("classify", b"LVLM-BUNDLE\na -1 m.lvlm\nb 2 m.lvlm\n"),
+    "bundle-missing-model": ("classify", b"LVLM-BUNDLE\na 1 no.lvlm\n"),
+}
+
+
+# a warning (numpy's log of a bad prior) would print a second line in the CLI
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cmd,data", BAD_MODEL_FILES.values(), ids=BAD_MODEL_FILES.keys())
+def test_malformed_model_or_bundle_exits_1(tmp_path, capsys, cmd, data):
+    io.write_lattice(tmp_path / "o.lat", SymbolLattice.discrete(np.eye(4, dtype=int), M=2))
+    io.write_model(tmp_path / "m.lvlm",
+                   DiscreteModel(N=1, M=2, d=2, A=np.ones((1, 1)), B=np.array([[0.5, 0.5]])))
+    (tmp_path / "bad").write_bytes(data)
+    flag = {"evaluate": "--model", "classify": "--bundle"}[cmd]
+    code, _, err = run(capsys, cmd, flag, str(tmp_path / "bad"), "--in", str(tmp_path / "o.lat"))
     assert code == 1
     assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1

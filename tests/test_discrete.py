@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from lvlm import (
     DiscreteModel,
     InputError,
+    NumericError,
     SymbolLattice,
     assign_discrete,
     decode_discrete,
@@ -106,6 +107,13 @@ def test_learn_constant_lattice():
     assert np.array_equal(m.A, [[1.0]])
 
 
+def test_learn_too_few_distinct_signatures():
+    obs = SymbolLattice.discrete(np.ones((6, 6), dtype=int), M=2)
+    with pytest.raises(NumericError, match="^only 1 distinct emission rows for 2 states: "
+                                           "too few distinct window signatures$"):
+        learn_discrete(obs, 1, 2)
+
+
 def test_learn_two_halves():
     rng = np.random.default_rng(5)
     half = rng.random((32, 16))
@@ -167,8 +175,6 @@ def test_scaling_A_leaves_decode_and_pair_term_unchanged():
 def test_learned_rows_stochastic(seed, n, m, h, wvar):
     rng = np.random.default_rng(seed)
     obs = SymbolLattice.discrete(rng.integers(0, m, (h, h)), M=m)
-    from lvlm import NumericError
-
     try:
         model = learn_discrete(obs, wvar, n)
     except NumericError:  # degenerate draws may legitimately leave a state empty

@@ -188,11 +188,11 @@ VALID = [
 
 
 @st.composite
-def lattice_bytes(draw):
-    """Random bytes, or a valid lattice/PGM file with random byte edits."""
+def edited_bytes(draw, valid):
+    """Random bytes, or one of the `valid` files with random byte edits."""
     if draw(st.booleans()):
         return draw(st.binary(max_size=64))
-    data = bytearray(draw(st.sampled_from(VALID)))
+    data = bytearray(draw(st.sampled_from(valid)))
     for _ in range(draw(st.integers(1, 4))):
         pos = draw(st.integers(0, len(data)))
         edit = draw(st.sampled_from(["replace", "insert", "delete"]))
@@ -207,7 +207,7 @@ def lattice_bytes(draw):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=lattice_bytes())
+@given(data=edited_bytes(VALID))
 def test_read_lattice_auto_parses_or_raises_input_error(tmp_path, data):
     p = tmp_path / "fuzz"
     p.write_bytes(data)
@@ -216,3 +216,35 @@ def test_read_lattice_auto_parses_or_raises_input_error(tmp_path, data):
     except InputError:
         return
     assert isinstance(lat, SymbolLattice)
+
+
+VALID_MODELS = [
+    b"variant=discrete\nN=2\nM=2\nd=2\nw=1\nw_e=1\nw_l=1\nalpha=1\nA=0.9 0.1 0.1 0.9\nB=0.8 0.2 0.2 0.8\n",
+    b"variant=real\nN=1\nM=2\nd=1\nw=1\nw_e=1\nw_l=1\nalpha=0.5\nA=1\nmu=0 1\nsigma=1 0 0 1\n",
+]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=edited_bytes(VALID_MODELS))
+def test_read_model_parses_or_raises_input_error(tmp_path, data):
+    p = tmp_path / "fuzz"
+    p.write_bytes(data)
+    try:
+        model = io.read_model(p)
+    except InputError:
+        return
+    assert isinstance(model, (DiscreteModel, RealModel))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=edited_bytes([b"LVLM-BUNDLE\na 0.25 a.lvlm\nb 0.75 b.lvlm\n"]))
+def test_read_bundle_parses_or_raises_input_error(tmp_path, data):
+    for name in "ab":
+        (tmp_path / f"{name}.lvlm").write_bytes(VALID_MODELS[0])
+    p = tmp_path / "fuzz"
+    p.write_bytes(data)
+    try:
+        bundle = io.read_bundle(p)
+    except InputError:
+        return
+    assert all(c.log_prior < 0 for c in bundle.classes)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import fcluster, ward
 
 from lvlm import Codebook, InputError, merge_cost, pnn_quantize
 
@@ -62,12 +63,48 @@ def test_pnn_merge_sequence_matches_oracle_small(seed):
     assert np.array_equal(asg, oracle_asg)
 
 
-def test_pnn_duplicate_points_match_oracle():
-    pts = np.array([[0.0], [1.0], [0.0], [1.0], [0.5], [0.0]])
-    _, asg, history = pnn_quantize(pts, 2, return_history=True)
-    _, _, oracle_asg, oracle_hist = greedy_pnn(pts, 2)
+def _repeated_rows(seed, n_distinct):
+    """Random normal rows, each repeated 1-4 times, then shuffled."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n_distinct, int(rng.integers(1, 4))))
+    return rng.permutation(np.repeat(rows, rng.integers(1, 5, size=n_distinct), axis=0))
+
+
+DUPLICATE_CASES = {
+    "hand": (np.array([[0.0], [1.0], [0.0], [1.0], [0.5], [0.0]]), 2),
+    **{f"seed{seed}": (_repeated_rows(seed, 10), 1 + seed) for seed in range(8)},
+    "fewer-distinct-than-N": (np.random.default_rng(0).permutation(
+        np.repeat([[0.3, -1.2], [2.0, 0.1], [-0.4, 0.9]], [3, 1, 4], axis=0)), 5),
+}
+
+
+@pytest.mark.parametrize("pts, n_clusters", DUPLICATE_CASES.values(), ids=DUPLICATE_CASES.keys())
+def test_pnn_duplicate_points_match_oracle(pts, n_clusters):
+    _, asg, history = pnn_quantize(pts, n_clusters, return_history=True)
+    _, _, oracle_asg, oracle_hist = greedy_pnn(pts, n_clusters)
     assert [(a, b) for a, b, _ in history] == [(a, b) for a, b, _ in oracle_hist]
     assert np.array_equal(asg, oracle_asg)
+
+
+def test_repeated_point_centroid_is_the_point():
+    pts = np.array([[0.1, 0.7]] * 7 + [[5.0, 5.0]])
+    cb, asg = pnn_quantize(pts, 2)
+    assert np.array_equal(cb.centroids[0], [0.1, 0.7])
+    assert np.array_equal(cb.sizes, [7, 1]) and list(asg) == [0] * 7 + [1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_pnn_matches_ward_linkage(seed):
+    # PNN's merge cost is Ward's criterion, with cost = height**2 / 2
+    pts, N = _repeated_rows(seed, 500), 2 + 2 * seed
+    _, asg, history = pnn_quantize(pts, N, exact_threshold=10**9, return_history=True)
+    Z = ward(pts)
+    labels = fcluster(Z, N, "maxclust")
+    pairs = set(zip(asg.tolist(), labels.tolist()))
+    assert len(pairs) == len(set(asg.tolist())) == len(set(labels.tolist())) == N
+    costs = np.array([c for _, _, c in history])
+    np.testing.assert_allclose(np.sort(costs), np.sort(Z[:, 2] ** 2 / 2)[:len(pts) - N], rtol=1e-9)
+    assert np.count_nonzero(costs == 0.0) == len(pts) - 500
 
 
 @pytest.mark.parametrize("seed", range(5))
