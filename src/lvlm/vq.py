@@ -3,17 +3,18 @@
 Greedy agglomeration: repeatedly merge the pair whose merge raises total
 squared distortion the least, until N clusters remain. Identical points merge
 first, at zero cost, so merging starts from the weighted unique points, each
-centroid exactly its point. Each live cluster keeps its cheapest partner,
-ties to the lowest-id pair, and the least (cost, pair) merges next, so on
-inputs up to `exact_threshold` live clusters the merge sequence equals the
+centroid exactly its point. Candidate pairs live in a lazily-invalidated heap
+keyed by (cost, lowest-id pair); stale entries are re-validated before use, so
+on inputs up to `exact_threshold` live clusters the merge sequence equals the
 exact greedy one. Above the threshold, clusters are first coalesced by
 mutual-nearest-neighbor rounds — each round batch-queries one k-d tree over
 all live centroids and merges every pair that picked each other — which is
-near-linearithmic, then the exact stage finishes the tail.
+near-linearithmic, then the exact heap finishes the tail.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,9 +62,10 @@ class _Agglomerator:
         self.centroid = centroid
         self.size = size
         self.alive = np.ones(k, dtype=bool)
+        self.gen = np.zeros(k, dtype=np.int64)
         self.parent = np.arange(k)
         self.active = k
-        self.history: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.history: list[tuple[int, int, float]] = []
 
     def merge(self, a, b, cost):
         """Merge clusters b[i] into a[i] (a[i] < b[i]); centroids become size-weighted means."""
@@ -72,9 +74,10 @@ class _Agglomerator:
                             + self.size[b, None] * self.centroid[b]) / total[:, None]
         self.size[a] = total
         self.alive[b] = False
+        self.gen[a] += 1
         self.parent[b] = a
         self.active -= len(a)
-        self.history.append((a, b, cost))
+        self.history.extend(zip(a.tolist(), b.tolist(), cost.tolist()))
 
     # -- batched approximate stage (large inputs) ---------------------------
 
@@ -82,9 +85,7 @@ class _Agglomerator:
         """Per cluster: cheapest merge partner among its k-d tree neighbors."""
         k = min(TREE_CANDIDATES + 1, len(ids))
         tree = cKDTree(self.centroid[ids])
-        # one thread: `workers=-1` starts its threads on every call, which costs
-        # more than it saves on the many small rounds and makes timings noisy
-        _, idx = tree.query(self.centroid[ids], k=k)
+        _, idx = tree.query(self.centroid[ids], k=k, workers=-1)
         idx = idx.reshape(len(ids), -1)
         cid = ids[idx]
         d2 = ((self.centroid[cid] - self.centroid[ids][:, None, :]) ** 2).sum(axis=2)
@@ -122,54 +123,41 @@ class _Agglomerator:
 
     # -- exact stage ---------------------------------------------------------
 
-    def nearest(self, rows, ids):
-        """Cheapest partner in `ids` of each cluster in `rows` (ties to the lowest id) and its cost."""
-        partner = np.empty(len(rows), dtype=np.int64)
-        cost = np.empty(len(rows))
-        # a block of rows at a time bounds the (rows, ids, M) temporaries
-        step = max(1, 2**20 // (len(ids) * self.centroid.shape[1] + 1))
-        for i in range(0, len(rows), step):
-            r = rows[i:i + step, None]
-            d2 = ((self.centroid[ids] - self.centroid[r]) ** 2).sum(axis=2)
-            costs = self.size[ids] * self.size[r] / (self.size[ids] + self.size[r]) * d2
-            costs[r == ids] = np.inf
-            j = costs.argmin(axis=1)
-            partner[i:i + step] = ids[j]
-            cost[i:i + step] = costs[np.arange(len(j)), j]
-        return partner, cost
+    def _pick(self, a, ids, costs):
+        m = costs.min()
+        cand = ids[costs == m]
+        lower = cand[cand < a]
+        b = int(lower.min() if lower.size else cand.min())
+        return float(m), b
+
+    def nn_exact(self, a, ids):
+        ids = ids[ids != a]
+        d2 = ((self.centroid[ids] - self.centroid[a]) ** 2).sum(axis=1)
+        costs = self.size[ids] * self.size[a] / (self.size[ids] + self.size[a]) * d2
+        return self._pick(a, ids, costs)
+
+    def entry(self, a, ids):
+        c, b = self.nn_exact(a, ids)
+        return (c, min(a, b), max(a, b), a, b, self.gen[a], self.gen[b])
 
     def run(self, n_target):
-        """Merge the pair least in (cost, lower id, higher id) until `n_target` remain.
-
-        Each live cluster keeps its cheapest partner. A merge recomputes the
-        merged cluster and the clusters whose partner was one of the pair;
-        the others keep theirs unless the merged cluster is now cheaper.
-        """
         if self.active <= n_target:
             return
         ids = np.flatnonzero(self.alive)
-        partner = np.zeros(len(self.alive), dtype=np.int64)
-        best = np.zeros(len(self.alive))
-        partner[ids], best[ids] = self.nearest(ids, ids)
-        while True:
-            tied = ids[best[ids] == best[ids].min()]
-            lo = np.minimum(tied, partner[tied])
-            hi = np.maximum(tied, partner[tied])
-            i = np.lexsort((hi, lo))[0]
-            a, b = lo[i], hi[i]
-            self.merge(lo[i:i + 1], hi[i:i + 1], best[tied[i:i + 1]])
+        heap = [self.entry(int(a), ids) for a in ids]
+        heapq.heapify(heap)
+        while self.active > n_target:
+            cost, pmin, pmax, owner, partner, go, gp = heapq.heappop(heap)
+            if not self.alive[owner] or self.gen[owner] != go:
+                continue
+            if not self.alive[partner] or self.gen[partner] != gp:
+                heapq.heappush(heap, self.entry(owner, ids))
+                continue
+            self.merge(np.array([pmin]), np.array([pmax]), np.array([cost]))
+            ids = ids[ids != pmax]
             if self.active <= n_target:
-                return
-            ids = ids[ids != b]
-            stale = (partner[ids] == a) | (partner[ids] == b) | (ids == a)
-            partner[ids[stale]], best[ids[stale]] = self.nearest(ids[stale], ids)
-            # a's costs to the rest equal theirs to a; on a tie the lower id wins
-            rest = ids[~stale]
-            d2 = ((self.centroid[rest] - self.centroid[a]) ** 2).sum(axis=1)
-            cost = self.size[rest] * self.size[a] / (self.size[rest] + self.size[a]) * d2
-            better = (cost < best[rest]) | (cost == best[rest]) & (a < partner[rest])
-            partner[rest[better]] = a
-            best[rest[better]] = cost[better]
+                break
+            heapq.heappush(heap, self.entry(pmin, ids))
 
 
 def pnn_quantize(points, n_clusters, *, exact_threshold=EXACT_THRESHOLD, return_history=False):
@@ -214,8 +202,8 @@ def pnn_quantize(points, n_clusters, *, exact_threshold=EXACT_THRESHOLD, return_
     codebook = Codebook(agg.centroid[agg.alive], agg.size[agg.alive])
     assignment = (np.cumsum(agg.alive) - 1)[root[start]]
     if return_history:
+        ids = rep.tolist()
         history = list(zip(first_of[repeats].tolist(), repeats.tolist(), [0.0] * len(repeats)))
-        for a, b, cost in agg.history:
-            history += zip(rep[a].tolist(), rep[b].tolist(), cost.tolist())
+        history += [(ids[a], ids[b], c) for a, b, c in agg.history]
         return codebook, assignment, history
     return codebook, assignment

@@ -56,7 +56,10 @@ def greedy_pnn(points, n_clusters):
         ma, ca, na = clusters[a]
         mb, cb, nb = clusters[b]
         # the mean of equal vectors is that vector; the weighted-mean formula
-        # can round away from it, and identical points must stay zero-cost merges
+        # can round away from it, and identical points must stay zero-cost merges.
+        # This rule mirrors the implementation's exact-point start, so on inputs
+        # with repeated rows the independent check is the scipy Ward-linkage test
+        # in tests/test_vq.py, which shares no code with either.
         centroid = ca if np.array_equal(ca, cb) else (na * ca + nb * cb) / (na + nb)
         clusters[a] = (ma + mb, centroid, na + nb)
         del clusters[b]
