@@ -33,8 +33,8 @@ class DiscreteModel(core.LatticeModel):
         return self.B
 
     def _check_emission(self):
-        if self.B.shape != (self.N, self.M) or self.B.min() < 0:
-            raise InputError("B must be N x M nonnegative")
+        if self.B.shape != (self.N, self.M) or not np.isfinite(self.B).all() or self.B.min() < 0:
+            raise InputError("B must be N x M finite nonnegative")
         if np.abs(self.B.sum(axis=1) - 1.0).max() > 1e-9:
             raise InputError("rows of B must sum to 1")
 

@@ -5,7 +5,8 @@ with dtype u8 (symbol/state indices) or f64x<M> (real vectors), followed by
 whitespace-separated row-major values. 2D u8 lattices can also be read and
 written as PGM (P2 or P5). Model files are key=value text with matrices
 row-major; floats carry 17 significant digits so round trips are
-bit-faithful. All writes go through a temp file plus rename.
+bit-faithful. Lattice and P2 bodies are formatted in one `str.format` call
+over all values. All writes go through a temp file plus rename.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ def _fmt(x: float) -> str:
 
 def _fmt_vec(a) -> str:
     return " ".join(_fmt(x) for x in np.asarray(a, dtype=np.float64).ravel())
+
+
+def _format_rows(values: np.ndarray, per_row: int, spec: str) -> str:
+    """All of `values` in row-major order, `per_row` to a line, each formatted
+    by `spec` ("{}" or "{:.17g}"), in one str.format call."""
+    flat = values.ravel().tolist()
+    row = " ".join([spec] * per_row) + "\n"
+    return (row * (len(flat) // per_row)).format(*flat)
 
 
 def write_atomic(path, data: bytes):
@@ -65,11 +74,11 @@ def write_lattice(path, lat: SymbolLattice | StateLattice):
         if lat.values.size and lat.values.max() > 255:
             raise InputError("u8 lattice values must fit in [0, 255]")
         header = f"{LATTICE_MAGIC} {lat.shape.d} {' '.join(map(str, lengths))} u8\n"
-        body = "\n".join(" ".join(map(str, row)) for row in lat.values.reshape(-1, lengths[-1]))
+        body = _format_rows(lat.values, lengths[-1], "{}")
     else:
         header = f"{LATTICE_MAGIC} {lat.shape.d} {' '.join(map(str, lengths))} f64x{lat.M}\n"
-        body = "\n".join(_fmt_vec(node) for node in lat.values.reshape(-1, lat.M))
-    write_atomic(path, (header + body + "\n").encode())
+        body = _format_rows(lat.values, lat.M, "{:.17g}")
+    write_atomic(path, (header + body).encode())
 
 
 def read_lattice(path, M: int | None = None) -> SymbolLattice:
@@ -153,8 +162,7 @@ def write_pgm(path, lat: SymbolLattice | StateLattice, *, binary=True, maxval=No
         write_atomic(path, header + lat.values.astype(np.uint8).tobytes())
     else:
         header = f"P2\n{w} {h}\n{maxval}\n"
-        body = "\n".join(" ".join(map(str, row)) for row in lat.values)
-        write_atomic(path, (header + body + "\n").encode())
+        write_atomic(path, (header + _format_rows(lat.values, w, "{}")).encode())
 
 
 def states_to_pgm(path, states: StateLattice):

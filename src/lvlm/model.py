@@ -45,8 +45,8 @@ class LatticeModel:
             raise InputError("window radii must be >= 0")
         if not 0.0 < self.alpha <= 1.0:
             raise InputError("alpha must lie in (0, 1]")
-        if self.A.shape != (self.N, self.N) or self.A.min() < 0:
-            raise InputError("A must be N x N nonnegative")
+        if self.A.shape != (self.N, self.N) or not np.isfinite(self.A).all() or self.A.min() < 0:
+            raise InputError("A must be N x N finite nonnegative")
         self._check_emission()
 
 

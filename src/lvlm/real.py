@@ -44,6 +44,8 @@ class RealModel(core.LatticeModel):
             raise InputError("mu must be N x M")
         if self.sigma.shape != (self.N, self.M, self.M):
             raise InputError("sigma must be N x M x M")
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
+            raise InputError("mu and sigma must be finite")
         if np.abs(self.sigma - self.sigma.transpose(0, 2, 1)).max() > 0:
             raise InputError("covariances must be symmetric")
 

@@ -3,7 +3,11 @@
 Sampling uses numpy's PCG64 generator seeded explicitly, so outputs are
 reproducible byte-for-byte for a given seed and numpy version. A "sweep" is
 one red pass plus one black pass of checkerboard Gibbs updates (nodes of one
-parity are conditionally independent given the other parity).
+parity are conditionally independent given the other parity). Each pass
+works only on the nodes of its parity: their log-conditionals are summed
+from their neighbors' states in a lattice padded with a sentinel state of
+potential 1, and each node draws its new state from one uniform variate by
+inverse CDF.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .lattice import LatticeShape, StateLattice, SymbolLattice, axis_pairs
+from .lattice import LatticeShape, StateLattice, SymbolLattice
 
 
 @dataclass(frozen=True)
@@ -21,7 +25,8 @@ class DiscreteEmission:
     B: np.ndarray = field(repr=False)  # N x M row-stochastic
 
     def __post_init__(self):
-        if self.B.ndim != 2 or self.B.min() < 0 or np.abs(self.B.sum(1) - 1).max() > 1e-9:
+        if (self.B.ndim != 2 or not np.isfinite(self.B).all() or self.B.min() < 0
+                or np.abs(self.B.sum(1) - 1).max() > 1e-9):
             raise InputError("emission rows must be distributions")
 
     @property
@@ -37,6 +42,8 @@ class RealEmission:
     def __post_init__(self):
         if self.mu.ndim != 2 or self.sigma.shape != self.mu.shape + (self.mu.shape[1],):
             raise InputError("mu must be N x M and sigma N x M x M")
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
+            raise InputError("mu and sigma must be finite")
 
     @property
     def N(self) -> int:
@@ -53,9 +60,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.potentials.shape != (self.N, self.N) or self.potentials.min() < 0:
-            raise InputError("potentials must be N x N nonnegative")
-        if np.any(self.potentials.sum(axis=1) <= 0):
+        phi = self.potentials
+        if phi.shape != (self.N, self.N) or not np.isfinite(phi).all() or phi.min() < 0:
+            raise InputError("potentials must be N x N finite nonnegative")
+        if np.any(phi.sum(axis=1) <= 0):
             raise InputError("potential rows must have positive sums")
         if self.sweeps < 1:
             raise InputError("sweeps must be >= 1")
@@ -72,26 +80,34 @@ def gibbs_sample(config: SynthConfig) -> StateLattice:
     states = rng.integers(0, N, size=lengths, dtype=np.int64)
     if N == 1:
         return StateLattice(config.shape, np.zeros(lengths, dtype=np.int64), 1)
+    # the border holds sentinel state N, whose potential column is log 1 = 0,
+    # so every node's neighbors are at flat index +- one stride per axis
+    padded = np.full(tuple(n + 2 for n in lengths), N, dtype=np.intp)
+    inner = (slice(1, -1),) * len(lengths)
+    padded[inner] = states
+    flat = padded.reshape(-1)
+    strides = [s // flat.itemsize for s in padded.strides]
+    logphi = np.zeros((N, N + 1))  # state-major: row s holds log phi(s, .)
     with np.errstate(divide="ignore"):
-        logphi = np.log(config.potentials)
-    parity = np.zeros(lengths, dtype=np.int64)
-    for axis, n in enumerate(lengths):
-        idx = np.arange(n).reshape((1,) * axis + (n,) + (1,) * (len(lengths) - axis - 1))
-        parity = parity + idx
-    parity %= 2
-    pairs = axis_pairs(len(lengths))
+        logphi[:, :N] = np.log(config.potentials)
+    parity = np.indices(lengths).sum(axis=0) % 2
+    node = np.arange(flat.size).reshape(padded.shape)[inner]
+    colors = [node[parity == color] for color in (0, 1)]
     for _ in range(config.sweeps):
-        for color in (0, 1):
-            loglik = np.zeros(lengths + (N,))
-            for lo, hi in pairs:
-                # contribution to each node from its neighbor's current state
-                loglik[lo] += logphi.T[states[hi]]
-                loglik[hi] += logphi.T[states[lo]]
-            gumbel = rng.gumbel(size=lengths + (N,))
-            draw = np.argmax(loglik + gumbel, axis=-1)
-            mask = parity == color
-            states[mask] = draw[mask]
-    return StateLattice(config.shape, states, N)
+        for idx in colors:
+            loglik = np.zeros((N, len(idx)))
+            for stride in strides:
+                loglik += logphi.take(flat[idx - stride], axis=1)
+                loglik += logphi.take(flat[idx + stride], axis=1)
+            top = loglik.max(axis=0)
+            top[top == -np.inf] = 0.0  # every state has potential 0: all weights 0
+            p = np.exp(loglik - top)
+            for s in range(N - 2, -1, -1):  # p[s] becomes the tail mass p[s] + ... + p[N-1]
+                p[s] += p[s + 1]
+            # P(draw >= s) = tail[s] / tail[0]; with all weights 0 the draw is state 0
+            u = rng.random(len(idx)) * p[0]
+            flat[idx] = (p[1:] > u).sum(axis=0)
+    return StateLattice(config.shape, padded[inner].astype(np.int64), N)
 
 
 def emit_observations(states: StateLattice, emission, seed: int = 0) -> SymbolLattice:

@@ -36,6 +36,8 @@ class Codebook:
     def __post_init__(self):
         if len(self.centroids) != len(self.sizes):
             raise InputError("centroid/size count mismatch")
+        if not (np.isfinite(self.centroids).all() and np.isfinite(self.sizes).all()):
+            raise InputError("centroids and sizes must be finite")
         if self.sizes.size and self.sizes.min() < 1:
             raise InputError("cluster sizes must be >= 1")
 
@@ -165,23 +167,30 @@ def pnn_quantize(points, n_clusters, *, exact_threshold=EXACT_THRESHOLD, return_
 
     Returns (Codebook, per-point cluster index); ties during merge selection
     break toward the lowest cluster-identifier pair, so output is
-    deterministic given input order. The zero-cost merges come first: each
-    repeat of a row merges into the row's first occurrence, in (first index,
-    repeat index) order, until `n_clusters` remain. Above `exact_threshold`
-    live clusters the merge sequence is the batched mutual-nearest-neighbor
-    approximation; at or below it, the exact greedy sequence. `return_history`
-    adds the merges as (kept point, merged point, cost) triples.
+    deterministic given input order. The zero-cost merges come first (one
+    column sort finds the repeated rows): each repeat of a row merges into
+    the row's first occurrence, in (first index, repeat index) order, until
+    `n_clusters` remain. Above `exact_threshold` live clusters the merge
+    sequence is the batched mutual-nearest-neighbor approximation; at or
+    below it, the exact greedy sequence. `return_history` adds the merges as
+    (kept point, merged point, cost) triples.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise InputError("points must be a 2-d array (n, M)")
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise InputError("points must be a 2-d array (n, M) with M >= 1")
     if n_clusters < 1:
         raise InputError("cluster count must be >= 1")
     n = len(points)
     if n < n_clusters:
         raise InputError(f"need at least {n_clusters} points, got {n}")
-    _, first, inverse = np.unique(points, axis=0, return_index=True, return_inverse=True)
-    first_of = first[inverse]
+    # a stable column sort puts equal rows next to each other in ascending id,
+    # so each run of equal rows starts at the row's first occurrence
+    order = np.lexsort(points.T)
+    ranked = points[order]
+    run_start = np.ones(n, dtype=bool)
+    run_start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first_of = np.empty(n, dtype=np.int64)
+    first_of[order] = order[run_start][np.cumsum(run_start) - 1]
     repeats = np.flatnonzero(first_of != np.arange(n))
     repeats = repeats[np.argsort(first_of[repeats], kind="stable")][:n - n_clusters]
     kept = np.ones(n, dtype=bool)

@@ -1,10 +1,12 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here recomputes from first principles (per-node window recounts,
-full pairwise merge scans, straight-line log-score accumulation) and stays
+full pairwise merge scans, straight-line log-score accumulation, joint
+distributions by enumeration, files written value by value) and stays
 independent of the vectorized / accelerated code paths it checks.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -71,6 +73,49 @@ def greedy_pnn(points, n_clusters):
     for k, i in enumerate(ids):
         assignment[clusters[i][0]] = k
     return centroids, sizes, assignment, history
+
+
+def lattice_file_bytes(values, real):
+    """A lattice file written one value at a time: the header, then one line
+    per node of M floats with 17 significant digits (real) or one line per
+    last-axis row of integers (u8)."""
+    lengths = values.shape[:-1] if real else values.shape
+    dtype = f"f64x{values.shape[-1]}" if real else "u8"
+    lines = [f"LVLM-LATTICE {len(lengths)} {' '.join(str(n) for n in lengths)} {dtype}"]
+    for row in values.reshape(-1, values.shape[-1]):
+        lines.append(" ".join(f"{float(x):.17g}" if real else str(int(x)) for x in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def gibbs_joint(lengths, potentials):
+    """Exact distribution of the pairwise field prod phi(q_i, q_j) over the
+    axis-adjacent node pairs of a tiny lattice, by enumeration.
+
+    phi must be symmetric (then each pair's factor is the same from either
+    end). Returns an array over configurations, indexed by the row-major node
+    states read as a base-N number: configuration `c` has states
+    `np.unravel_index(c, (N,) * node_count)`.
+    """
+    phi = np.asarray(potentials, dtype=float)
+    if not np.array_equal(phi, phi.T):
+        raise ValueError("potentials must be symmetric")
+    N = len(phi)
+    nodes = list(np.ndindex(*lengths))
+    index = {t: i for i, t in enumerate(nodes)}
+    pairs = []
+    for t in nodes:
+        for axis in range(len(lengths)):
+            r = t[:axis] + (t[axis] + 1,) + t[axis + 1:]
+            if r in index:
+                pairs.append((index[t], index[r]))
+    weights = []
+    for q in itertools.product(range(N), repeat=len(nodes)):
+        w = 1.0
+        for i, j in pairs:
+            w *= phi[q[i], q[j]]
+        weights.append(w)
+    weights = np.array(weights)
+    return weights / weights.sum()
 
 
 def total_distortion(points, assignment):

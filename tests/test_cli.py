@@ -203,6 +203,10 @@ BAD_MODEL_FILES = {
     "bundle-prior-zero": ("classify", b"LVLM-BUNDLE\na 0 m.lvlm\nb 1 m.lvlm\n"),
     "bundle-prior-negative": ("classify", b"LVLM-BUNDLE\na -1 m.lvlm\nb 2 m.lvlm\n"),
     "bundle-missing-model": ("classify", b"LVLM-BUNDLE\na 1 no.lvlm\n"),
+    "model-nan-A": ("evaluate", b"variant=discrete\nN=1\nM=2\nd=2\nw=1\nw_e=1\nw_l=1\nalpha=1\n"
+                                b"A=nan\nB=0.5 0.5\n"),
+    "model-nan-B": ("evaluate", b"variant=discrete\nN=1\nM=2\nd=2\nw=1\nw_e=1\nw_l=1\nalpha=1\n"
+                                b"A=1\nB=nan nan\n"),
 }
 
 
@@ -216,5 +220,14 @@ def test_malformed_model_or_bundle_exits_1(tmp_path, capsys, cmd, data):
     (tmp_path / "bad").write_bytes(data)
     flag = {"evaluate": "--model", "classify": "--bundle"}[cmd]
     code, _, err = run(capsys, cmd, flag, str(tmp_path / "bad"), "--in", str(tmp_path / "o.lat"))
+    assert code == 1
+    assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags", [("--potentials", "nan,1;1,1"), ("--n", "2", "--self-weight", "nan"),
+                                   ("--n", "2", "--b", "nan,0.5;0.5,0.5")])
+def test_synth_non_finite_parameters_exit_1(tmp_path, capsys, flags):
+    code, _, err = run(capsys, "synth", "--shape", "8x8", *flags, "--out", str(tmp_path / "y.lat"),
+                       "--states-out", str(tmp_path / "q.lat"))
     assert code == 1
     assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1

@@ -7,6 +7,8 @@ from lvlm import DiscreteModel, InputError, RealModel, StateLattice, SymbolLatti
 from lvlm import io
 from lvlm.vq import Codebook
 
+from oracles import lattice_file_bytes
+
 
 def test_lattice_u8_round_trip(tmp_path):
     vals = np.random.default_rng(0).integers(0, 5, (4, 6))
@@ -35,6 +37,34 @@ def test_lattice_1d_and_3d(tmp_path):
         p = tmp_path / "c.lat"
         io.write_lattice(p, SymbolLattice.discrete(vals, M=3))
         assert np.array_equal(io.read_lattice(p).values, vals)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                  1.7976931348623157e308, 3.0, -12.0, 1e16, 2.0 ** 53 + 2, 0.1]
+
+
+@pytest.mark.parametrize("lengths", [(7,), (3, 5), (2, 3, 4)])
+@pytest.mark.parametrize("M", [1, 3])
+def test_write_lattice_real_matches_per_value_format(tmp_path, lengths, M):
+    rng = np.random.default_rng(len(lengths) * 10 + M)
+    vals = rng.normal(size=lengths + (M,)) * 10.0 ** rng.integers(-300, 300, size=lengths + (M,))
+    flat = vals.reshape(-1)
+    flat[rng.choice(flat.size, min(flat.size, len(SPECIAL_FLOATS)), replace=False)] = \
+        SPECIAL_FLOATS[:min(flat.size, len(SPECIAL_FLOATS))]
+    p = tmp_path / "r.lat"
+    io.write_lattice(p, SymbolLattice.real(vals))
+    assert p.read_bytes() == lattice_file_bytes(vals, real=True)
+    assert io.read_lattice(p).values.tobytes() == vals.tobytes()  # bit-exact, -0.0 included
+
+
+@pytest.mark.parametrize("lengths", [(9,), (4, 6), (2, 3, 5)])
+def test_write_lattice_u8_matches_per_value_format(tmp_path, lengths):
+    vals = np.random.default_rng(len(lengths)).integers(0, 256, size=lengths)
+    vals.reshape(-1)[:2] = [0, 255]
+    p = tmp_path / "u.lat"
+    io.write_lattice(p, SymbolLattice.discrete(vals, M=256))
+    assert p.read_bytes() == lattice_file_bytes(vals, real=False)
+    assert np.array_equal(io.read_lattice(p, M=256).values, vals)
 
 
 def test_state_lattice_written_as_u8(tmp_path):
@@ -133,6 +163,14 @@ def test_codebook_round_trip(tmp_path):
     assert np.array_equal(back.sizes, cb.sizes)
 
 
+@pytest.mark.parametrize("fields", [b"centroids=nan 1\nsizes=1 3\n", b"centroids=0 1\nsizes=nan 3\n"])
+def test_read_codebook_rejects_non_finite(tmp_path, fields):
+    p = tmp_path / "cb.lvlm"
+    p.write_bytes(b"variant=codebook\nN=2\nM=1\n" + fields)
+    with pytest.raises(InputError):
+        io.read_codebook(p)
+
+
 def test_bundle_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     for name, p0 in [("a", 0.25), ("b", 0.75)]:
@@ -222,6 +260,25 @@ VALID_MODELS = [
     b"variant=discrete\nN=2\nM=2\nd=2\nw=1\nw_e=1\nw_l=1\nalpha=1\nA=0.9 0.1 0.1 0.9\nB=0.8 0.2 0.2 0.8\n",
     b"variant=real\nN=1\nM=2\nd=1\nw=1\nw_e=1\nw_l=1\nalpha=0.5\nA=1\nmu=0 1\nsigma=1 0 0 1\n",
 ]
+
+
+NON_FINITE_MODELS = {
+    "A-nan": (0, b"A=0.9 0.1 0.1 0.9", b"A=nan 0.1 0.1 0.9"),
+    "A-inf": (0, b"A=0.9 0.1 0.1 0.9", b"A=0.9 inf 0.1 0.9"),
+    "B-nan": (0, b"B=0.8 0.2 0.2 0.8", b"B=nan nan 0.2 0.8"),
+    "mu-nan": (1, b"mu=0 1", b"mu=0 nan"),
+    "sigma-nan": (1, b"sigma=1 0 0 1", b"sigma=nan 0 0 1"),
+    "sigma-inf": (1, b"sigma=1 0 0 1", b"sigma=1 0 0 inf"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_MODELS)
+def test_read_model_rejects_non_finite_parameters(tmp_path, case):
+    valid, field, bad = NON_FINITE_MODELS[case]
+    p = tmp_path / "m.lvlm"
+    p.write_bytes(VALID_MODELS[valid].replace(field, bad))
+    with pytest.raises(InputError):
+        io.read_model(p)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

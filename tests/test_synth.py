@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from oracles import gibbs_joint
+from scipy.stats import chi2
 
 from lvlm import (
     DiscreteEmission,
@@ -78,9 +80,67 @@ def test_config_validation():
         SynthConfig(shape=LatticeShape((4,)), N=2, potentials=np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_parameters_rejected(bad):
+    phi = np.array([[bad, 1.0], [1.0, 1.0]])
+    with pytest.raises(InputError):
+        SynthConfig(shape=LatticeShape((4, 4)), N=2, potentials=phi)
+    with pytest.raises(InputError):
+        DiscreteEmission(np.array([[bad, bad], [0.5, 0.5]]))
+    with pytest.raises(InputError):
+        RealEmission(np.array([[bad, 0.0]]), np.eye(2)[None])
+    with pytest.raises(InputError):
+        RealEmission(np.zeros((1, 2)), np.array([[[1.0, 0.0], [0.0, bad]]]))
+
+
 def test_3d_sampling_works():
     phi = np.array([[0.9, 0.1], [0.1, 0.9]])
     cfg = SynthConfig(shape=LatticeShape((8, 8, 8)), N=2, potentials=phi, sweeps=10, seed=13)
     q = gibbs_sample(cfg)
     assert q.states.shape == (8, 8, 8)
     assert set(np.unique(q.states)) <= {0, 1}
+
+
+# Symmetric potentials on tiny lattices; the first has zero entries. After 10
+# sweeps from the uniform start the exact distribution of the final state is
+# within 3e-6 (total variation) of the joint on each of these.
+GIBBS_CASES = {
+    "2x2-N3-zeros": ((2, 2), [[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]]),
+    "2x2x2-N2": ((2, 2, 2), [[0.6, 0.4], [0.4, 0.6]]),
+    "chain5-N3": ((5,), [[2.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 1.0]]),
+}
+GIBBS_SEEDS = 4000
+
+
+@pytest.mark.parametrize("case", GIBBS_CASES)
+def test_gibbs_final_state_follows_joint(case):
+    lengths, phi = GIBBS_CASES[case]
+    phi = np.array(phi)
+    N = len(phi)
+    nodes = int(np.prod(lengths))
+    counts = np.zeros(N ** nodes)
+    for seed in range(GIBBS_SEEDS):
+        cfg = SynthConfig(shape=LatticeShape(lengths), N=N, potentials=phi, sweeps=10, seed=seed)
+        counts[np.ravel_multi_index(tuple(gibbs_sample(cfg).states.ravel()), (N,) * nodes)] += 1
+    expected = gibbs_joint(lengths, phi) * GIBBS_SEEDS
+    assert counts[expected == 0].sum() == 0
+    # chi-square over the configurations expected at least 5 times, the rest pooled
+    big = expected >= 5
+    pooled = ~big & (expected > 0)
+    observed, wanted = counts[big], expected[big]
+    if pooled.any():
+        observed = np.append(observed, counts[pooled].sum())
+        wanted = np.append(wanted, expected[pooled].sum())
+    stat = ((observed - wanted) ** 2 / wanted).sum()
+    assert chi2.sf(stat, len(observed) - 1) > 1e-3
+
+
+@pytest.mark.filterwarnings("error")
+def test_gibbs_all_zero_conditional():
+    # phi = I on a 4-chain: node 2's neighbors 1 and 3 start in different
+    # states for some seeds, leaving every state of node 2 at potential 0
+    for seed in range(20):
+        cfg = SynthConfig(shape=LatticeShape((4,)), N=2, potentials=np.eye(2), sweeps=3, seed=seed)
+        q = gibbs_sample(cfg).states
+        assert q.min() >= 0 and q.max() < 2
+        assert (q == q[0]).all()  # only constant chains have positive probability
