@@ -67,6 +67,8 @@ def _cmd_synth(args):
         n = args.n
         if n is None:
             raise InputError("synth needs --n or --potentials")
+        if n < 1:
+            raise InputError("--n must be >= 1")
         off = (1.0 - args.self_weight) / max(1, n - 1) if n > 1 else 0.0
         phi = np.full((n, n), off)
         np.fill_diagonal(phi, args.self_weight if n > 1 else 1.0)
@@ -76,7 +78,10 @@ def _cmd_synth(args):
         mu = _parse_matrix(args.mu, "mu")
         if args.sigma:
             m = mu.shape[1]
-            sigma = _parse_matrix(args.sigma, "sigma").reshape(len(mu), m, m)
+            sigma = _parse_matrix(args.sigma, "sigma")
+            if sigma.shape != (len(mu), m * m):
+                raise InputError(f"--sigma needs {len(mu)} rows of {m * m} values")
+            sigma = sigma.reshape(len(mu), m, m)
         else:
             sigma = np.tile(np.eye(mu.shape[1]) * args.sigma_scale, (len(mu), 1, 1))
         emission = RealEmission(mu, sigma)

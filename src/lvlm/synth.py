@@ -44,6 +44,10 @@ class RealEmission:
             raise InputError("mu must be N x M and sigma N x M x M")
         if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
             raise InputError("mu and sigma must be finite")
+        try:
+            np.linalg.cholesky(self.sigma)
+        except np.linalg.LinAlgError as e:
+            raise InputError("sigma must be positive definite") from e
 
     @property
     def N(self) -> int:
@@ -61,12 +65,16 @@ class SynthConfig:
 
     def __post_init__(self):
         phi = self.potentials
+        if self.N < 1:
+            raise InputError("state count must be >= 1")
         if phi.shape != (self.N, self.N) or not np.isfinite(phi).all() or phi.min() < 0:
             raise InputError("potentials must be N x N finite nonnegative")
         if np.any(phi.sum(axis=1) <= 0):
             raise InputError("potential rows must have positive sums")
         if self.sweeps < 1:
             raise InputError("sweeps must be >= 1")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if self.emission is not None and self.emission.N != self.N:
             raise InputError("emission parameters must match N")
 

@@ -7,9 +7,21 @@ centroid exactly its point. Candidate pairs live in a lazily-invalidated heap
 keyed by (cost, lowest-id pair); stale entries are re-validated before use, so
 on inputs up to `exact_threshold` live clusters the merge sequence equals the
 exact greedy one. Above the threshold, clusters are first coalesced by
-mutual-nearest-neighbor rounds — each round batch-queries one k-d tree over
-all live centroids and merges every pair that picked each other — which is
-near-linearithmic, then the exact heap finishes the tail.
+mutual-nearest-neighbor rounds, which is near-linearithmic, then the exact
+heap finishes the tail. Each round builds one k-d tree over the live
+centroids and merges every pair that picked each other:
+
+- a short query (`SHORT_CANDIDATES` neighbors) prices each cluster's
+  partners from the query's distances, ties to the lowest cluster id; a
+  partner is settled, the cheapest of all live clusters, when a smallest live
+  cluster just beyond the last neighbor would cost more, and only
+  unsettled clusters get the long `TREE_CANDIDATES` query;
+- partners are kept between rounds: by the reducibility of the merge cost a
+  settled partner stays the cheapest while other clusters merge, so a round
+  re-queries only merged clusters, clusters whose partner merged, and
+  unsettled ones;
+- a query runs threaded only from `THREADED_QUERY_MIN` query points up;
+  below that, starting threads costs more than they save.
 """
 
 from __future__ import annotations
@@ -24,6 +36,8 @@ from .errors import InputError
 
 EXACT_THRESHOLD = 64
 TREE_CANDIDATES = 12
+SHORT_CANDIDATES = 5
+THREADED_QUERY_MIN = 8192  # measured: threads cost more than they save below this
 
 
 @dataclass(frozen=True)
@@ -68,6 +82,11 @@ class _Agglomerator:
         self.parent = np.arange(k)
         self.active = k
         self.history: list[tuple[int, int, float]] = []
+        # coalesce state, kept between rounds: each cluster's cheapest known
+        # partner, that merge's cost, and whether it is the cheapest of all
+        self.partner = np.zeros(k, dtype=np.int64)
+        self.best = np.zeros(k)
+        self.settled = np.zeros(k, dtype=bool)
 
     def merge(self, a, b, cost):
         """Merge clusters b[i] into a[i] (a[i] < b[i]); centroids become size-weighted means."""
@@ -83,45 +102,66 @@ class _Agglomerator:
 
     # -- batched approximate stage (large inputs) ---------------------------
 
-    def _round_candidates(self, ids):
-        """Per cluster: cheapest merge partner among its k-d tree neighbors."""
-        k = min(TREE_CANDIDATES + 1, len(ids))
-        tree = cKDTree(self.centroid[ids])
-        _, idx = tree.query(self.centroid[ids], k=k, workers=-1)
-        idx = idx.reshape(len(ids), -1)
+    def _query(self, tree, ids, q, k, s_min):
+        """Cheapest partner of each cluster in `q` among its k-1 nearest others.
+
+        Costs come from the query's own distances; ties go to the lowest
+        cluster id. A partner is settled (the cheapest of all live clusters)
+        when even a smallest live cluster just beyond the k-th neighbor would
+        cost more; the bound is strict so that no cluster outside the query
+        can tie with a lower id.
+        """
+        workers = -1 if len(q) >= THREADED_QUERY_MIN else 1
+        dist, idx = tree.query(self.centroid[q], k=k, workers=workers)
         cid = ids[idx]
-        d2 = ((self.centroid[cid] - self.centroid[ids][:, None, :]) ** 2).sum(axis=2)
-        costs = self.size[cid] * self.size[ids][:, None] / (self.size[cid] + self.size[ids][:, None]) * d2
-        costs[cid == ids[:, None]] = np.inf
-        j = np.argmin(costs, axis=1)
-        rows = np.arange(len(ids))
-        return cid[rows, j], costs[rows, j]
+        s = self.size[q]
+        cost = s[:, None] * self.size[cid] / (s[:, None] + self.size[cid]) * dist ** 2
+        cost[cid == q[:, None]] = np.inf
+        best = cost.min(axis=1)
+        self.partner[q] = np.where(cost == best[:, None], cid, len(self.alive)).min(axis=1)
+        self.best[q] = best
+        self.settled[q] = (k == len(ids)) | (s * s_min / (s + s_min) * dist[:, -1] ** 2 > best)
+
+    def _requery(self, ids, q):
+        """Short query for every cluster in `q`; the long one where that does not settle."""
+        tree = cKDTree(self.centroid[ids])
+        s_min = self.size[ids].min()
+        k = min(SHORT_CANDIDATES + 1, len(ids))
+        self._query(tree, ids, q, k, s_min)
+        retry = q[~self.settled[q]]
+        if retry.size:
+            self._query(tree, ids, retry, min(TREE_CANDIDATES + 1, len(ids)), s_min)
 
     def coalesce(self, stop_at):
         """Shrink to `stop_at` clusters by mutual-nearest-neighbor rounds.
 
         Merging every mutually-nearest pair per round approximates the greedy
         sequence (the globally cheapest pair is always mutual) while keeping
-        each round a few vectorized passes over the live clusters.
+        each round a few vectorized passes over the live clusters. By the
+        reducibility of the merge cost, a settled partner stays the cheapest
+        while other clusters merge, so a round re-queries only the clusters
+        that merged, those whose partner merged, and the unsettled ones.
         """
+        stale = self.alive.copy()
         while self.active > stop_at:
             ids = np.flatnonzero(self.alive)
-            partner, cost = self._round_candidates(ids)
-            pos = np.full(len(self.alive), -1, dtype=np.int64)
-            pos[ids] = np.arange(len(ids))
-            mutual = (partner[pos[partner]] == ids) & (ids < partner)
+            self._requery(ids, np.flatnonzero(stale))
+            partner, cost = self.partner[ids], self.best[ids]
+            mutual = (self.partner[partner] == ids) & (ids < partner)
             a, b, c = ids[mutual], partner[mutual], cost[mutual]
             if a.size == 0:
                 # no mutual pair among candidates: force the round's best pair
                 i = int(np.argmin(cost))
                 lo, hi = sorted((ids[i], partner[i]))
-                self.merge(np.array([lo]), np.array([hi]), cost[i:i + 1])
-                continue
+                a, b, c = np.array([lo]), np.array([hi]), cost[i:i + 1]
             room = self.active - stop_at
             if a.size > room:
                 keep = np.argsort(c, kind="stable")[:room]
                 a, b, c = a[keep], b[keep], c[keep]
             self.merge(a, b, c)
+            merged = np.zeros(len(self.alive), dtype=bool)
+            merged[a] = merged[b] = True
+            stale = self.alive & (merged | merged[self.partner] | ~self.settled)
 
     # -- exact stage ---------------------------------------------------------
 

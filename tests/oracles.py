@@ -75,6 +75,52 @@ def greedy_pnn(points, n_clusters):
     return centroids, sizes, assignment, history
 
 
+def coalesce_rounds_oracle(points, stop_at, candidates=12):
+    """Mutual-nearest-neighbor coalescing of distinct points by brute force.
+
+    Each round, every live cluster scans the distance to every other live
+    cluster, takes its `candidates` nearest, and picks the cheapest merge
+    among them, ties to the lowest cluster id. Every mutual pair then merges;
+    if that would leave fewer than `stop_at` clusters, only the cheapest pairs
+    merge. With no mutual pair, the round's cheapest pick merges alone.
+    Cluster ids are the lowest point index in each cluster. Returns the merge
+    history as (kept id, merged id, cost) triples.
+    """
+    centroid = np.array(points, dtype=float)
+    size = np.ones(len(centroid))
+    ids = np.arange(len(centroid))
+    history = []
+    while len(ids) > stop_at:
+        partner = {}
+        cost = {}
+        for start in range(0, len(ids), 256):
+            rows = ids[start:start + 256]
+            d2 = ((centroid[rows, None, :] - centroid[None, ids, :]) ** 2).sum(axis=2)
+            d2[np.arange(len(rows)), np.arange(start, start + len(rows))] = np.inf
+            k = min(candidates, len(ids) - 1)
+            near = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            cand = ids[near]
+            s = size[rows, None]
+            c = s * size[cand] / (s + size[cand]) * np.take_along_axis(d2, near, axis=1)
+            low = c.min(axis=1)
+            cost.update(zip(rows.tolist(), low.tolist()))
+            partner.update(zip(rows.tolist(), np.where(c == low[:, None], cand, len(size)).min(axis=1).tolist()))
+        pairs = [(a, b, cost[a]) for a, b in partner.items() if a < b and partner[b] == a]
+        if not pairs:
+            a = min(cost, key=lambda i: (cost[i], i))
+            pairs = [(min(a, partner[a]), max(a, partner[a]), cost[a])]
+        room = len(ids) - stop_at
+        if len(pairs) > room:
+            pairs = sorted(pairs, key=lambda p: p[2])[:room]
+        for a, b, c in pairs:
+            total = size[a] + size[b]
+            centroid[a] = (size[a] * centroid[a] + size[b] * centroid[b]) / total
+            size[a] = total
+            history.append((a, b, c))
+        ids = np.setdiff1d(ids, [b for _, b, _ in pairs])
+    return history
+
+
 def lattice_file_bytes(values, real):
     """A lattice file written one value at a time: the header, then one line
     per node of M floats with 17 significant digits (real) or one line per

@@ -231,3 +231,20 @@ def test_synth_non_finite_parameters_exit_1(tmp_path, capsys, flags):
                        "--states-out", str(tmp_path / "q.lat"))
     assert code == 1
     assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1
+
+
+SYNTH_BAD_ARGS = {
+    "n-zero": ("--n", "0"),
+    "n-negative": ("--n", "-3"),
+    "seed-negative": ("--n", "2", "--seed", "-1"),
+    "sigma-wrong-size": ("--n", "2", "--mu", "0;1", "--sigma", "1,0,0"),
+    "sigma-scale-negative": ("--n", "2", "--mu", "0;1", "--sigma-scale", "-1"),
+}
+
+
+@pytest.mark.parametrize("flags", SYNTH_BAD_ARGS.values(), ids=SYNTH_BAD_ARGS.keys())
+def test_synth_bad_arguments_exit_1(tmp_path, capsys, flags):
+    code, _, err = run(capsys, "synth", "--shape", "8x8", *flags, "--out", str(tmp_path / "y.lat"),
+                       "--states-out", str(tmp_path / "q.lat"))
+    assert code == 1
+    assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1

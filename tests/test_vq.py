@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, ward
 
-from lvlm import Codebook, InputError, merge_cost, pnn_quantize
+from scipy.spatial import cKDTree
 
-from oracles import greedy_pnn, total_distortion
+from lvlm import Codebook, InputError, SymbolLattice, learn_real, merge_cost, pnn_quantize, sweep_signatures, vq
+
+from oracles import coalesce_rounds_oracle, greedy_pnn, total_distortion
 
 
 def test_merge_cost_singletons():
@@ -161,3 +163,93 @@ def test_fast_path_close_to_exact():
 def test_codebook_invariants():
     with pytest.raises(InputError):
         Codebook(np.zeros((2, 2)), np.array([1.0, 0.0]))
+
+
+def _mixture(rng, n, M, components=8):
+    """n points from `components` unit-variance normals with spread-out means."""
+    centers = rng.normal(scale=3.0, size=(components, M))
+    return centers[rng.integers(0, components, size=n)] + rng.normal(size=(n, M))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coalesce_rounds_match_oracle(seed):
+    rng = np.random.default_rng(600 + seed)
+    n, M, N = int(rng.integers(500, 3001)), int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    pts = _mixture(rng, n, M) if seed % 2 else rng.normal(size=(n, M))
+    # a threshold at or below N leaves the whole merge sequence to the coalesce stage
+    threshold = vq.EXACT_THRESHOLD if seed < 3 else N
+    _, _, history = pnn_quantize(pts, N, exact_threshold=threshold, return_history=True)
+    stop_at = max(N, threshold)
+    oracle = coalesce_rounds_oracle(pts, stop_at)
+    assert len(oracle) == n - stop_at
+    assert [(a, b) for a, b, _ in history[:n - stop_at]] == [(a, b) for a, b, _ in oracle]
+    np.testing.assert_allclose([c for *_, c in history[:n - stop_at]], [c for *_, c in oracle], rtol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_coalesce_ties_go_to_lowest_id(seed):
+    # small integers in 1-d: the query's distances are exact, so equal costs tie exactly
+    pts = np.random.default_rng(seed).permutation(np.arange(40.0))[:, None]
+    _, _, history = pnn_quantize(pts, 2, exact_threshold=1, return_history=True)
+    assert [(a, b) for a, b, _ in history] == [(a, b) for a, b, _ in coalesce_rounds_oracle(pts, 2)]
+
+
+def _signature_points(seed):
+    lattice = SymbolLattice.real(np.random.default_rng(seed).normal(size=(56, 56, 2)))
+    return sweep_signatures(lattice, 2).signatures.reshape(-1, 2)
+
+
+def _labels_after(n, history):
+    """Each point's cluster (its kept id) after replaying merge history triples."""
+    root = np.arange(n)
+    for a, b, _ in history:
+        root[b] = a
+    while not np.array_equal(root[root], root):
+        root = root[root]
+    return root
+
+
+QUALITY_CASES = [("signatures", seed, (4, 16)) for seed in range(4)] + [
+    ("mixture", seed, (8, 16, 32)) for seed in range(3)]
+
+
+@pytest.mark.parametrize("kind, seed, Ns", QUALITY_CASES, ids=[f"{k}-seed{s}" for k, s, _ in QUALITY_CASES])
+def test_coalesce_distortion_close_to_exact_at_scale(kind, seed, Ns):
+    # criterion 4's bound, at sizes where the coalesce stage does most merges
+    pts = _signature_points(seed) if kind == "signatures" else _mixture(np.random.default_rng(700 + seed), 2400, 3)
+    n = len(pts)
+    # exact greedy merging to fewer clusters passes through every larger N's partition
+    _, _, exact_history = pnn_quantize(pts, min(Ns), exact_threshold=10**9, return_history=True)
+    Z = ward(pts)
+    for N in Ns:
+        exact = total_distortion(pts, _labels_after(n, exact_history[:n - N]))
+        # PNN's merge cost is Ward's criterion, so the exact stage must agree with it
+        assert total_distortion(pts, fcluster(Z, N, "maxclust")) == pytest.approx(exact, rel=1e-9)
+        _, asg = pnn_quantize(pts, N)
+        assert total_distortion(pts, asg) <= 1.001 * exact, f"N={N}"
+
+
+def _record_queries(monkeypatch):
+    """Patch the k-d tree in `vq` to record (query points, workers) per query."""
+    calls = []
+
+    class RecordingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            calls.append((len(x), kwargs.get("workers", 1)))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(vq, "cKDTree", RecordingTree)
+    return calls
+
+
+def test_small_learn_makes_no_threaded_query(monkeypatch):
+    calls = _record_queries(monkeypatch)
+    learn_real(SymbolLattice.real(np.random.default_rng(0).normal(size=(64, 64, 2))), 2, 4)
+    assert calls and all(workers == 1 for _, workers in calls)
+
+
+def test_large_coalesce_threads_only_large_queries(monkeypatch):
+    calls = _record_queries(monkeypatch)
+    pnn_quantize(np.random.default_rng(0).normal(size=(32768, 2)), 4)
+    assert calls[0] == (32768, -1)
+    assert all(workers == (-1 if size >= vq.THREADED_QUERY_MIN else 1) for size, workers in calls)
