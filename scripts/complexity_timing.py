@@ -16,22 +16,14 @@ from lvlm import SymbolLattice, learn_real
 
 
 def minimax_constant(times, x):
-    """The c minimizing the worst relative residual of t = c * x."""
-    t = np.asarray(times)
-    lo, hi = (t / x).min(), (t / x).max()
+    """The c minimizing the worst relative residual of t = c * x, and that residual.
 
-    def worst(c):
-        return float((np.abs(t - c * x) / t).max())
-
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if worst(m1) < worst(m2):
-            hi = m2
-        else:
-            lo = m1
-    c = (lo + hi) / 2
-    return c, worst(c)
+    The residual at point i is |1 - c * r_i| with r_i = x_i / t_i; its worst
+    case is least where the two extremes balance, at c = 2 / (r_min + r_max).
+    """
+    r = np.asarray(x) / np.asarray(times)
+    lo, hi = r.min(), r.max()
+    return 2 / (lo + hi), float((hi - lo) / (hi + lo))
 
 
 def main():

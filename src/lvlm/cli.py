@@ -38,6 +38,14 @@ def _parse_matrix(text: str, name: str) -> np.ndarray:
     return np.array(rows)
 
 
+def _u8_count(text: str) -> int:
+    """A state or symbol count for flags: stored as u8 values, so 1 to 256."""
+    n = int(text)
+    if not 1 <= n <= 256:
+        raise argparse.ArgumentTypeError(f"{text} is not in [1, 256] (values are stored as u8)")
+    return n
+
+
 def _parse_shape(text: str) -> LatticeShape:
     try:
         return LatticeShape(tuple(int(x) for x in text.lower().split("x")))
@@ -67,8 +75,6 @@ def _cmd_synth(args):
         n = args.n
         if n is None:
             raise InputError("synth needs --n or --potentials")
-        if n < 1:
-            raise InputError("--n must be >= 1")
         off = (1.0 - args.self_weight) / max(1, n - 1) if n > 1 else 0.0
         phi = np.full((n, n), off)
         np.fill_diagonal(phi, args.self_weight if n > 1 else 1.0)
@@ -83,7 +89,7 @@ def _cmd_synth(args):
                 raise InputError(f"--sigma needs {len(mu)} rows of {m * m} values")
             sigma = sigma.reshape(len(mu), m, m)
         else:
-            sigma = np.tile(np.eye(mu.shape[1]) * args.sigma_scale, (len(mu), 1, 1))
+            sigma = np.tile(np.diag(np.full(mu.shape[1], args.sigma_scale)), (len(mu), 1, 1))
         emission = RealEmission(mu, sigma)
     else:
         emission = None
@@ -193,9 +199,10 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("synth", help="sample states (and observations) from a potential model")
     sp.add_argument("--shape", required=True, help="e.g. 64x64 or 128 or 8x8x8")
-    sp.add_argument("--n", type=int, help="state count")
+    sp.add_argument("--n", type=_u8_count, help="state count")
     sp.add_argument("--self-weight", type=float, default=0.95, dest="self_weight")
-    sp.add_argument("--potentials", help="full N x N matrix, rows ';'-separated")
+    sp.add_argument("--potentials", help="full N x N matrix, rows ';'-separated: entry (i, j) is the "
+                    "potential of a node in state i and the next node along an axis in state j")
     sp.add_argument("--b", help="discrete emission matrix N x M")
     sp.add_argument("--mu", help="real emission means N x M")
     sp.add_argument("--sigma", help="real emission covariances, N rows of M*M values")
@@ -214,7 +221,7 @@ def build_parser() -> _Parser:
     lp.add_argument("--we", type=int)
     lp.add_argument("--wl", type=int)
     lp.add_argument("--alpha", type=float, default=1.0)
-    lp.add_argument("--m", type=int, help="symbol alphabet size (default: inferred)")
+    lp.add_argument("--m", type=_u8_count, help="symbol alphabet size (default: inferred)")
     lp.add_argument("--in", dest="inputs", action="append", required=True)
     lp.add_argument("--out", required=True)
     lp.set_defaults(func=_cmd_learn)
@@ -247,7 +254,7 @@ def build_parser() -> _Parser:
     qp = sub.add_parser("quantize", help="PNN-quantize lattice vectors into a codebook")
     qp.add_argument("--in", dest="input", required=True)
     qp.add_argument("--n", type=int, required=True)
-    qp.add_argument("--m", type=int, help="alphabet size for discrete input")
+    qp.add_argument("--m", type=_u8_count, help="alphabet size for discrete input")
     qp.add_argument("--out", required=True)
     qp.set_defaults(func=_cmd_quantize)
     return p

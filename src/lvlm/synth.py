@@ -58,7 +58,7 @@ class RealEmission:
 class SynthConfig:
     shape: LatticeShape
     N: int
-    potentials: np.ndarray = field(repr=False)  # N x N nonnegative
+    potentials: np.ndarray = field(repr=False)  # N x N nonnegative, phi(node, next node along an axis)
     emission: DiscreteEmission | RealEmission | None = None
     sweeps: int = 50
     seed: int = 0
@@ -80,8 +80,11 @@ class SynthConfig:
 
 
 def gibbs_sample(config: SynthConfig) -> StateLattice:
-    """Sample a state lattice: uniform random init, then checkerboard Gibbs
-    sweeps with node conditionals proportional to prod_r phi(s, q_r)."""
+    """Sample a state lattice from the joint prod phi(q_i, q_j) over the
+    axis-adjacent pairs, j the node after i along the axis: uniform random
+    init, then checkerboard Gibbs sweeps with node conditionals proportional
+    to prod phi(s, q_r) over the next neighbors r times prod phi(q_l, s) over
+    the previous neighbors l."""
     rng = np.random.default_rng(config.seed)
     lengths = config.shape.lengths
     N = config.N
@@ -95,9 +98,12 @@ def gibbs_sample(config: SynthConfig) -> StateLattice:
     padded[inner] = states
     flat = padded.reshape(-1)
     strides = [s // flat.itemsize for s in padded.strides]
-    logphi = np.zeros((N, N + 1))  # state-major: row s holds log phi(s, .)
+    # state-major: row s of `ahead` holds log phi(s, .) for the +stride
+    # neighbor, row s of `behind` log phi(., s) for the -stride neighbor
+    ahead, behind = np.zeros((N, N + 1)), np.zeros((N, N + 1))
     with np.errstate(divide="ignore"):
-        logphi[:, :N] = np.log(config.potentials)
+        ahead[:, :N] = np.log(config.potentials)
+        behind[:, :N] = np.log(config.potentials.T)
     parity = np.indices(lengths).sum(axis=0) % 2
     node = np.arange(flat.size).reshape(padded.shape)[inner]
     colors = [node[parity == color] for color in (0, 1)]
@@ -105,8 +111,8 @@ def gibbs_sample(config: SynthConfig) -> StateLattice:
         for idx in colors:
             loglik = np.zeros((N, len(idx)))
             for stride in strides:
-                loglik += logphi.take(flat[idx - stride], axis=1)
-                loglik += logphi.take(flat[idx + stride], axis=1)
+                loglik += behind.take(flat[idx - stride], axis=1)
+                loglik += ahead.take(flat[idx + stride], axis=1)
             top = loglik.max(axis=0)
             top[top == -np.inf] = 0.0  # every state has potential 0: all weights 0
             p = np.exp(loglik - top)

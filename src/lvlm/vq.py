@@ -3,30 +3,31 @@
 Greedy agglomeration: repeatedly merge the pair whose merge raises total
 squared distortion the least, until N clusters remain. Identical points merge
 first, at zero cost, so merging starts from the weighted unique points, each
-centroid exactly its point. Candidate pairs live in a lazily-invalidated heap
-keyed by (cost, lowest-id pair); stale entries are re-validated before use, so
-on inputs up to `exact_threshold` live clusters the merge sequence equals the
-exact greedy one. Above the threshold, clusters are first coalesced by
-mutual-nearest-neighbor rounds, which is near-linearithmic, then the exact
-heap finishes the tail. Each round builds one k-d tree over the live
-centroids and merges every pair that picked each other:
+centroid exactly its point. Then one loop merges round by round. Every live
+cluster keeps its cheapest known partner; by the reducibility of the merge
+cost that partner stays the cheapest while other clusters merge, so a round
+re-prices only the stale clusters: those that merged, those whose partner
+merged, and unsettled ones.
 
-- a short query (`SHORT_CANDIDATES` neighbors) prices each cluster's
+- Above `exact_threshold` live clusters, a round builds one k-d tree over
+  the live centroids and merges every pair that picked each other, which is
+  near-linearithmic. A short query (`SHORT_CANDIDATES` neighbors) prices
   partners from the query's distances, ties to the lowest cluster id; a
-  partner is settled, the cheapest of all live clusters, when a smallest live
-  cluster just beyond the last neighbor would cost more, and only
-  unsettled clusters get the long `TREE_CANDIDATES` query;
-- partners are kept between rounds: by the reducibility of the merge cost a
-  settled partner stays the cheapest while other clusters merge, so a round
-  re-queries only merged clusters, clusters whose partner merged, and
-  unsettled ones;
-- a query runs threaded only from `THREADED_QUERY_MIN` query points up;
-  below that, starting threads costs more than they save.
+  partner is settled, the cheapest of all live clusters, when a smallest
+  live cluster just beyond the last neighbor would cost more, and only
+  unsettled clusters get the long `TREE_CANDIDATES` query. A query runs
+  threaded only from `THREADED_QUERY_MIN` query points up; below that,
+  starting threads costs more than they save.
+- At or below it, a round scans the stale clusters against every live one,
+  with d² from the centroids, and merges only the cheapest pair, least in
+  (cost, lower id, higher id): the exact greedy step. Crossing the threshold
+  marks every cluster stale. The query's distances round, so coalesce ties go
+  to the lowest id only where those distances are exact; exact-round ties
+  are exact.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ EXACT_THRESHOLD = 64
 TREE_CANDIDATES = 12
 SHORT_CANDIDATES = 5
 THREADED_QUERY_MIN = 8192  # measured: threads cost more than they save below this
+_SCAN_BLOCK = 1 << 18  # elements of one exact scan block's (rows, live, M) differences
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,10 @@ class _Agglomerator:
         self.centroid = centroid
         self.size = size
         self.alive = np.ones(k, dtype=bool)
-        self.gen = np.zeros(k, dtype=np.int64)
         self.parent = np.arange(k)
-        self.active = k
         self.history: list[tuple[int, int, float]] = []
-        # coalesce state, kept between rounds: each cluster's cheapest known
-        # partner, that merge's cost, and whether it is the cheapest of all
+        # kept between rounds: each cluster's cheapest known partner, that
+        # merge's cost, and whether it is the cheapest of all live clusters
         self.partner = np.zeros(k, dtype=np.int64)
         self.best = np.zeros(k)
         self.settled = np.zeros(k, dtype=bool)
@@ -95,12 +95,8 @@ class _Agglomerator:
                             + self.size[b, None] * self.centroid[b]) / total[:, None]
         self.size[a] = total
         self.alive[b] = False
-        self.gen[a] += 1
         self.parent[b] = a
-        self.active -= len(a)
         self.history.extend(zip(a.tolist(), b.tolist(), cost.tolist()))
-
-    # -- batched approximate stage (large inputs) ---------------------------
 
     def _query(self, tree, ids, q, k, s_min):
         """Cheapest partner of each cluster in `q` among its k-1 nearest others.
@@ -132,74 +128,57 @@ class _Agglomerator:
         if retry.size:
             self._query(tree, ids, retry, min(TREE_CANDIDATES + 1, len(ids)), s_min)
 
-    def coalesce(self, stop_at):
-        """Shrink to `stop_at` clusters by mutual-nearest-neighbor rounds.
+    def _scan(self, ids, q):
+        """Cheapest partner of each cluster in `q` among all of `ids`, d² from
+        the centroids, ties to the lowest id; a block of rows at a time."""
+        c, s = self.centroid[ids], self.size[ids]
+        step = max(1, _SCAN_BLOCK // (len(ids) * self.centroid.shape[1]))
+        for i in range(0, len(q), step):
+            r = q[i:i + step, None]
+            d2 = ((c - self.centroid[r]) ** 2).sum(axis=2)
+            cost = s * self.size[r] / (s + self.size[r]) * d2
+            cost[r == ids] = np.inf
+            best = cost.min(axis=1)
+            self.partner[r[:, 0]] = np.where(cost == best[:, None], ids, len(self.alive)).min(axis=1)
+            self.best[r[:, 0]] = best
+        self.settled[q] = True
 
-        Merging every mutually-nearest pair per round approximates the greedy
-        sequence (the globally cheapest pair is always mutual) while keeping
-        each round a few vectorized passes over the live clusters. By the
-        reducibility of the merge cost, a settled partner stays the cheapest
-        while other clusters merge, so a round re-queries only the clusters
-        that merged, those whose partner merged, and the unsettled ones.
+    def run(self, n_target, exact_threshold):
+        """Merge round by round until `n_target` clusters remain: mutual pairs
+        from k-d queries above `exact_threshold` live clusters (but not past
+        it), the cheapest pair from exact scans at or below it. A round with
+        no mutual pair merges its cheapest pair too.
         """
-        stale = self.alive.copy()
-        while self.active > stop_at:
-            ids = np.flatnonzero(self.alive)
-            self._requery(ids, np.flatnonzero(stale))
+        ids = np.flatnonzero(self.alive)  # live clusters, ascending
+        stale = ids
+        merged = np.zeros(len(self.alive), dtype=bool)
+        exact = False
+        while len(ids) > n_target:
+            if not exact and len(ids) <= exact_threshold:
+                # the query's distances round: no partner carries over into exact rounds
+                exact, stale = True, ids
+            if exact:
+                self._scan(ids, stale)
+            else:
+                self._requery(ids, stale)
             partner, cost = self.partner[ids], self.best[ids]
-            mutual = (self.partner[partner] == ids) & (ids < partner)
-            a, b, c = ids[mutual], partner[mutual], cost[mutual]
-            if a.size == 0:
-                # no mutual pair among candidates: force the round's best pair
+            a = ids[:0]
+            if not exact:
+                mutual = (self.partner[partner] == ids) & (ids < partner)
+                a, b, c = ids[mutual], partner[mutual], cost[mutual]
+                room = len(ids) - max(n_target, exact_threshold)
+                if a.size > room:
+                    keep = np.argsort(c, kind="stable")[:room]
+                    a, b, c = a[keep], b[keep], c[keep]
+            if a.size == 0:  # exact round, or no mutual pair: the pair least in (cost, owner id)
                 i = int(np.argmin(cost))
                 lo, hi = sorted((ids[i], partner[i]))
                 a, b, c = np.array([lo]), np.array([hi]), cost[i:i + 1]
-            room = self.active - stop_at
-            if a.size > room:
-                keep = np.argsort(c, kind="stable")[:room]
-                a, b, c = a[keep], b[keep], c[keep]
             self.merge(a, b, c)
-            merged = np.zeros(len(self.alive), dtype=bool)
             merged[a] = merged[b] = True
-            stale = self.alive & (merged | merged[self.partner] | ~self.settled)
-
-    # -- exact stage ---------------------------------------------------------
-
-    def _pick(self, a, ids, costs):
-        m = costs.min()
-        cand = ids[costs == m]
-        lower = cand[cand < a]
-        b = int(lower.min() if lower.size else cand.min())
-        return float(m), b
-
-    def nn_exact(self, a, ids):
-        ids = ids[ids != a]
-        d2 = ((self.centroid[ids] - self.centroid[a]) ** 2).sum(axis=1)
-        costs = self.size[ids] * self.size[a] / (self.size[ids] + self.size[a]) * d2
-        return self._pick(a, ids, costs)
-
-    def entry(self, a, ids):
-        c, b = self.nn_exact(a, ids)
-        return (c, min(a, b), max(a, b), a, b, self.gen[a], self.gen[b])
-
-    def run(self, n_target):
-        if self.active <= n_target:
-            return
-        ids = np.flatnonzero(self.alive)
-        heap = [self.entry(int(a), ids) for a in ids]
-        heapq.heapify(heap)
-        while self.active > n_target:
-            cost, pmin, pmax, owner, partner, go, gp = heapq.heappop(heap)
-            if not self.alive[owner] or self.gen[owner] != go:
-                continue
-            if not self.alive[partner] or self.gen[partner] != gp:
-                heapq.heappush(heap, self.entry(owner, ids))
-                continue
-            self.merge(np.array([pmin]), np.array([pmax]), np.array([cost]))
-            ids = ids[ids != pmax]
-            if self.active <= n_target:
-                break
-            heapq.heappush(heap, self.entry(pmin, ids))
+            ids = ids[self.alive[ids]]
+            stale = ids[merged[ids] | merged[self.partner[ids]] | ~self.settled[ids]]
+            merged[a] = merged[b] = False
 
 
 def pnn_quantize(points, n_clusters, *, exact_threshold=EXACT_THRESHOLD, return_history=False):
@@ -240,9 +219,7 @@ def pnn_quantize(points, n_clusters, *, exact_threshold=EXACT_THRESHOLD, return_
     start[repeats] = start[first_of[repeats]]
 
     agg = _Agglomerator(points[rep], np.bincount(start).astype(np.float64))
-    if agg.active > exact_threshold:
-        agg.coalesce(stop_at=max(n_clusters, exact_threshold))
-    agg.run(n_clusters)
+    agg.run(n_clusters, exact_threshold)
 
     # resolve merge chains by pointer jumping; the roots are the survivors
     root = agg.parent

@@ -32,15 +32,17 @@ def naive_signatures(values, M, w, kind):
     return out
 
 
-def greedy_pnn(points, n_clusters):
+def greedy_pnn(points, n_clusters, sizes=None):
     """Exact O(n^3) PNN: full pairwise scan each step, ties to lowest pair.
 
-    Returns (centroids, sizes, assignment, history); cluster identifiers are
-    the lowest original point index in each cluster, output clusters ordered
-    by ascending identifier.
+    `sizes` weights each starting point as a cluster of that many points
+    (default 1 each). Returns (centroids, sizes, assignment, history); cluster
+    identifiers are the lowest original point index in each cluster, output
+    clusters ordered by ascending identifier.
     """
     points = np.asarray(points, dtype=float)
-    clusters = {i: ([i], points[i].copy(), 1.0) for i in range(len(points))}
+    sizes = np.ones(len(points)) if sizes is None else np.asarray(sizes, dtype=float)
+    clusters = {i: ([i], points[i].copy(), float(sizes[i])) for i in range(len(points))}
     history = []
     while len(clusters) > n_clusters:
         best = None
@@ -137,14 +139,12 @@ def gibbs_joint(lengths, potentials):
     """Exact distribution of the pairwise field prod phi(q_i, q_j) over the
     axis-adjacent node pairs of a tiny lattice, by enumeration.
 
-    phi must be symmetric (then each pair's factor is the same from either
-    end). Returns an array over configurations, indexed by the row-major node
-    states read as a base-N number: configuration `c` has states
-    `np.unravel_index(c, (N,) * node_count)`.
+    Each pair is oriented along its axis: i is the node and j the next node
+    along the axis, so phi need not be symmetric. Returns an array over
+    configurations, indexed by the row-major node states read as a base-N
+    number: configuration `c` has states `np.unravel_index(c, (N,) * node_count)`.
     """
     phi = np.asarray(potentials, dtype=float)
-    if not np.array_equal(phi, phi.T):
-        raise ValueError("potentials must be symmetric")
     N = len(phi)
     nodes = list(np.ndindex(*lengths))
     index = {t: i for i, t in enumerate(nodes)}

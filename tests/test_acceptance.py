@@ -240,20 +240,11 @@ def test_criterion_8_learning_complexity():
     t = np.array(times)
     x = np.array([side * side * math.log(side * side) for side in sides], dtype=np.float64)
 
-    def max_residual(c):
-        return float((np.abs(t - c * x) / t).max())
-
-    # the criterion asks whether some constant c fits all four points, so
-    # pick the c minimizing the worst relative residual (1-d convex search)
-    lo, hi = (t / x).min(), (t / x).max()
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if max_residual(m1) < max_residual(m2):
-            hi = m2
-        else:
-            lo = m1
-    residual = max_residual((lo + hi) / 2)
+    # the criterion asks whether some constant c fits all four points: the
+    # worst relative residual |1 - c * r_i|, r = x / t, is least at
+    # c = 2 / (r_min + r_max), where it is (r_max - r_min) / (r_max + r_min)
+    r = x / t
+    residual = float((r.max() - r.min()) / (r.max() + r.min()))
     ok = residual < 0.25 and total < 120.0
     report(8, "learning time fits U log U", ok,
            f"times {[round(v, 2) for v in times]}s for U={[s * s for s in sides]}, "

@@ -1,7 +1,11 @@
+import dataclasses
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from lvlm import DiscreteModel, SymbolLattice, io
+from lvlm import DiscreteModel, SymbolLattice, cli, io
 from lvlm.cli import main
 
 
@@ -248,3 +252,58 @@ def test_synth_bad_arguments_exit_1(tmp_path, capsys, flags):
                        "--states-out", str(tmp_path / "q.lat"))
     assert code == 1
     assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1
+
+
+# Per subcommand: the argv (with {files} for the input directory) and each
+# numeric flag's valid value. Decode, evaluate and classify take no numeric flag.
+FUZZ_COMMANDS = {
+    "synth": ("synth --shape 8x8 --b 0.8,0.2;0.2,0.8 --out {files}/o.lat --states-out {files}/q.lat",
+              {"--n": "2", "--self-weight": "0.9", "--sweeps": "2", "--seed": "1"}),
+    "synth-real": ("synth --shape 4x4x4 --n 2 --mu 0,0;1,1 --out {files}/o.lat",
+                   {"--sigma-scale": "0.5", "--sweeps": "2", "--seed": "1"}),
+    "learn": ("learn --variant discrete --in {files}/d.lat --out {files}/m.lvlm",
+              {"--n": "2", "--w": "1", "--we": "1", "--wl": "1", "--alpha": "0.5", "--m": "3"}),
+    "learn-real": ("learn --variant real --in {files}/r.lat --out {files}/m.lvlm",
+                   {"--n": "2", "--w": "1", "--we": "1", "--wl": "1", "--alpha": "0.5"}),
+    "index": ("index --model {files}/a.lvlm --states {files}/d.lat", {"--w": "1"}),
+    "quantize": ("quantize --in {files}/d.lat --out {files}/c.txt", {"--n": "2", "--m": "3"}),
+}
+FUZZ_VALUES = ["-3", "0", "1" + "0" * 30, "nan", "inf", "x"]
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand with each of its numeric flags left out, valid, or drawn from FUZZ_VALUES."""
+    name = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv, flags = FUZZ_COMMANDS[name]
+    argv = argv.split()
+    for flag, valid in flags.items():
+        value = draw(st.sampled_from([None, valid] + FUZZ_VALUES))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(0)
+    io.write_lattice(files / "d.lat", SymbolLattice.discrete(rng.integers(0, 3, size=(8, 8)), M=3))
+    io.write_lattice(files / "r.lat", SymbolLattice.real(rng.normal(size=(8, 8, 2))))
+    (files / "a.lvlm").write_text("variant=discrete\nN=2\nM=2\nd=2\nw=1\nw_e=1\nw_l=1\nalpha=1\n"
+                                  "A=0.9 0.1 0.1 0.9\nB=0.8 0.2 0.2 0.8\n")
+    return files
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzzed_argv())
+def test_numeric_flags_exit_cleanly(fuzz_files, monkeypatch, capsys, argv):
+    # every lattice here has at most 64 nodes; a huge --sweeps is valid but
+    # would run for ever, so the sampler runs at most 2 of the sweeps asked for
+    sample = cli.gibbs_sample
+    with monkeypatch.context() as m:
+        m.setattr(cli, "gibbs_sample", lambda config: sample(dataclasses.replace(config, sweeps=min(config.sweeps, 2))))
+        code, _, err = run(capsys, *(a.format(files=fuzz_files) for a in argv))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -101,13 +101,16 @@ def test_3d_sampling_works():
     assert set(np.unique(q.states)) <= {0, 1}
 
 
-# Symmetric potentials on tiny lattices; the first has zero entries. After 10
-# sweeps from the uniform start the exact distribution of the final state is
-# within 3e-6 (total variation) of the joint on each of these.
+# Potentials on tiny lattices; the first has zero entries, the last two are
+# not symmetric, so each pair's factor is phi(node, next node along the axis).
+# After 10 sweeps from the uniform start the exact distribution of the final
+# state is within 3e-6 (total variation) of the joint on each of these.
 GIBBS_CASES = {
     "2x2-N3-zeros": ((2, 2), [[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]]),
     "2x2x2-N2": ((2, 2, 2), [[0.6, 0.4], [0.4, 0.6]]),
     "chain5-N3": ((5,), [[2.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 1.0]]),
+    "chain2-N2-oriented": ((2,), [[0.9, 0.1], [0.5, 0.5]]),
+    "2x2-N2-oriented": ((2, 2), [[1.0, 0.3], [0.8, 0.5]]),
 }
 GIBBS_SEEDS = 4000
 

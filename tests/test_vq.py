@@ -194,6 +194,37 @@ def test_coalesce_ties_go_to_lowest_id(seed):
     assert [(a, b) for a, b, _ in history] == [(a, b) for a, b, _ in coalesce_rounds_oracle(pts, 2)]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_tail_matches_weighted_greedy(seed):
+    # after the coalesce stage leaves `stop_at` clusters, the rest of the merges
+    # are the exact greedy PNN of those weighted clusters
+    rng = np.random.default_rng(800 + seed)
+    n, M, N = int(rng.integers(500, 3001)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+    pts = _mixture(rng, n, M) if seed % 2 else rng.normal(size=(n, M))
+    _, _, history = pnn_quantize(pts, N, return_history=True)
+    stop_at = max(N, vq.EXACT_THRESHOLD)
+    centroid, size = pts.copy(), np.ones(n)  # each cluster is named by its lowest point id
+
+    def replay(merges):
+        """Apply the merges; return each one's cost priced from the centroids."""
+        costs = []
+        for a, b, _ in merges:
+            costs.append(size[a] * size[b] / (size[a] + size[b]) * ((centroid[a] - centroid[b]) ** 2).sum())
+            centroid[a] = (size[a] * centroid[a] + size[b] * centroid[b]) / (size[a] + size[b])
+            size[a], size[b] = size[a] + size[b], 0
+        return costs
+
+    replay(history[:n - stop_at])
+    ids = np.flatnonzero(size)
+    assert len(ids) == stop_at
+    _, _, _, oracle = greedy_pnn(centroid[ids], N, sizes=size[ids])
+    tail = history[n - stop_at:]
+    assert [(a, b) for a, b, _ in tail] == [(ids[a], ids[b]) for a, b, _ in oracle]
+    np.testing.assert_allclose([c for *_, c in tail], [c for *_, c in oracle], rtol=1e-12)
+    # exact rounds price merges from the centroids, not from the k-d query's distances
+    assert [c for *_, c in tail] == replay(tail)
+
+
 def _signature_points(seed):
     lattice = SymbolLattice.real(np.random.default_rng(seed).normal(size=(56, 56, 2)))
     return sweep_signatures(lattice, 2).signatures.reshape(-1, 2)
