@@ -55,11 +55,7 @@ def classify_image(bundle: ClassifierBundle, obs: SymbolLattice):
     """
     evaluate = evaluate_discrete if bundle.variant == "discrete" else evaluate_real
     scores = [c.log_prior + evaluate(c.model, obs) for c in bundle.classes]
-    best = 0
-    for i, s in enumerate(scores):
-        if s > scores[best]:
-            best = i
-    return bundle.classes[best].label, scores
+    return bundle.classes[int(np.argmax(scores))].label, scores
 
 
 def softmax_scores(scores) -> np.ndarray:

@@ -1,7 +1,7 @@
 """lvlm command-line front end.
 
 Subcommands: synth, learn, decode, evaluate, classify, index, quantize.
-Exit codes: 0 success, 1 input error, 2 numeric error.
+Exit codes: 0 success, 1 input error or out of memory, 2 numeric error.
 """
 
 from __future__ import annotations
@@ -47,10 +47,15 @@ def _u8_count(text: str) -> int:
 
 
 def _parse_shape(text: str) -> LatticeShape:
+    """Axis lengths joined by 'x', with at most as many nodes as an int64
+    array numpy can address."""
     try:
-        return LatticeShape(tuple(int(x) for x in text.lower().split("x")))
+        shape = LatticeShape(tuple(int(x) for x in text.lower().split("x")))
     except ValueError as e:
         raise InputError(f"bad shape {text!r}") from e
+    if shape.node_count > np.iinfo(np.intp).max // np.dtype(np.int64).itemsize:
+        raise InputError(f"shape {text!r} has {shape.node_count} nodes, too many for one array")
+    return shape
 
 
 def _radii(args):
@@ -272,6 +277,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as e:
         print(f"lvlm: error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("lvlm: error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -14,17 +14,12 @@ import numpy as np
 
 from . import model as core
 from .errors import InputError, NumericError
-from .lattice import SymbolLattice, sweep_signatures  # noqa: F401 (sweep_signatures is re-exported)
-from .model import _assign_field  # noqa: F401 (re-exported)
+from .lattice import SymbolLattice, sweep_signatures  # noqa: F401 (benchmark/selftest.py reads it here)
 
 
 @dataclass(frozen=True)
 class DiscreteModel(core.LatticeModel):
     B: np.ndarray = field(repr=False)  # N x M row-stochastic emission matrix
-    w: int = 1
-    w_e: int = 1
-    w_l: int = 1
-    alpha: float = 1.0
 
     kind, exact_alphabet = "discrete", False
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -112,29 +113,22 @@ def read_lattice(path, M: int | None = None) -> SymbolLattice:
 
 # -- PGM ---------------------------------------------------------------------
 
+# magic, then width, height and maxval, each after whitespace and '#' comments
+# (to end of line), then the one whitespace byte before the raster
+_PGM_HEADER = re.compile(rb"(P[25])" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def read_pgm(path, M: int | None = None) -> SymbolLattice:
     data = Path(path).read_bytes()
-    tokens = []
-    pos = 0
-    # header: magic, width, height, maxval; '#' starts a comment to end of line
-    while len(tokens) < 4 and pos < len(data):
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace() and data[pos:pos + 1] != b"#":
-            pos += 1
-        tokens.append(data[start:pos])
-    if len(tokens) < 4 or tokens[0] not in (b"P2", b"P5"):
+    header = _PGM_HEADER.match(data)
+    if header is None:
         raise InputError(f"{path}: not a P2/P5 PGM file")
+    pos = header.end()
     try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
+        width, height, maxval = (int(t) for t in header.group(2, 3, 4))
         shape = LatticeShape((height, width))
-        if tokens[0] == b"P5":  # one whitespace byte after maxval, then the raster
-            raster = np.frombuffer(data[pos + 1:pos + 1 + width * height], dtype=np.uint8)
+        if header[1] == b"P5":
+            raster = np.frombuffer(data[pos:pos + width * height], dtype=np.uint8)
         else:
             raster = np.array(data[pos:].split(), dtype=np.int64)
     except (ValueError, OverflowError) as e:

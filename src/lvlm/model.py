@@ -6,12 +6,14 @@ node's window signature. Evaluation scores a lattice as the sum over nodes of
 log p(o_t | q_t) + 1/2 * sum_r [log alpha + log a(q_t,q_r) - log k_t], with
 k_t = sum_r a(q_t,q_r). Learning PNN-quantizes the pooled window signatures
 into N emission rows, re-assigns every node to its nearest row, and
-row-normalizes the neighbor-pair counts into A.
+row-normalizes the neighbor-pair counts into A. Decoding, the scalar
+`assign` and learning's re-assignment share one nearest-row search, whose
+blocks hold a bounded number of differences whatever N x M is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -21,22 +23,27 @@ from . import lattice, vq
 from .errors import InputError, NumericError
 from .lattice import SignatureField, StateLattice, SymbolLattice, axis_pairs
 
-_ASSIGN_CHUNK = 8192
-
 
 @dataclass(frozen=True)
 class LatticeModel:
-    """<A, emission, w>. A variant declares its emission fields, then w, w_e,
-    w_l, alpha, and supplies `kind` (of its observations), `exact_alphabet`
-    (observations need exactly M entries), `rows` (the N x M rows decoding
-    assigns to), `_check_emission()`, `_rows_from_codebook(centroids)`,
-    `_fit(rows, lattices, states)` (learned emission fields) and
-    `_log_emission(obs, q)` (sum over nodes of log p(o_t | q_t))."""
+    """<A, emission, w>. The window radii w (decoding), w_e (evaluation), w_l
+    (learning) and alpha are keyword-only fields declared here. A variant
+    declares its emission fields and supplies `kind` (of its observations),
+    `exact_alphabet` (observations need exactly M entries), `rows` (the N x M
+    rows decoding assigns to), `_check_emission()`,
+    `_rows_from_codebook(centroids)`, `_fit(rows, lattices, states)` (learned
+    emission fields) and `_log_emission(obs, q)` (sum over nodes of
+    log p(o_t | q_t))."""
 
     N: int
     M: int
     d: int
     A: np.ndarray = field(repr=False)  # N x N nonnegative state adjacency potential
+    _: KW_ONLY
+    w: int = 1
+    w_e: int = 1
+    w_l: int = 1
+    alpha: float = 1.0
 
     def __post_init__(self):
         if self.N < 1 or self.M < 1 or self.d < 1:
@@ -50,24 +57,28 @@ class LatticeModel:
         self._check_emission()
 
 
+def _nearest_rows(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the L2-closest of the N x M `rows` for each row of x, ties to
+    the lowest index; a block of x at a time, of at most vq._SCAN_BLOCK
+    difference elements."""
+    out = np.empty(len(x), dtype=np.int64)
+    step = max(1, vq._SCAN_BLOCK // rows.size)
+    for s in range(0, len(x), step):
+        out[s:s + step] = ((x[s:s + step, None] - rows[None]) ** 2).sum(axis=2).argmin(axis=1)
+    return out
+
+
 def assign(model: LatticeModel, x) -> int:
     """State whose emission row is L2-closest to signature x; ties go to lowest index."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.M,):
         raise InputError(f"signature has {x.shape} entries, model expects {model.M}")
-    d2 = ((x - model.rows) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    return int(_nearest_rows(model.rows, x[None])[0])
 
 
 def _assign_field(rows: np.ndarray, X: SignatureField) -> np.ndarray:
-    """Vectorized nearest-row assignment; same arithmetic as the scalar assign."""
-    flat = X.flat()
-    out = np.empty(len(flat), dtype=np.int64)
-    for s in range(0, len(flat), _ASSIGN_CHUNK):
-        chunk = flat[s:s + _ASSIGN_CHUNK]
-        d2 = ((chunk[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
-        out[s:s + _ASSIGN_CHUNK] = np.argmin(d2, axis=1)
-    return out.reshape(X.shape.lengths)
+    """Nearest-row state of every node of X."""
+    return _nearest_rows(rows, X.flat()).reshape(X.shape.lengths)
 
 
 def _signatures(obs: SymbolLattice, M: int, w: int) -> SignatureField:
@@ -87,14 +98,18 @@ def decode(model: LatticeModel, obs: SymbolLattice, w: int):
     return X, StateLattice(obs.shape, _assign_field(model.rows, X), model.N)
 
 
-def _neighbor_terms(A: np.ndarray, q: np.ndarray, d: int):
-    """Per-node sums over lattice neighbors: k_t, sum_r log a(q_t,q_r), degree."""
-    k = np.zeros(q.shape)
+def _pair_score(A: np.ndarray, q: np.ndarray, alpha: float) -> float:
+    """Sum over nodes of 1/2 * sum_r [log alpha + log a(q_t,q_r) - log k_t].
+    On a lattice of two or more nodes every node has a neighbor."""
+    if q.size < 2:
+        return 0.0
     with np.errstate(divide="ignore"):
         logA = np.log(A)
+    # per node: k_t, sum_r log a(q_t,q_r), and its neighbor count
+    k = np.zeros(q.shape)
     sla = np.zeros(q.shape)
     deg = np.zeros(q.shape, dtype=np.int64)
-    for lo, hi in axis_pairs(d):
+    for lo, hi in axis_pairs(q.ndim):
         qa, qb = q[lo], q[hi]
         k[lo] += A[qa, qb]
         k[hi] += A[qb, qa]
@@ -102,51 +117,33 @@ def _neighbor_terms(A: np.ndarray, q: np.ndarray, d: int):
         sla[hi] += logA[qb, qa]
         deg[lo] += 1
         deg[hi] += 1
-    return k, sla, deg
-
-
-def _pair_score(k, sla, deg, alpha):
-    has = deg > 0
-    if np.any(k[has] <= 0):
+    if np.any(k <= 0):
         return float("-inf")
-    with np.errstate(divide="ignore"):
-        logk = np.where(has, np.log(np.where(has, k, 1.0)), 0.0)
-    val = 0.5 * (sla.sum() + np.log(alpha) * deg.sum() - (deg * logk).sum())
-    return float(val)
+    return float(0.5 * (sla.sum() + np.log(alpha) * deg.sum() - (deg * np.log(k)).sum()))
 
 
 def evaluate(model: LatticeModel, obs: SymbolLattice) -> float:
     """Log-score of obs: decode with w_e, then emission + neighbor terms."""
     _, Q = decode(model, obs, model.w_e)
-    emission = model._log_emission(obs, Q.states)
-    k, sla, deg = _neighbor_terms(model.A, Q.states, model.d)
-    return emission + _pair_score(k, sla, deg, model.alpha)
+    return model._log_emission(obs, Q.states) + _pair_score(model.A, Q.states, model.alpha)
 
 
-def _adjacency_counts(N: int, q: np.ndarray, d: int) -> np.ndarray:
-    counts = np.zeros((N, N), dtype=np.float64)
-    for lo, hi in axis_pairs(d):
-        qa, qb = q[lo].ravel(), q[hi].ravel()
-        np.add.at(counts, (qa, qb), 1.0)
-        np.add.at(counts, (qb, qa), 1.0)
-    return counts
+def _adjacency_counts(N: int, q: np.ndarray) -> np.ndarray:
+    """Neighbor-pair counts in both orientations: the forward pairs of every
+    axis, plus their transpose."""
+    C = sum(np.bincount((q[lo] * N + q[hi]).ravel(), minlength=N * N)
+            for lo, hi in axis_pairs(q.ndim)).reshape(N, N)
+    return C + C.T
 
 
 def _normalize_adjacency(counts: np.ndarray, occupied: np.ndarray) -> np.ndarray:
     """Row-normalize by actual neighbor-pair counts; occupied isolated states
     (possible only on single-node lattices) fall back to a uniform row."""
-    N = len(counts)
     if not occupied.all():
         missing = np.flatnonzero(~occupied)
         raise NumericError(f"states {missing.tolist()} have no assigned nodes", state=int(missing[0]))
-    A = counts.copy()
-    rowsum = A.sum(axis=1)
-    for j in range(N):
-        if rowsum[j] > 0:
-            A[j] /= rowsum[j]
-        else:
-            A[j] = 1.0 / N
-    return A
+    rowsum = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, rowsum, out=np.full(counts.shape, 1.0 / len(counts)), where=rowsum > 0)
 
 
 def learn(cls: type[LatticeModel], obs, w_l: int, n_states: int, *, w=None, w_e=None, alpha=1.0):
@@ -181,7 +178,7 @@ def learn(cls: type[LatticeModel], obs, w_l: int, n_states: int, *, w=None, w_e=
     for f in fields:
         q = _assign_field(rows, f)
         occupied[np.unique(q)] = True
-        counts += _adjacency_counts(n_states, q, d)
+        counts += _adjacency_counts(n_states, q)
         states.append(q)
     A = _normalize_adjacency(counts, occupied)
     return cls(

@@ -16,7 +16,6 @@ from scipy.linalg import solve_triangular
 from . import model as core
 from .errors import InputError, NumericError
 from .lattice import SymbolLattice
-from .model import _assign_field  # noqa: F401 (re-exported)
 
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-12
@@ -28,10 +27,6 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 class RealModel(core.LatticeModel):
     mu: np.ndarray = field(repr=False)     # N x M state means
     sigma: np.ndarray = field(repr=False)  # N x M x M covariances
-    w: int = 1
-    w_e: int = 1
-    w_l: int = 1
-    alpha: float = 1.0
 
     kind, exact_alphabet = "real", True
 

@@ -132,7 +132,10 @@ def emit_observations(states: StateLattice, emission, seed: int = 0) -> SymbolLa
     if isinstance(emission, DiscreteEmission):
         cdf = np.cumsum(emission.B, axis=1)
         u = rng.random(size=states.shape.lengths)
-        symbols = (u[..., None] > cdf[states.states]).sum(axis=-1)
+        symbols = np.empty(u.shape, dtype=np.int64)
+        for j in range(emission.N):  # symbol: how many of the state's cdf entries lie below u
+            mask = states.states == j
+            symbols[mask] = np.searchsorted(cdf[j], u[mask], side="left")
         return SymbolLattice.discrete(symbols, M=emission.B.shape[1])
     if isinstance(emission, RealEmission):
         M = emission.mu.shape[1]

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from lvlm import DiscreteModel, SymbolLattice, cli, io
+from lvlm import DiscreteModel, InputError, SymbolLattice, cli, io
 from lvlm.cli import main
 
 
@@ -39,7 +40,7 @@ def test_synth_learn_decode_round_trip(tmp_path, capsys):
     assert code == 0
 
     # decoded states match learning's internal assignment (shared signatures)
-    from lvlm.discrete import _assign_field
+    from lvlm.model import _assign_field
     from lvlm import sweep_signatures
 
     model = io.read_model(model_p)
@@ -307,3 +308,34 @@ def test_numeric_flags_exit_cleanly(fuzz_files, monkeypatch, capsys, argv):
         code, _, err = run(capsys, *(a.format(files=fuzz_files) for a in argv))
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+SHAPE_LIMIT = np.iinfo(np.intp).max // 8  # nodes of the largest addressable int64 array
+
+
+@settings(max_examples=300, deadline=None)
+@given(axes=st.lists(st.one_of(st.integers(-10, 10), st.integers(-10 ** 30, 10 ** 30),
+                               st.sampled_from(["", "a", "1.5", "nan", "-", "1e3"])),
+                     min_size=1, max_size=4))
+def test_parse_shape_accepts_addressable_or_raises_input_error(axes):
+    # parsing allocates nothing, so huge axes are safe to try
+    text = "x".join(str(a) for a in axes)
+    valid = all(isinstance(a, int) and a >= 1 for a in axes) and math.prod(axes) <= SHAPE_LIMIT
+    if valid:
+        assert cli._parse_shape(text).lengths == tuple(axes)
+    else:
+        with pytest.raises(InputError):
+            cli._parse_shape(text)
+
+
+def test_synth_unaddressable_shape_exits_1(capsys):
+    code, _, err = run(capsys, "synth", "--shape", "10000000000x10000000000", "--n", "2")
+    assert code == 1 and err.startswith("lvlm: error:") and "Traceback" not in err
+
+
+def test_out_of_memory_exits_1(monkeypatch, capsys):
+    def exhausted(config):
+        raise MemoryError
+    monkeypatch.setattr(cli, "gibbs_sample", exhausted)
+    code, out, err = run(capsys, "synth", "--shape", "4x4", "--n", "2")
+    assert code == 1 and out == "" and err == "lvlm: error: out of memory\n"

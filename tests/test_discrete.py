@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -14,6 +15,7 @@ from lvlm import (
     decode_discrete,
     evaluate_discrete,
     learn_discrete,
+    sweep_signatures,
 )
 
 from oracles import straightline_evaluate_discrete
@@ -135,7 +137,7 @@ def test_learn_decode_round_trip_exact():
     rng = np.random.default_rng(9)
     obs = SymbolLattice.discrete(rng.integers(0, 3, (12, 12)), M=3)
     from lvlm import sweep_signatures
-    from lvlm.discrete import _assign_field
+    from lvlm.model import _assign_field
 
     m = learn_discrete(obs, 1, 3)
     X = sweep_signatures(obs, 1)
@@ -189,3 +191,23 @@ def test_model_validation():
         DiscreteModel(N=2, M=2, d=1, A=np.eye(2), B=np.array([[0.5, 0.4], [0.2, 0.8]]))
     with pytest.raises(InputError):
         model2(alpha=0.0)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_memory_wide_alphabet():
+    # nearest-row blocks hold a bounded number of differences, so decoding at
+    # N = M = 256 peaks near the window sweep's own peak
+    rng = np.random.default_rng(12)
+    m = DiscreteModel(N=256, M=256, d=2, A=np.full((256, 256), 1 / 256),
+                      B=rng.dirichlet(np.ones(256), size=256))
+    obs = SymbolLattice.discrete(rng.integers(0, 256, size=(32, 32)), M=256)
+    sweep_peak = _traced_peak(lambda: sweep_signatures(obs, m.w))
+    assert _traced_peak(lambda: decode_discrete(m, obs)) <= 3 * sweep_peak

@@ -206,6 +206,7 @@ MALFORMED = {
     "non-numeric PGM header": b"P2\n2x 1\n255\n0 1\n",
     "negative PGM width": b"P5\n-1 -1\n255\n\x00",
     "non-numeric P2 sample": b"P2\n2 1\n255\n0 1#\n",
+    "PGM width over 4,300 digits": b"P2\n" + b"1" * 5000 + b" 1\n255\n0\n",
 }
 
 

@@ -123,7 +123,7 @@ def test_learn_rejects_too_many_states():
 
 def test_learn_decode_round_trip_exact():
     from lvlm import sweep_signatures
-    from lvlm.real import _assign_field
+    from lvlm.model import _assign_field
 
     rng = np.random.default_rng(10)
     obs = SymbolLattice.real(rng.normal(size=(10, 10, 2)))

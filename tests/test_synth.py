@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import gibbs_joint
@@ -8,6 +10,7 @@ from lvlm import (
     InputError,
     LatticeShape,
     RealEmission,
+    StateLattice,
     SynthConfig,
     emit_observations,
     gibbs_sample,
@@ -57,6 +60,31 @@ def test_emit_discrete_frequencies():
     for j in range(2):
         freq = (obs.values[q.states == j] == 1).mean()
         assert freq == pytest.approx(B[j, 1], abs=0.02)
+
+
+def test_emit_discrete_equals_cdf_count():
+    # reference: each node's symbol counts the entries of its state's cdf
+    # below its uniform draw, compared over all M symbols at once
+    q = gibbs_sample(config(n=3, shape=(40, 50), sweeps=3, seed=2))
+    B = np.random.default_rng(5).dirichlet(np.ones(7), size=3)
+    obs = emit_observations(q, DiscreteEmission(B), seed=4)
+    u = np.random.default_rng(4).random(size=(40, 50))
+    want = (u[..., None] > np.cumsum(B, axis=1)[q.states]).sum(axis=-1)
+    assert np.array_equal(obs.values, want)
+
+
+def test_emit_discrete_memory_wide_alphabet():
+    # one state at a time: no node x symbol temporary at M = 256
+    rng = np.random.default_rng(13)
+    q = StateLattice.from_array(rng.integers(0, 256, size=(256, 256)), N=256)
+    emission = DiscreteEmission(rng.dirichlet(np.ones(256), size=256))
+    tracemalloc.start()
+    try:
+        obs = emit_observations(q, emission, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * obs.values.nbytes
 
 
 def test_emit_real_tiny_noise_recovers_means():
