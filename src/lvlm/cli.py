@@ -221,7 +221,7 @@ def build_parser() -> _Parser:
 
     lp = sub.add_parser("learn", help="learn a model from lattice files")
     lp.add_argument("--variant", choices=["discrete", "real"], required=True)
-    lp.add_argument("--n", type=int, required=True)
+    lp.add_argument("--n", type=_u8_count, required=True, help="state count")
     lp.add_argument("--w", type=int)
     lp.add_argument("--we", type=int)
     lp.add_argument("--wl", type=int)

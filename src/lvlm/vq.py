@@ -7,23 +7,41 @@ centroid exactly its point. Then one loop merges round by round. Every live
 cluster keeps its cheapest known partner; by the reducibility of the merge
 cost that partner stays the cheapest while other clusters merge, so a round
 re-prices only the stale clusters: those that merged, those whose partner
-merged, and unsettled ones.
+merged, and unsettled ones that the last round's merges could have reached.
 
 - Above `exact_threshold` live clusters, a round builds one k-d tree over
   the live centroids and merges every pair that picked each other, which is
-  near-linearithmic. A short query (`SHORT_CANDIDATES` neighbors) prices
-  partners from the query's distances, ties to the lowest cluster id; a
-  partner is settled, the cheapest of all live clusters, when a smallest
-  live cluster just beyond the last neighbor would cost more, and only
-  unsettled clusters get the long `TREE_CANDIDATES` query. A query runs
-  threaded only from `THREADED_QUERY_MIN` query points up; below that,
-  starting threads costs more than they save.
-- At or below it, a round scans the stale clusters against every live one,
-  with d² from the centroids, and merges only the cheapest pair, least in
-  (cost, lower id, higher id): the exact greedy step. Crossing the threshold
-  marks every cluster stale. The query's distances round, so coalesce ties go
-  to the lowest id only where those distances are exact; exact-round ties
-  are exact.
+  near-linearithmic. A query prices partners from its own distances, ties to
+  the lowest cluster id; a partner is settled, the cheapest of all live
+  clusters, when a smallest live cluster just beyond the last neighbor would
+  cost more. Each stale cluster is queried once where it can be: one that
+  its last query settled (in the first round, every one) gets the short
+  `SHORT_CANDIDATES` query and, only if that does not settle it, the long
+  `TREE_CANDIDATES` one; one that was left unsettled goes straight to the
+  long query. That routing is exact, since a short query that settles
+  names the same partner at the same cost as the long one, and the long one
+  settles whatever the short one does.
+- An unsettled partner is the cheapest among the cluster's long query, whose
+  last neighbor lies at distance `reach`. It is kept, not re-queried, while
+  the cluster and its partner did not merge, more than `TREE_CANDIDATES` + 1
+  clusters live, and no centroid the round moved (both old ones of each
+  merged pair and the new one) lies within `reach`, by the tree's own
+  distances. The long query's neighbors and their sizes are then unchanged,
+  so it would return the same partner and cost; only its bound can change,
+  when the smallest live size grows, and that is re-checked from `reach`.
+  Where the last neighbor ties with the next, which of them a query returns
+  depends on how its tree was built, so such a cluster is never kept. The
+  test takes a tree over the moved centroids; where they outnumber the
+  neighbors a long re-query of the unsettled clusters would fetch, those
+  clusters are re-queried instead.
+- A query runs threaded only from `THREADED_QUERY_MIN` query points up;
+  below that, starting threads costs more than they save.
+- At or below `exact_threshold`, a round scans the stale clusters against
+  every live one, with d² from the centroids, and merges only the cheapest
+  pair, least in (cost, lower id, higher id): the exact greedy step. Crossing
+  the threshold marks every cluster stale. The query's distances round, so
+  coalesce ties go to the lowest id only where those distances are exact;
+  exact-round ties are exact.
 """
 
 from __future__ import annotations
@@ -66,6 +84,11 @@ class Codebook:
         return int(self.centroids.shape[1])
 
 
+def _nearest(tree, x, k):
+    """k-d tree query of the rows of `x`, threaded only from `THREADED_QUERY_MIN` rows up."""
+    return tree.query(x, k=k, workers=-1 if len(x) >= THREADED_QUERY_MIN else 1)
+
+
 def merge_cost(size_a, centroid_a, size_b, centroid_b) -> float:
     """Exact increase in total squared distortion from merging two clusters."""
     if size_a < 1 or size_b < 1:
@@ -83,10 +106,13 @@ class _Agglomerator:
         self.parent = np.arange(k)
         self.history: list[tuple[int, int, float]] = []
         # kept between rounds: each cluster's cheapest known partner, that
-        # merge's cost, and whether it is the cheapest of all live clusters
+        # merge's cost, whether it is the cheapest of all live clusters (true
+        # before any query, so that the first round starts short), and the
+        # distance to the last neighbor of the cluster's last query
         self.partner = np.zeros(k, dtype=np.int64)
         self.best = np.zeros(k)
-        self.settled = np.zeros(k, dtype=bool)
+        self.settled = np.ones(k, dtype=bool)
+        self.reach = np.zeros(k)
 
     def merge(self, a, b, cost):
         """Merge clusters b[i] into a[i] (a[i] < b[i]); centroids become size-weighted means."""
@@ -98,7 +124,7 @@ class _Agglomerator:
         self.parent[b] = a
         self.history.extend(zip(a.tolist(), b.tolist(), cost.tolist()))
 
-    def _query(self, tree, ids, q, k, s_min):
+    def _query(self, tree, ids, q, k, s_min, look_further=False):
         """Cheapest partner of each cluster in `q` among its k-1 nearest others.
 
         Costs come from the query's own distances; ties go to the lowest
@@ -106,27 +132,55 @@ class _Agglomerator:
         when even a smallest live cluster just beyond the k-th neighbor would
         cost more; the bound is strict so that no cluster outside the query
         can tie with a lower id.
+
+        The k-th neighbor's distance is the cluster's reach. With
+        `look_further` the query also fetches the next neighbor. Where the
+        two tie, which of the tied clusters the tree returns depends on how
+        it was built. That does not matter to a settled cluster, whose
+        partner is nearer and whose bound uses only the distance. An
+        unsettled one is queried again with k neighbors, as without
+        `look_further`, and gets an infinite reach.
         """
-        workers = -1 if len(q) >= THREADED_QUERY_MIN else 1
-        dist, idx = tree.query(self.centroid[q], k=k, workers=workers)
-        cid = ids[idx]
+        further = look_further and k < len(ids)
+        dist, cid = _nearest(tree, self.centroid[q], k + further)
+        tied = further & (dist[:, -1] == dist[:, k - 1])
+        dist, cid = dist[:, :k], ids[cid[:, :k]]
         s = self.size[q]
         cost = s[:, None] * self.size[cid] / (s[:, None] + self.size[cid]) * dist ** 2
         cost[cid == q[:, None]] = np.inf
         best = cost.min(axis=1)
         self.partner[q] = np.where(cost == best[:, None], cid, len(self.alive)).min(axis=1)
         self.best[q] = best
-        self.settled[q] = (k == len(ids)) | (s * s_min / (s + s_min) * dist[:, -1] ** 2 > best)
+        self.settled[q] = (k == len(ids)) | self._bounded(q, s_min, dist[:, -1])
+        self.reach[q] = np.where(tied, np.inf, dist[:, -1])
+        redo = q[tied & ~self.settled[q]]
+        if redo.size:
+            self._query(tree, ids, redo, k, s_min)
+            self.reach[redo] = np.inf
 
-    def _requery(self, ids, q):
-        """Short query for every cluster in `q`; the long one where that does not settle."""
+    def _bounded(self, q, s_min, d):
+        """Whether a cluster of size `s_min` at distance `d` from each cluster
+        in `q` would cost more than its partner."""
+        s = self.size[q]
+        return s * s_min / (s + s_min) * d ** 2 > self.best[q]
+
+    def _requery(self, ids, q, s_min):
+        """One query for each cluster in `q`: the long one for clusters left
+        unsettled by their last query; for the rest the short one, then the
+        long one where the short one does not settle.
+
+        Routing loses nothing: where the short query settles, its partner is
+        cheaper than anything beyond its last neighbor, so the long query
+        names the same partner at the same cost; and the long query settles
+        whatever the short one does, its last neighbor being no nearer.
+        """
         tree = cKDTree(self.centroid[ids])
-        s_min = self.size[ids].min()
-        k = min(SHORT_CANDIDATES + 1, len(ids))
-        self._query(tree, ids, q, k, s_min)
+        short = q[self.settled[q]]
+        if short.size:
+            self._query(tree, ids, short, min(SHORT_CANDIDATES + 1, len(ids)), s_min)
         retry = q[~self.settled[q]]
         if retry.size:
-            self._query(tree, ids, retry, min(TREE_CANDIDATES + 1, len(ids)), s_min)
+            self._query(tree, ids, retry, min(TREE_CANDIDATES + 1, len(ids)), s_min, look_further=True)
 
     def _scan(self, ids, q):
         """Cheapest partner of each cluster in `q` among all of `ids`, d² from
@@ -160,7 +214,7 @@ class _Agglomerator:
             if exact:
                 self._scan(ids, stale)
             else:
-                self._requery(ids, stale)
+                self._requery(ids, stale, self.size[ids].min())
             partner, cost = self.partner[ids], self.best[ids]
             a = ids[:0]
             if not exact:
@@ -174,10 +228,29 @@ class _Agglomerator:
                 i = int(np.argmin(cost))
                 lo, hi = sorted((ids[i], partner[i]))
                 a, b, c = np.array([lo]), np.array([hi]), cost[i:i + 1]
+            old = self.centroid[a]  # a copy: the merge overwrites it
             self.merge(a, b, c)
             merged[a] = merged[b] = True
             ids = ids[self.alive[ids]]
-            stale = ids[merged[ids] | merged[self.partner[ids]] | ~self.settled[ids]]
+            stale = merged[ids] | merged[self.partner[ids]]
+            if not exact:
+                # an unsettled partner outlives the round unless a moved
+                # centroid came within its cluster's reach: a long query would
+                # return the same neighbors, so only the bound can change,
+                # with the smallest size. Testing that takes a tree over the 3
+                # moved centroids of each merge, which costs less than
+                # re-querying only while they are fewer than the neighbors
+                # that re-query would fetch.
+                unsettled = ~self.settled[ids] & ~stale
+                open_ = ids[unsettled]
+                if len(ids) > TREE_CANDIDATES + 1 and 3 * len(a) < TREE_CANDIDATES * len(open_):
+                    moved = cKDTree(np.concatenate([old, self.centroid[b], self.centroid[a]]))
+                    reached = _nearest(moved, self.centroid[open_], 1)[0] <= self.reach[open_]
+                    kept = open_[~reached]
+                    self.settled[kept] = self._bounded(kept, self.size[ids].min(), self.reach[kept])
+                    unsettled[unsettled] = reached
+                stale |= unsettled
+            stale = ids[stale]
             merged[a] = merged[b] = False
 
 

@@ -77,7 +77,7 @@ def greedy_pnn(points, n_clusters, sizes=None):
     return centroids, sizes, assignment, history
 
 
-def coalesce_rounds_oracle(points, stop_at, candidates=12):
+def coalesce_rounds_oracle(points, stop_at, candidates=12, sizes=None):
     """Mutual-nearest-neighbor coalescing of distinct points by brute force.
 
     Each round, every live cluster scans the distance to every other live
@@ -85,11 +85,12 @@ def coalesce_rounds_oracle(points, stop_at, candidates=12):
     among them, ties to the lowest cluster id. Every mutual pair then merges;
     if that would leave fewer than `stop_at` clusters, only the cheapest pairs
     merge. With no mutual pair, the round's cheapest pick merges alone.
-    Cluster ids are the lowest point index in each cluster. Returns the merge
-    history as (kept id, merged id, cost) triples.
+    Cluster ids are the lowest point index in each cluster. `sizes` weights
+    each starting point as a cluster of that many points (default 1 each).
+    Returns the merge history as (kept id, merged id, cost) triples.
     """
     centroid = np.array(points, dtype=float)
-    size = np.ones(len(centroid))
+    size = np.ones(len(centroid)) if sizes is None else np.array(sizes, dtype=float)
     ids = np.arange(len(centroid))
     history = []
     while len(ids) > stop_at:

@@ -166,6 +166,19 @@ def test_learn_window_flags(tmp_path, capsys, flags, radii):
     assert (model.w, model.w_e, model.w_l) == radii
 
 
+def test_learn_state_count_fits_u8(tmp_path, capsys):
+    # decoded states are stored as u8, so a model of 257 states could be
+    # learned from these 289 signatures but not decoded
+    obs_p, model_p = tmp_path / "r.lat", tmp_path / "m.lvlm"
+    io.write_lattice(obs_p, SymbolLattice.real(np.random.default_rng(0).normal(size=(17, 17, 2))))
+    argv = ["learn", "--variant", "real", "--in", str(obs_p), "--out", str(model_p)]
+    code, _, err = run(capsys, *argv, "--n", "257")
+    assert code == 1 and "[1, 256]" in err
+    assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1
+    assert not model_p.exists()
+    assert cli.build_parser().parse_args(argv + ["--n", "256"]).n == 256
+
+
 def test_directory_input_exits_1(tmp_path, capsys):
     obs_p, model_p = str(tmp_path / "o.lat"), str(tmp_path / "m.lvlm")
     run(capsys, "synth", "--shape", "8x8", "--n", "2", "--b", "0.8,0.2;0.2,0.8",

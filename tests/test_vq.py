@@ -194,6 +194,31 @@ def test_coalesce_ties_go_to_lowest_id(seed):
     assert [(a, b) for a, b, _ in history] == [(a, b) for a, b, _ in coalesce_rounds_oracle(pts, 2)]
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_weighted_coalesce_rounds_match_oracle(seed):
+    # rows repeated a geometric number of times (about 1-50) start the
+    # coalesce stage from clusters of unequal size, so many partners stay
+    # unsettled and some are kept between rounds; the rows are distinct
+    # normals, so no two distances tie
+    rng = np.random.default_rng(900 + seed)
+    rows = rng.normal(size=(int(rng.integers(1000, 2500)), int(rng.integers(2, 4))))
+    pts = rng.permutation(np.repeat(rows, rng.geometric(0.15, size=len(rows)), axis=0))
+    N = int(rng.integers(1, 9))
+    threshold = vq.EXACT_THRESHOLD if seed % 2 else N
+    _, _, history = pnn_quantize(pts, N, exact_threshold=threshold, return_history=True)
+    # the oracle runs on the unique rows in first-occurrence order, weighted
+    # by their counts, so its cluster j is the point first[j]
+    unique, first, counts = np.unique(pts, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first = first[order]
+    oracle = coalesce_rounds_oracle(unique[order], max(N, threshold), sizes=counts[order])
+    zero_cost = len(pts) - len(first)
+    merges = history[zero_cost:zero_cost + len(oracle)]
+    assert all(c == 0.0 for *_, c in history[:zero_cost])
+    assert [(a, b) for a, b, _ in merges] == [(first[a], first[b]) for a, b, _ in oracle]
+    np.testing.assert_allclose([c for *_, c in merges], [c for *_, c in oracle], rtol=1e-9)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_tail_matches_weighted_greedy(seed):
     # after the coalesce stage leaves `stop_at` clusters, the rest of the merges
@@ -261,13 +286,13 @@ def test_coalesce_distortion_close_to_exact_at_scale(kind, seed, Ns):
 
 
 def _record_queries(monkeypatch):
-    """Patch the k-d tree in `vq` to record (query points, workers) per query."""
+    """Patch the k-d tree in `vq` to record (query points, workers, k) per query."""
     calls = []
 
     class RecordingTree(cKDTree):
-        def query(self, x, *args, **kwargs):
-            calls.append((len(x), kwargs.get("workers", 1)))
-            return super().query(x, *args, **kwargs)
+        def query(self, x, k=1, *args, **kwargs):
+            calls.append((len(x), kwargs.get("workers", 1), k))
+            return super().query(x, k, *args, **kwargs)
 
     monkeypatch.setattr(vq, "cKDTree", RecordingTree)
     return calls
@@ -276,11 +301,59 @@ def _record_queries(monkeypatch):
 def test_small_learn_makes_no_threaded_query(monkeypatch):
     calls = _record_queries(monkeypatch)
     learn_real(SymbolLattice.real(np.random.default_rng(0).normal(size=(64, 64, 2))), 2, 4)
-    assert calls and all(workers == 1 for _, workers in calls)
+    assert calls and all(workers == 1 for _, workers, _ in calls)
 
 
 def test_large_coalesce_threads_only_large_queries(monkeypatch):
     calls = _record_queries(monkeypatch)
     pnn_quantize(np.random.default_rng(0).normal(size=(32768, 2)), 4)
-    assert calls[0] == (32768, -1)
-    assert all(workers == (-1 if size >= vq.THREADED_QUERY_MIN else 1) for size, workers in calls)
+    assert calls[0][:2] == (32768, -1)
+    assert all(workers == (-1 if size >= vq.THREADED_QUERY_MIN else 1) for size, workers, _ in calls)
+
+
+def _blocky_signatures(seed, side, block=8, M=4, w=2):
+    """Window signatures of a categorical image: square blocks of 3 states,
+    state j showing symbol j with probability 0.7, else a uniform one of M.
+    Few signatures are unique, of very unequal counts, and many distances tie."""
+    rng = np.random.default_rng(seed)
+    states = np.kron(rng.integers(0, 3, size=(side // block,) * 2), np.ones((block, block), dtype=np.int64))
+    symbols = np.where(rng.random(states.shape) < 0.7, states, rng.integers(0, M, size=states.shape))
+    return sweep_signatures(SymbolLattice.discrete(symbols, M=M), w).signatures.reshape(-1, M)
+
+
+def test_coalesce_query_volume_on_categorical_image(monkeypatch):
+    # a stale cluster is queried once per round, and a partner left
+    # unsettled is kept until a merge reaches it: here that is 209,707 query
+    # points x neighbors, against 263,586 when every round re-queried each
+    # unsettled cluster with a short and then a long query
+    calls = _record_queries(monkeypatch)
+    pnn_quantize(_blocky_signatures(0, 128), 3)
+    assert sum(points * k for points, _, k in calls) < 235_000
+
+
+@pytest.mark.parametrize("kind, seed", [("image", seed) for seed in range(10)] + [("normal", 17)])
+def test_kept_partners_change_no_output(monkeypatch, kind, seed):
+    # a kept partner is the one a new query would find: an infinite reach,
+    # which makes every unsettled cluster stale each round, must give the
+    # same merges, costs, assignment and codebook. In the images, 3x3
+    # windows of 5 symbols put many signatures at equal distances, so a
+    # cluster's 12th neighbor often ties with clusters the query did not
+    # return. In the normal rows (1,904 of them, M = 4), one unsettled
+    # cluster's reach holds the old centroid of a merge's kept cluster but
+    # neither the new centroid nor the merged cluster's
+    if kind == "image":
+        pts, N = _blocky_signatures(seed, 48, block=4, M=5, w=1), 3
+    else:
+        rng = np.random.default_rng(seed)
+        pts, N = rng.normal(size=(int(rng.integers(200, 2500)), int(rng.integers(1, 5)))), 9
+    kept = pnn_quantize(pts, N, exact_threshold=1, return_history=True)
+    query = vq._Agglomerator._query
+
+    def unreached(self, *args, **kwargs):
+        query(self, *args, **kwargs)
+        self.reach[:] = np.inf
+
+    monkeypatch.setattr(vq._Agglomerator, "_query", unreached)
+    requeried = pnn_quantize(pts, N, exact_threshold=1, return_history=True)
+    assert kept[2] == requeried[2] and np.array_equal(kept[1], requeried[1])
+    assert np.array_equal(kept[0].centroids, requeried[0].centroids)
