@@ -165,6 +165,85 @@ def gibbs_joint(lengths, potentials):
     return weights / weights.sum()
 
 
+def straightline_gibbs(config):
+    """Checkerboard Gibbs sampling of `config` one node at a time.
+
+    Same random stream as `lvlm.synth.gibbs_sample`: uniform integer init,
+    then per half-sweep (colour 0, the even coordinate sums, first) one
+    `rng.random(count)` for that colour's nodes in row-major order. Each node
+    sums log phi(q_l, s) then log phi(s, q_r) axis by axis over the neighbours
+    that exist, and draws the number of tail masses above u times the total.
+    """
+    rng = np.random.default_rng(config.seed)
+    lengths = config.shape.lengths
+    N = config.N
+    q = rng.integers(0, N, size=lengths, dtype=np.int64)
+    if N == 1:
+        return np.zeros(lengths, dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        logphi = np.log(config.potentials)
+    nodes = list(np.ndindex(*lengths))
+    for _ in range(config.sweeps):
+        for colour in (0, 1):
+            mine = [t for t in nodes if sum(t) % 2 == colour]
+            for t, u in zip(mine, rng.random(len(mine))):
+                loglik = np.zeros(N)
+                for axis in range(len(lengths)):
+                    if t[axis] > 0:
+                        loglik += logphi[q[t[:axis] + (t[axis] - 1,) + t[axis + 1:]], :]
+                    if t[axis] < lengths[axis] - 1:
+                        loglik += logphi[:, q[t[:axis] + (t[axis] + 1,) + t[axis + 1:]]]
+                top = loglik.max()
+                p = np.exp(loglik - (0.0 if top == -np.inf else top))
+                for s in range(N - 2, -1, -1):  # p[s] becomes the tail mass p[s] + ... + p[N-1]
+                    p[s] += p[s + 1]
+                q[t] = (p[1:] > u * p[0]).sum()
+    return q
+
+
+def gibbs_chain(lengths, potentials, sweeps):
+    """Exact distribution of the checkerboard sampler's state after `sweeps`
+    sweeps from the uniform start, indexed as in `gibbs_joint`.
+
+    Mirrors the sampler's conditionals: when every state of a node has
+    potential 0 given its neighbours, the node draws state 0.
+    """
+    phi = np.asarray(potentials, dtype=float)
+    N = len(phi)
+    nodes = list(np.ndindex(*lengths))
+    index = {t: i for i, t in enumerate(nodes)}
+    configs = list(itertools.product(range(N), repeat=len(nodes)))
+    code = {c: i for i, c in enumerate(configs)}
+
+    def kernel(i):
+        t = nodes[i]
+        K = np.zeros((len(configs), len(configs)))
+        for a, c in enumerate(configs):
+            w = np.ones(N)
+            for axis in range(len(lengths)):
+                prev = t[:axis] + (t[axis] - 1,) + t[axis + 1:]
+                nxt = t[:axis] + (t[axis] + 1,) + t[axis + 1:]
+                if prev in index:
+                    w *= phi[c[index[prev]], :]
+                if nxt in index:
+                    w *= phi[:, c[index[nxt]]]
+            if w.sum() == 0:
+                w = np.eye(N)[0]
+            for s in range(N):
+                K[a, code[c[:i] + (s,) + c[i + 1:]]] += w[s] / w.sum()
+        return K
+
+    sweep = np.eye(len(configs))
+    for colour in (0, 1):
+        for i, t in enumerate(nodes):
+            if sum(t) % 2 == colour:
+                sweep = sweep @ kernel(i)
+    dist = np.full(len(configs), 1.0 / len(configs))
+    for _ in range(sweeps):
+        dist = dist @ sweep
+    return dist
+
+
 def total_distortion(points, assignment):
     """Sum of squared distances to each cluster's mean of member points."""
     points = np.asarray(points, dtype=float)

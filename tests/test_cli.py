@@ -346,6 +346,15 @@ def test_synth_unaddressable_shape_exits_1(capsys):
     assert code == 1 and err.startswith("lvlm: error:") and "Traceback" not in err
 
 
+def test_synth_wide_state_count_3d(tmp_path, capsys):
+    # N = 256 on a 3-D lattice samples per neighbour instead of tabulating 256 x 257^6
+    q_p = tmp_path / "q.lat"
+    code, _, err = run(capsys, "synth", "--shape", "3x3x3", "--n", "256", "--sweeps", "1",
+                       "--states-out", str(q_p))
+    assert code == 0, err
+    assert q_p.stat().st_size > 0
+
+
 def test_out_of_memory_exits_1(monkeypatch, capsys):
     def exhausted(config):
         raise MemoryError

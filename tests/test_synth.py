@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import gibbs_joint
+from oracles import gibbs_chain, gibbs_joint, straightline_gibbs
 from scipy.stats import chi2
 
 from lvlm import (
@@ -15,6 +15,7 @@ from lvlm import (
     emit_observations,
     gibbs_sample,
     inertia_index,
+    synth,
 )
 
 
@@ -129,16 +130,18 @@ def test_3d_sampling_works():
     assert set(np.unique(q.states)) <= {0, 1}
 
 
-# Potentials on tiny lattices; the first has zero entries, the last two are
+# Potentials on tiny lattices; the first has zero entries, the last three are
 # not symmetric, so each pair's factor is phi(node, next node along the axis).
-# After 10 sweeps from the uniform start the exact distribution of the final
-# state is within 3e-6 (total variation) of the joint on each of these.
+# The last pads an odd and an even axis and drops a length-1 axis. After 10
+# sweeps from the uniform start the exact distribution of the final state is
+# within 3e-6 (total variation) of the joint on each of these.
 GIBBS_CASES = {
     "2x2-N3-zeros": ((2, 2), [[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]]),
     "2x2x2-N2": ((2, 2, 2), [[0.6, 0.4], [0.4, 0.6]]),
     "chain5-N3": ((5,), [[2.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 1.0]]),
     "chain2-N2-oriented": ((2,), [[0.9, 0.1], [0.5, 0.5]]),
     "2x2-N2-oriented": ((2, 2), [[1.0, 0.3], [0.8, 0.5]]),
+    "3x1x2-N2-oriented": ((3, 1, 2), [[1.0, 0.3], [0.8, 0.5]]),
 }
 GIBBS_SEEDS = 4000
 
@@ -164,6 +167,50 @@ def test_gibbs_final_state_follows_joint(case):
         wanted = np.append(wanted, expected[pooled].sum())
     stat = ((observed - wanted) ** 2 / wanted).sum()
     assert chi2.sf(stat, len(observed) - 1) > 1e-3
+
+
+@pytest.mark.parametrize("case", GIBBS_CASES)
+def test_gibbs_cases_mix_within_claim(case):
+    lengths, phi = GIBBS_CASES[case]
+    chain = gibbs_chain(lengths, phi, sweeps=10)
+    assert 0.5 * np.abs(chain - gibbs_joint(lengths, phi)).sum() <= 3e-6
+
+
+# odd, even and length-1 axes in one to three dimensions
+ORACLE_SHAPES = [(1,), (5,), (6,), (3, 4), (4, 1), (1, 5), (2, 2), (2, 3, 1), (3, 1, 2),
+                 (1, 1, 1), (3, 4, 3), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("form", ["table", "summed"])
+def test_gibbs_equals_straightline(form, monkeypatch):
+    if form == "summed":
+        monkeypatch.setattr(synth, "_TABLE_ENTRIES", 0)
+    rng = np.random.default_rng(21)
+    for lengths in ORACLE_SHAPES:
+        for N in range(1, 5):
+            # non-symmetric, with zeros, every row keeping a positive entry
+            phi = rng.random((N, N)) * (rng.random((N, N)) < 0.7)
+            phi[np.arange(N), rng.integers(0, N, size=N)] += 0.05
+            cfg = SynthConfig(shape=LatticeShape(lengths), N=N, potentials=phi,
+                              sweeps=int(rng.integers(1, 4)), seed=int(rng.integers(1000)))
+            got = gibbs_sample(cfg).states
+            want = straightline_gibbs(cfg)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lengths, N)
+
+
+def test_gibbs_wide_state_count_sums_per_neighbour():
+    # N = 256 in 4-D: the 256 x 257^8 conditional table is far past the budget
+    rng = np.random.default_rng(3)
+    phi = rng.random((256, 256)) + 0.01
+    cfg = SynthConfig(shape=LatticeShape((2, 3, 2, 3)), N=256, potentials=phi, sweeps=2, seed=5)
+    tracemalloc.start()
+    try:
+        q = gibbs_sample(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * phi.nbytes  # the log-potential tables and their temporaries
+    assert q.states.tobytes() == straightline_gibbs(cfg).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
