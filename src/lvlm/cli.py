@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error or out of memory, 2 numeric error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -76,6 +77,8 @@ def _cmd_synth(args):
     if args.potentials:
         phi = _parse_matrix(args.potentials, "potentials")
         n = len(phi)
+        if args.n is not None and args.n != n:
+            raise InputError(f"--n {args.n} does not match the {n} x {n} --potentials")
     else:
         n = args.n
         if n is None:
@@ -83,6 +86,10 @@ def _cmd_synth(args):
         off = (1.0 - args.self_weight) / max(1, n - 1) if n > 1 else 0.0
         phi = np.full((n, n), off)
         np.fill_diagonal(phi, args.self_weight if n > 1 else 1.0)
+    if args.b and args.mu:
+        raise InputError("synth takes --b or --mu, not both")
+    if args.sigma and not args.mu:
+        raise InputError("synth --sigma needs --mu")
     if args.b:
         emission = DiscreteEmission(_parse_matrix(args.b, "B"))
     elif args.mu:
@@ -100,13 +107,15 @@ def _cmd_synth(args):
         emission = None
     config = SynthConfig(shape=shape, N=n, potentials=phi, emission=emission,
                          sweeps=args.sweeps, seed=args.seed)
+    if bool(args.out) != (emission is not None):
+        raise InputError("synth writes observations (--out) exactly when given an emission (--b or --mu)")
+    if args.out and args.states_out and os.path.realpath(args.out) == os.path.realpath(args.states_out):
+        raise InputError("--out and --states-out name the same file")
     states = gibbs_sample(config)
     if args.states_out:
         _write_lattice_any(args.states_out, states, args.format)
         print(f"states={args.states_out}")
     if emission is not None:
-        if not args.out:
-            raise InputError("synth with an emission needs --out")
         obs = emit_observations(states, emission, seed=args.seed + 1)
         _write_lattice_any(args.out, obs, args.format if obs.kind == "discrete" else "lat")
         print(f"observations={args.out}")

@@ -59,12 +59,10 @@ class LatticeModel:
 
 def _nearest_rows(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the L2-closest of the N x M `rows` for each row of x, ties to
-    the lowest index; a block of x at a time, of at most vq._SCAN_BLOCK
-    difference elements."""
+    the lowest index; a block of x at a time (`vq.d2_blocks`)."""
     out = np.empty(len(x), dtype=np.int64)
-    step = max(1, vq._SCAN_BLOCK // rows.size)
-    for s in range(0, len(x), step):
-        out[s:s + step] = ((x[s:s + step, None] - rows[None]) ** 2).sum(axis=2).argmin(axis=1)
+    for block, d2 in vq.d2_blocks(x, rows):
+        out[block] = d2.argmin(axis=1)
     return out
 
 

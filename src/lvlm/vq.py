@@ -7,7 +7,7 @@ centroid exactly its point. Then one loop merges round by round. Every live
 cluster keeps its cheapest known partner; by the reducibility of the merge
 cost that partner stays the cheapest while other clusters merge, so a round
 re-prices only the stale clusters: those that merged, those whose partner
-merged, and unsettled ones that the last round's merges could have reached.
+merged, and those whose partner is not known to be the cheapest of all.
 
 - Above `exact_threshold` live clusters, a round builds one k-d tree over
   the live centroids and merges every pair that picked each other, which is
@@ -21,19 +21,6 @@ merged, and unsettled ones that the last round's merges could have reached.
   long query. That routing is exact, since a short query that settles
   names the same partner at the same cost as the long one, and the long one
   settles whatever the short one does.
-- An unsettled partner is the cheapest among the cluster's long query, whose
-  last neighbor lies at distance `reach`. It is kept, not re-queried, while
-  the cluster and its partner did not merge, more than `TREE_CANDIDATES` + 1
-  clusters live, and no centroid the round moved (both old ones of each
-  merged pair and the new one) lies within `reach`, by the tree's own
-  distances. The long query's neighbors and their sizes are then unchanged,
-  so it would return the same partner and cost; only its bound can change,
-  when the smallest live size grows, and that is re-checked from `reach`.
-  Where the last neighbor ties with the next, which of them a query returns
-  depends on how its tree was built, so such a cluster is never kept. The
-  test takes a tree over the moved centroids; where they outnumber the
-  neighbors a long re-query of the unsettled clusters would fetch, those
-  clusters are re-queried instead.
 - A query runs threaded only from `THREADED_QUERY_MIN` query points up;
   below that, starting threads costs more than they save.
 - At or below `exact_threshold`, a round scans the stale clusters against
@@ -57,7 +44,7 @@ EXACT_THRESHOLD = 64
 TREE_CANDIDATES = 12
 SHORT_CANDIDATES = 5
 THREADED_QUERY_MIN = 8192  # measured: threads cost more than they save below this
-_SCAN_BLOCK = 1 << 18  # elements of one exact scan block's (rows, live, M) differences
+_SCAN_BLOCK = 1 << 18  # elements of one d2_blocks block's (rows, centroids, M) differences
 
 
 @dataclass(frozen=True)
@@ -89,6 +76,16 @@ def _nearest(tree, x, k):
     return tree.query(x, k=k, workers=-1 if len(x) >= THREADED_QUERY_MIN else 1)
 
 
+def d2_blocks(x, c):
+    """Squared L2 distances from the rows of `x` to every row of `c`, a block
+    of rows at a time, each of at most `_SCAN_BLOCK` difference elements:
+    yields (slice of x's rows, block's d²)."""
+    step = max(1, _SCAN_BLOCK // c.size)
+    for i in range(0, len(x), step):
+        rows = slice(i, i + step)
+        yield rows, ((c - x[rows, None]) ** 2).sum(axis=2)
+
+
 def merge_cost(size_a, centroid_a, size_b, centroid_b) -> float:
     """Exact increase in total squared distortion from merging two clusters."""
     if size_a < 1 or size_b < 1:
@@ -106,13 +103,11 @@ class _Agglomerator:
         self.parent = np.arange(k)
         self.history: list[tuple[int, int, float]] = []
         # kept between rounds: each cluster's cheapest known partner, that
-        # merge's cost, whether it is the cheapest of all live clusters (true
-        # before any query, so that the first round starts short), and the
-        # distance to the last neighbor of the cluster's last query
+        # merge's cost, and whether it is the cheapest of all live clusters
+        # (true before any query, so that the first round starts short)
         self.partner = np.zeros(k, dtype=np.int64)
         self.best = np.zeros(k)
         self.settled = np.ones(k, dtype=bool)
-        self.reach = np.zeros(k)
 
     def merge(self, a, b, cost):
         """Merge clusters b[i] into a[i] (a[i] < b[i]); centroids become size-weighted means."""
@@ -124,7 +119,7 @@ class _Agglomerator:
         self.parent[b] = a
         self.history.extend(zip(a.tolist(), b.tolist(), cost.tolist()))
 
-    def _query(self, tree, ids, q, k, s_min, look_further=False):
+    def _query(self, tree, ids, q, k, s_min):
         """Cheapest partner of each cluster in `q` among its k-1 nearest others.
 
         Costs come from the query's own distances; ties go to the lowest
@@ -132,37 +127,16 @@ class _Agglomerator:
         when even a smallest live cluster just beyond the k-th neighbor would
         cost more; the bound is strict so that no cluster outside the query
         can tie with a lower id.
-
-        The k-th neighbor's distance is the cluster's reach. With
-        `look_further` the query also fetches the next neighbor. Where the
-        two tie, which of the tied clusters the tree returns depends on how
-        it was built. That does not matter to a settled cluster, whose
-        partner is nearer and whose bound uses only the distance. An
-        unsettled one is queried again with k neighbors, as without
-        `look_further`, and gets an infinite reach.
         """
-        further = look_further and k < len(ids)
-        dist, cid = _nearest(tree, self.centroid[q], k + further)
-        tied = further & (dist[:, -1] == dist[:, k - 1])
-        dist, cid = dist[:, :k], ids[cid[:, :k]]
+        dist, cid = _nearest(tree, self.centroid[q], k)
+        cid = ids[cid]
         s = self.size[q]
         cost = s[:, None] * self.size[cid] / (s[:, None] + self.size[cid]) * dist ** 2
         cost[cid == q[:, None]] = np.inf
         best = cost.min(axis=1)
         self.partner[q] = np.where(cost == best[:, None], cid, len(self.alive)).min(axis=1)
         self.best[q] = best
-        self.settled[q] = (k == len(ids)) | self._bounded(q, s_min, dist[:, -1])
-        self.reach[q] = np.where(tied, np.inf, dist[:, -1])
-        redo = q[tied & ~self.settled[q]]
-        if redo.size:
-            self._query(tree, ids, redo, k, s_min)
-            self.reach[redo] = np.inf
-
-    def _bounded(self, q, s_min, d):
-        """Whether a cluster of size `s_min` at distance `d` from each cluster
-        in `q` would cost more than its partner."""
-        s = self.size[q]
-        return s * s_min / (s + s_min) * d ** 2 > self.best[q]
+        self.settled[q] = (k == len(ids)) | (s * s_min / (s + s_min) * dist[:, -1] ** 2 > best)
 
     def _requery(self, ids, q, s_min):
         """One query for each cluster in `q`: the long one for clusters left
@@ -180,16 +154,14 @@ class _Agglomerator:
             self._query(tree, ids, short, min(SHORT_CANDIDATES + 1, len(ids)), s_min)
         retry = q[~self.settled[q]]
         if retry.size:
-            self._query(tree, ids, retry, min(TREE_CANDIDATES + 1, len(ids)), s_min, look_further=True)
+            self._query(tree, ids, retry, min(TREE_CANDIDATES + 1, len(ids)), s_min)
 
     def _scan(self, ids, q):
         """Cheapest partner of each cluster in `q` among all of `ids`, d² from
         the centroids, ties to the lowest id; a block of rows at a time."""
-        c, s = self.centroid[ids], self.size[ids]
-        step = max(1, _SCAN_BLOCK // (len(ids) * self.centroid.shape[1]))
-        for i in range(0, len(q), step):
-            r = q[i:i + step, None]
-            d2 = ((c - self.centroid[r]) ** 2).sum(axis=2)
+        s = self.size[ids]
+        for rows, d2 in d2_blocks(self.centroid[q], self.centroid[ids]):
+            r = q[rows, None]
             cost = s * self.size[r] / (s + self.size[r]) * d2
             cost[r == ids] = np.inf
             best = cost.min(axis=1)
@@ -228,29 +200,10 @@ class _Agglomerator:
                 i = int(np.argmin(cost))
                 lo, hi = sorted((ids[i], partner[i]))
                 a, b, c = np.array([lo]), np.array([hi]), cost[i:i + 1]
-            old = self.centroid[a]  # a copy: the merge overwrites it
             self.merge(a, b, c)
             merged[a] = merged[b] = True
             ids = ids[self.alive[ids]]
-            stale = merged[ids] | merged[self.partner[ids]]
-            if not exact:
-                # an unsettled partner outlives the round unless a moved
-                # centroid came within its cluster's reach: a long query would
-                # return the same neighbors, so only the bound can change,
-                # with the smallest size. Testing that takes a tree over the 3
-                # moved centroids of each merge, which costs less than
-                # re-querying only while they are fewer than the neighbors
-                # that re-query would fetch.
-                unsettled = ~self.settled[ids] & ~stale
-                open_ = ids[unsettled]
-                if len(ids) > TREE_CANDIDATES + 1 and 3 * len(a) < TREE_CANDIDATES * len(open_):
-                    moved = cKDTree(np.concatenate([old, self.centroid[b], self.centroid[a]]))
-                    reached = _nearest(moved, self.centroid[open_], 1)[0] <= self.reach[open_]
-                    kept = open_[~reached]
-                    self.settled[kept] = self._bounded(kept, self.size[ids].min(), self.reach[kept])
-                    unsettled[unsettled] = reached
-                stale |= unsettled
-            stale = ids[stale]
+            stale = ids[merged[ids] | merged[self.partner[ids]] | ~self.settled[ids]]
             merged[a] = merged[b] = False
 
 

@@ -268,6 +268,23 @@ def test_synth_bad_arguments_exit_1(tmp_path, capsys, flags):
     assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1
 
 
+SYNTH_CONFLICTS = {
+    "out-is-states-out": "--n 2 --b 0.8,0.2;0.2,0.8 --out {dir}/y.lat --states-out {dir}/y.lat",
+    "out-without-emission": "--n 2 --out {dir}/y.lat --states-out {dir}/q.lat",
+    "n-against-potentials": "--n 3 --potentials 1,0;0,1 --states-out {dir}/q.lat",
+    "b-and-mu": "--n 2 --b 0.8,0.2;0.2,0.8 --mu 0;1 --out {dir}/y.lat --states-out {dir}/q.lat",
+    "sigma-without-mu": "--n 2 --b 0.8,0.2;0.2,0.8 --sigma 1;1 --out {dir}/y.lat --states-out {dir}/q.lat",
+}
+
+
+@pytest.mark.parametrize("flags", SYNTH_CONFLICTS.values(), ids=SYNTH_CONFLICTS.keys())
+def test_synth_conflicting_outputs_or_flags_exit_1(tmp_path, capsys, flags):
+    code, out, err = run(capsys, "synth", "--shape", "8x8", *flags.format(dir=tmp_path).split())
+    assert code == 1 and out == ""
+    assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 # Per subcommand: the argv (with {files} for the input directory) and each
 # numeric flag's valid value. Decode, evaluate and classify take no numeric flag.
 FUZZ_COMMANDS = {

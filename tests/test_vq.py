@@ -198,8 +198,7 @@ def test_coalesce_ties_go_to_lowest_id(seed):
 def test_weighted_coalesce_rounds_match_oracle(seed):
     # rows repeated a geometric number of times (about 1-50) start the
     # coalesce stage from clusters of unequal size, so many partners stay
-    # unsettled and some are kept between rounds; the rows are distinct
-    # normals, so no two distances tie
+    # unsettled; the rows are distinct normals, so no two distances tie
     rng = np.random.default_rng(900 + seed)
     rows = rng.normal(size=(int(rng.integers(1000, 2500)), int(rng.integers(2, 4))))
     pts = rng.permutation(np.repeat(rows, rng.geometric(0.15, size=len(rows)), axis=0))
@@ -322,38 +321,29 @@ def _blocky_signatures(seed, side, block=8, M=4, w=2):
 
 
 def test_coalesce_query_volume_on_categorical_image(monkeypatch):
-    # a stale cluster is queried once per round, and a partner left
-    # unsettled is kept until a merge reaches it: here that is 209,707 query
-    # points x neighbors, against 263,586 when every round re-queried each
-    # unsettled cluster with a short and then a long query
+    # a stale cluster is queried once per round, and one left unsettled goes
+    # straight to the long query: here that is 215,497 query points x
+    # neighbors, against 263,586 when every round re-queried each unsettled
+    # cluster with a short and then a long query
     calls = _record_queries(monkeypatch)
     pnn_quantize(_blocky_signatures(0, 128), 3)
     assert sum(points * k for points, _, k in calls) < 235_000
 
 
 @pytest.mark.parametrize("kind, seed", [("image", seed) for seed in range(10)] + [("normal", 17)])
-def test_kept_partners_change_no_output(monkeypatch, kind, seed):
-    # a kept partner is the one a new query would find: an infinite reach,
-    # which makes every unsettled cluster stale each round, must give the
-    # same merges, costs, assignment and codebook. In the images, 3x3
-    # windows of 5 symbols put many signatures at equal distances, so a
-    # cluster's 12th neighbor often ties with clusters the query did not
-    # return. In the normal rows (1,904 of them, M = 4), one unsettled
-    # cluster's reach holds the old centroid of a merge's kept cluster but
-    # neither the new centroid nor the merged cluster's
+def test_short_long_routing_changes_no_output(monkeypatch, kind, seed):
+    # a short query that settles names the partner the long one would, so
+    # making every query long must give the same merges, costs, assignment
+    # and codebook. In the images, 3x3 windows of 5 symbols put many
+    # signatures at equal distances, so a short query's last neighbor often
+    # ties with clusters it did not return
     if kind == "image":
         pts, N = _blocky_signatures(seed, 48, block=4, M=5, w=1), 3
     else:
         rng = np.random.default_rng(seed)
         pts, N = rng.normal(size=(int(rng.integers(200, 2500)), int(rng.integers(1, 5)))), 9
-    kept = pnn_quantize(pts, N, exact_threshold=1, return_history=True)
-    query = vq._Agglomerator._query
-
-    def unreached(self, *args, **kwargs):
-        query(self, *args, **kwargs)
-        self.reach[:] = np.inf
-
-    monkeypatch.setattr(vq._Agglomerator, "_query", unreached)
-    requeried = pnn_quantize(pts, N, exact_threshold=1, return_history=True)
-    assert kept[2] == requeried[2] and np.array_equal(kept[1], requeried[1])
-    assert np.array_equal(kept[0].centroids, requeried[0].centroids)
+    routed = pnn_quantize(pts, N, exact_threshold=1, return_history=True)
+    monkeypatch.setattr(vq, "SHORT_CANDIDATES", vq.TREE_CANDIDATES)
+    long_only = pnn_quantize(pts, N, exact_threshold=1, return_history=True)
+    assert routed[2] == long_only[2] and np.array_equal(routed[1], long_only[1])
+    assert np.array_equal(routed[0].centroids, long_only[0].centroids)
