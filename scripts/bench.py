@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Time lvlm's nearest-row search, decoding and evaluation at fixed shapes.
+
+Cases, each on seeded inputs:
+
+- `image-discrete`: the benchmark workload's shape, a 256² image of 4
+  symbols in blocks of 3 states, window radius 2: the nearest-row search
+  over its window signatures (3 rows), and `decode_discrete` and
+  `evaluate_discrete` of a 3-state model.
+- `real-256`: a 256² grid of 2-channel standard normal vectors, window
+  radius 1, with N = 4, 64 and 256 states whose means are distinct window
+  signatures of the grid (identity covariances, uniform A): `decode_real`
+  and `evaluate_real`.
+- `nearest`: the search alone on 256² standard normal signatures, for N in
+  {4, 64, 256} and M in {2, 4, 16}.
+
+Each source tree is timed in its own process, so that two trees can be
+compared on the same machine: `--before SRC` times that tree's `src`
+directory too, alternating which tree runs first. A case's time is the
+median over `--reps` calls within a process; the file records every
+process's value and their median, and a fingerprint of each case's output,
+which must agree across trees for results that should not change.
+
+    python scripts/bench.py --out BENCH.json [--before ../parent/src]
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+SIDE = 256
+STATE_COUNTS = (4, 64, 256)
+WIDTHS = (2, 4, 16)
+
+
+def fingerprint(value):
+    data = np.ascontiguousarray(value).tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+
+def blocky_image(rng, side, n_states, M, block=16, p=0.7):
+    """Blocks of random states, each node showing its state's symbol with
+    probability p and another symbol otherwise."""
+    coarse = rng.integers(0, n_states, size=(side // block,) * 2)
+    states = np.repeat(np.repeat(coarse, block, axis=0), block, axis=1)
+    other = (states + rng.integers(1, M, size=states.shape)) % M
+    return np.where(rng.random(states.shape) < p, states, other)
+
+
+def cases():
+    """(name, shape, call) for every case; inputs are built before timing."""
+    from lvlm import (DiscreteModel, RealModel, SymbolLattice, decode_discrete, decode_real,
+                      evaluate_discrete, evaluate_real, sweep_signatures)
+    from lvlm.model import _nearest_rows
+
+    out = []
+    rng = np.random.default_rng(0)
+    N, M, w = 3, 4, 2
+    B = np.full((N, M), 0.1)
+    B[np.arange(N), np.arange(N)] = 0.7
+    A = np.full((N, N), 0.05) + 0.85 * np.eye(N)
+    image = SymbolLattice.discrete(blocky_image(rng, SIDE, N, M), M=M)
+    model = DiscreteModel(N=N, M=M, d=2, A=A, B=B, w=w, w_e=w, w_l=w)
+    signatures = sweep_signatures(image, w).flat()
+    shape = {"U": SIDE ** 2, "N": N, "M": M, "w": w}
+    out.append(("image-discrete/nearest", shape, lambda: _nearest_rows(B, signatures)))
+    out.append(("image-discrete/decode", shape, lambda: decode_discrete(model, image)[1].states))
+    out.append(("image-discrete/evaluate", shape, lambda: evaluate_discrete(model, image)))
+
+    grid = SymbolLattice.real(rng.normal(size=(SIDE, SIDE, 2)))
+    means = sweep_signatures(grid, 1).flat()
+    for n in STATE_COUNTS:
+        mu = means[rng.choice(len(means), size=n, replace=False)]
+        real = RealModel(N=n, M=2, d=2, A=np.full((n, n), 1.0 / n), mu=mu,
+                         sigma=np.tile(np.eye(2), (n, 1, 1)), w=1, w_e=1, w_l=1)
+        shape = {"U": SIDE ** 2, "N": n, "M": 2, "w": 1}
+        out.append((f"real-256/N{n}/decode", shape, lambda m=real: decode_real(m, grid)[1].states))
+        out.append((f"real-256/N{n}/evaluate", shape, lambda m=real: evaluate_real(m, grid)))
+
+    for n in STATE_COUNTS:
+        for m in WIDTHS:
+            x = rng.normal(size=(SIDE ** 2, m))
+            rows = rng.normal(size=(n, m))
+            out.append((f"nearest/N{n}/M{m}", {"U": SIDE ** 2, "N": n, "M": m},
+                        lambda x=x, rows=rows: _nearest_rows(rows, x)))
+    return out
+
+
+def measure(reps):
+    """{case: {"shape", "s", "fingerprint"}} for the lvlm on sys.path."""
+    result = {}
+    for name, shape, call in cases():
+        value = call()  # warm caches and lazy set-up before timing
+        times = []
+        for _ in range(reps):
+            t = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t)
+        result[name] = {"shape": shape, "s": statistics.median(times), "fingerprint": fingerprint(value)}
+    return result
+
+
+def run_tree(src, reps):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, __file__, "--measure", "--reps", str(reps)],
+                          env=env, check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(proc.stdout)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--before", help="src directory of a tree to compare against")
+    parser.add_argument("--runs", type=int, default=3, help="processes per tree")
+    parser.add_argument("--reps", type=int, default=3, help="timed calls per case and process")
+    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.measure:
+        json.dump(measure(args.reps), sys.stdout)
+        return
+    if not args.out:
+        parser.error("--out is required")
+
+    trees = {"after": Path(__file__).resolve().parent.parent / "src"}
+    if args.before:
+        trees = {"before": Path(args.before).resolve(), **trees}
+    runs = {side: [] for side in trees}
+    for i in range(args.runs):
+        order = list(trees) if i % 2 == 0 else list(reversed(trees))
+        for side in order:
+            runs[side].append(run_tree(trees[side], args.reps))
+            print(f"run {i + 1}/{args.runs} {side} done", file=sys.stderr)
+
+    report = {
+        "machine": {"platform": platform.platform(), "processor": platform.processor(),
+                    "cpus": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__},
+        "method": f"per case, the median of {args.reps} timed calls in each of {args.runs} processes "
+                  "per tree, trees alternating which runs first; 's' is the median over processes",
+        "cases": {},
+    }
+    for name in runs["after"][0]:
+        entry = {"shape": runs["after"][0][name]["shape"]}
+        for side, side_runs in runs.items():
+            times = [r[name]["s"] for r in side_runs]
+            entry[side] = {"s": statistics.median(times), "runs_s": times,
+                           "fingerprint": side_runs[0][name]["fingerprint"]}
+        report["cases"][name] = entry
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    for name, entry in report["cases"].items():
+        line = "  ".join(f"{side} {entry[side]['s']:.4f} s" for side in runs)
+        print(f"{name:28s} {line}")
+
+
+if __name__ == "__main__":
+    main()

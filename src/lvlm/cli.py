@@ -79,17 +79,22 @@ def _cmd_synth(args):
         n = len(phi)
         if args.n is not None and args.n != n:
             raise InputError(f"--n {args.n} does not match the {n} x {n} --potentials")
+        if args.self_weight is not None:
+            raise InputError("synth takes --self-weight or --potentials, not both")
     else:
         n = args.n
         if n is None:
             raise InputError("synth needs --n or --potentials")
-        off = (1.0 - args.self_weight) / max(1, n - 1) if n > 1 else 0.0
+        self_weight = 0.95 if args.self_weight is None else args.self_weight
+        off = (1.0 - self_weight) / max(1, n - 1) if n > 1 else 0.0
         phi = np.full((n, n), off)
-        np.fill_diagonal(phi, args.self_weight if n > 1 else 1.0)
+        np.fill_diagonal(phi, self_weight if n > 1 else 1.0)
     if args.b and args.mu:
         raise InputError("synth takes --b or --mu, not both")
     if args.sigma and not args.mu:
         raise InputError("synth --sigma needs --mu")
+    if args.sigma_scale is not None and (not args.mu or args.sigma):
+        raise InputError("synth --sigma-scale needs --mu and no --sigma")
     if args.b:
         emission = DiscreteEmission(_parse_matrix(args.b, "B"))
     elif args.mu:
@@ -101,7 +106,8 @@ def _cmd_synth(args):
                 raise InputError(f"--sigma needs {len(mu)} rows of {m * m} values")
             sigma = sigma.reshape(len(mu), m, m)
         else:
-            sigma = np.tile(np.diag(np.full(mu.shape[1], args.sigma_scale)), (len(mu), 1, 1))
+            scale = 1.0 if args.sigma_scale is None else args.sigma_scale
+            sigma = np.tile(np.diag(np.full(mu.shape[1], scale)), (len(mu), 1, 1))
         emission = RealEmission(mu, sigma)
     else:
         emission = None
@@ -214,13 +220,15 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("synth", help="sample states (and observations) from a potential model")
     sp.add_argument("--shape", required=True, help="e.g. 64x64 or 128 or 8x8x8")
     sp.add_argument("--n", type=_u8_count, help="state count")
-    sp.add_argument("--self-weight", type=float, default=0.95, dest="self_weight")
+    sp.add_argument("--self-weight", type=float, dest="self_weight",
+                    help="diagonal of the --n state potential (default 0.95)")
     sp.add_argument("--potentials", help="full N x N matrix, rows ';'-separated: entry (i, j) is the "
                     "potential of a node in state i and the next node along an axis in state j")
     sp.add_argument("--b", help="discrete emission matrix N x M")
     sp.add_argument("--mu", help="real emission means N x M")
     sp.add_argument("--sigma", help="real emission covariances, N rows of M*M values")
-    sp.add_argument("--sigma-scale", type=float, default=1.0, dest="sigma_scale")
+    sp.add_argument("--sigma-scale", type=float, dest="sigma_scale",
+                    help="diagonal of every --mu state's covariance when --sigma is not given (default 1.0)")
     sp.add_argument("--sweeps", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="observation lattice path")

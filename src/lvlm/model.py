@@ -6,9 +6,13 @@ node's window signature. Evaluation scores a lattice as the sum over nodes of
 log p(o_t | q_t) + 1/2 * sum_r [log alpha + log a(q_t,q_r) - log k_t], with
 k_t = sum_r a(q_t,q_r). Learning PNN-quantizes the pooled window signatures
 into N emission rows, re-assigns every node to its nearest row, and
-row-normalizes the neighbor-pair counts into A. Decoding, the scalar
-`assign` and learning's re-assignment share one nearest-row search, whose
-blocks hold a bounded number of differences whatever N x M is.
+row-normalizes the neighbor-pair counts into A. Decoding, evaluation, the
+scalar `assign` and learning's re-assignment share one nearest-row search. It
+transposes a bounded block of signatures into contiguous columns and keeps a
+running minimum of d² over the states in ascending order, so ties go to the
+lowest state. Each state's d² adds its squared differences in the order of
+numpy's pairwise summation, so it is bit-equal to
+`((x - row) ** 2).sum(axis=1)`.
 """
 
 from __future__ import annotations
@@ -57,13 +61,63 @@ class LatticeModel:
         self._check_emission()
 
 
+_BLOCK = 1 << 18  # elements of one block's transposed signatures and squared differences together
+_BLOCK_NODES = 1 << 14  # nodes of one block at most; at M = 4 faster than one 65,536-node block
+
+
+def _sum_rows_pairwise(a: np.ndarray) -> np.ndarray:
+    """Sum the rows of the C-contiguous 2-D `a` into a[0], in place, adding in
+    the order numpy's pairwise summation adds a length-len(a) vector: one by
+    one below 8 terms; up to 128, eight running sums over the full groups of
+    8 combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by
+    one; above 128, the two halves split at a multiple of 8. So each column of
+    the result is bit-equal to that column's `.sum()`."""
+    n = len(a)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        _sum_rows_pairwise(a[:half])
+        _sum_rows_pairwise(a[half:])
+        a[0] += a[half]
+        return a[0]
+    full = 1
+    if n >= 8:
+        full = n - n % 8
+        for i in range(8, full, 8):
+            a[:8] += a[i:i + 8]
+        a[0:8:2] += a[1:8:2]
+        a[0:8:4] += a[2:8:4]
+        a[0] += a[4]
+    for j in range(full, n):
+        a[0] += a[j]
+    return a[0]
+
+
 def _nearest_rows(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the L2-closest of the N x M `rows` for each row of x, ties to
-    the lowest index; a block of x at a time (`vq.d2_blocks`)."""
+    the lowest index; a block of at most `_BLOCK_NODES` rows of x, and of
+    `_BLOCK` working elements, at a time."""
     out = np.empty(len(x), dtype=np.int64)
-    for block, d2 in vq.d2_blocks(x, rows):
-        out[block] = d2.argmin(axis=1)
+    step = max(1, min(_BLOCK_NODES, _BLOCK // (2 * rows.shape[1])))
+    for i in range(0, len(x), step):
+        _nearest_block(rows, x[i:i + step], out[i:i + step])
     return out
+
+
+def _nearest_block(rows: np.ndarray, x: np.ndarray, q: np.ndarray) -> None:
+    """Write the nearest-row index of each row of x into q: the columns of x
+    made contiguous, then a running minimum of d² over the states in
+    ascending order, taken over only where a state's d² is strictly smaller."""
+    cols = np.ascontiguousarray(x.T)
+    sq = np.empty(cols.shape)
+    best = np.full(len(x), np.inf)
+    closer = np.empty(len(x), dtype=bool)
+    q[:] = 0
+    for n, r in enumerate(rows):
+        np.square(np.subtract(cols, r[:, None], out=sq), out=sq)
+        d2 = _sum_rows_pairwise(sq)
+        np.less(d2, best, out=closer)
+        np.minimum(best, d2, out=best)
+        np.copyto(q, n, where=closer)
 
 
 def assign(model: LatticeModel, x) -> int:

@@ -44,7 +44,7 @@ EXACT_THRESHOLD = 64
 TREE_CANDIDATES = 12
 SHORT_CANDIDATES = 5
 THREADED_QUERY_MIN = 8192  # measured: threads cost more than they save below this
-_SCAN_BLOCK = 1 << 18  # elements of one d2_blocks block's (rows, centroids, M) differences
+_SCAN_BLOCK = 1 << 18  # elements of one d2_blocks block's (rows, centroids, M) differences, for _scan
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,10 @@ def _nearest(tree, x, k):
 def d2_blocks(x, c):
     """Squared L2 distances from the rows of `x` to every row of `c`, a block
     of rows at a time, each of at most `_SCAN_BLOCK` difference elements:
-    yields (slice of x's rows, block's d²)."""
+    yields (slice of x's rows, block's d²). `_scan` is its only user: an
+    exact round prices at most `exact_threshold` (64 by default) stale
+    clusters against the live ones, where one block costs less than a loop
+    over the live clusters."""
     step = max(1, _SCAN_BLOCK // c.size)
     for i in range(0, len(x), step):
         rows = slice(i, i + step)

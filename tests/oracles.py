@@ -354,6 +354,12 @@ def straightline_learn_real(lattices, w_l, centroids, ridge_scale=1e-6, ridge_fl
     return A, mu, sigma
 
 
+def nearest_row(rows, x):
+    """Index of the row of `rows` L2-closest to the vector x, ties to the lowest
+    index: the scalar assignment's arithmetic, d² summed by numpy per row."""
+    return int(np.argmin(((x - rows) ** 2).sum(axis=1)))
+
+
 def _straightline_states(lattices, M, w, rows, kind):
     """[(values, shape, {node: nearest row to its naive window signature})].
     Squared distances use the scalar assignment's arithmetic, so that rows
@@ -362,9 +368,7 @@ def _straightline_states(lattices, M, w, rows, kind):
     for values in lattices:
         x = naive_signatures(values, M, w, kind)
         shape = LatticeShape(values.shape if kind == "discrete" else values.shape[:-1])
-        q = {}
-        for t in np.ndindex(*shape.lengths):
-            q[t] = int(np.argmin(((x[t] - rows) ** 2).sum(axis=1)))
+        q = {t: nearest_row(rows, x[t]) for t in np.ndindex(*shape.lengths)}
         out.append((values, shape, q))
     return out
 

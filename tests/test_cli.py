@@ -274,6 +274,9 @@ SYNTH_CONFLICTS = {
     "n-against-potentials": "--n 3 --potentials 1,0;0,1 --states-out {dir}/q.lat",
     "b-and-mu": "--n 2 --b 0.8,0.2;0.2,0.8 --mu 0;1 --out {dir}/y.lat --states-out {dir}/q.lat",
     "sigma-without-mu": "--n 2 --b 0.8,0.2;0.2,0.8 --sigma 1;1 --out {dir}/y.lat --states-out {dir}/q.lat",
+    "self-weight-and-potentials": "--potentials 1,1;1,1 --self-weight 7 --states-out {dir}/q.lat",
+    "sigma-scale-without-mu": "--n 2 --b 0.8,0.2;0.2,0.8 --sigma-scale 5 --out {dir}/y.lat",
+    "sigma-scale-and-sigma": "--n 2 --mu 0;1 --sigma 1;1 --sigma-scale 5 --out {dir}/y.lat",
 }
 
 

@@ -203,7 +203,7 @@ def _traced_peak(fn):
 
 
 def test_decode_memory_wide_alphabet():
-    # nearest-row blocks hold a bounded number of differences, so decoding at
+    # nearest-row blocks hold a bounded number of elements, so decoding at
     # N = M = 256 peaks near the window sweep's own peak
     rng = np.random.default_rng(12)
     m = DiscreteModel(N=256, M=256, d=2, A=np.full((256, 256), 1 / 256),
