@@ -13,6 +13,10 @@ Cases, each on seeded inputs:
   and `evaluate_real`.
 - `nearest`: the search alone on 256² standard normal signatures, for N in
   {4, 64, 256} and M in {2, 4, 16}.
+- `real-256-M16`: a 256² grid of 16-channel standard normal vectors, window
+  radius 1, with N = 4 and 64 states whose means are distinct window
+  signatures of the grid and whose covariances are random (I + G Gᵀ, G with
+  entries of standard deviation 1/4): `decode_real` and `evaluate_real`.
 
 Each source tree is timed in its own process, so that two trees can be
 compared on the same machine: `--before SRC` times that tree's `src`
@@ -40,6 +44,7 @@ import numpy as np
 SIDE = 256
 STATE_COUNTS = (4, 64, 256)
 WIDTHS = (2, 4, 16)
+WIDE_M, WIDE_STATE_COUNTS = 16, (4, 64)
 
 
 def fingerprint(value):
@@ -92,6 +97,18 @@ def cases():
             rows = rng.normal(size=(n, m))
             out.append((f"nearest/N{n}/M{m}", {"U": SIDE ** 2, "N": n, "M": m},
                         lambda x=x, rows=rows: _nearest_rows(rows, x)))
+
+    wide = SymbolLattice.real(rng.normal(size=(SIDE, SIDE, WIDE_M)))
+    means = sweep_signatures(wide, 1).flat()
+    for n in WIDE_STATE_COUNTS:
+        g = rng.normal(scale=0.25, size=(n, WIDE_M, WIDE_M))
+        sigma = np.eye(WIDE_M) + g @ g.transpose(0, 2, 1)
+        real = RealModel(N=n, M=WIDE_M, d=2, A=np.full((n, n), 1.0 / n),
+                         mu=means[rng.choice(len(means), size=n, replace=False)],
+                         sigma=(sigma + sigma.transpose(0, 2, 1)) / 2, w=1, w_e=1, w_l=1)
+        shape = {"U": SIDE ** 2, "N": n, "M": WIDE_M, "w": 1}
+        out.append((f"real-256-M16/N{n}/decode", shape, lambda m=real: decode_real(m, wide)[1].states))
+        out.append((f"real-256-M16/N{n}/evaluate", shape, lambda m=real: evaluate_real(m, wide)))
     return out
 
 

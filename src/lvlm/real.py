@@ -2,8 +2,10 @@
 
 Assignment and decoding use only the state means (nearest mu in L2);
 covariances enter in evaluation, where the emission term is the multivariate
-normal log-density, computed through a Cholesky factorization. The shared
-pipeline is in `model`.
+normal log-density. Learning and scoring share each state's node count n_j and
+residual scatter S_j (`_scatter`): Sigma(j) is S_j / n_j plus a ridge, and the
+nodes of state j score -1/2 [n_j (M log 2 pi + log det Sigma(j)) + tr(Sigma(j)^-1 S_j)].
+The shared pipeline is in `model`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import model as core
 from .errors import InputError, NumericError
@@ -19,8 +20,6 @@ from .lattice import SymbolLattice
 
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-12
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -53,45 +52,47 @@ class RealModel(core.LatticeModel):
         """Sigma(j): covariance of the raw-observation residuals of state j
         about mu(j), plus a trace-scaled ridge."""
         N, M = mu.shape
-        scatter = np.zeros((N, M, M))
-        statecount = np.zeros(N)
-        for lat, q in zip(lattices, states):
-            qf = q.ravel()
-            o = lat.values.reshape(-1, M)
-            for j in range(N):
-                resid = o[qf == j] - mu[j]
-                scatter[j] += resid.T @ resid
-                statecount[j] += len(resid)
-        sigma = np.empty_like(scatter)
-        for j in range(N):
-            S = scatter[j] / statecount[j]
-            S = 0.5 * (S + S.T)  # force exact symmetry against accumulation noise
-            ridge = max(RIDGE_FLOOR, RIDGE_SCALE * np.trace(S) / M)
-            sigma[j] = S + ridge * np.eye(M)
+        parts = [_scatter(mu, lat.values.reshape(-1, M), q.ravel()) for lat, q in zip(lattices, states)]
+        count, scatter = (sum(part) for part in zip(*parts))  # summed in lattice order
+        S = scatter / count[:, None, None]
+        S = 0.5 * (S + S.transpose(0, 2, 1))  # force exact symmetry against accumulation noise
+        ridge = np.maximum(RIDGE_FLOOR, RIDGE_SCALE * np.trace(S, axis1=1, axis2=2) / M)
+        sigma = S + ridge[:, None, None] * np.eye(M)
+        bad = np.flatnonzero(~np.isfinite(sigma).all(axis=(1, 2)))
+        if bad.size:
+            raise NumericError(f"covariance of state {bad[0]} overflows", state=int(bad[0]))
         return {"mu": mu, "sigma": sigma}
 
     def _log_emission(self, obs: SymbolLattice, q: np.ndarray) -> float:
-        q = q.ravel()
-        o = obs.values.reshape(-1, self.M)
-        total = 0.0
-        for j in range(self.N):
-            mask = q == j
-            if mask.any():
-                total += float(gaussian_log_density(o[mask], self.mu[j], self.sigma[j], state=j).sum())
-        return total
+        count, S = _scatter(self.mu, obs.values.reshape(-1, self.M), q.ravel())
+        occupied = np.flatnonzero(count)
+        try:
+            L = np.linalg.cholesky(self.sigma[occupied])
+        except np.linalg.LinAlgError:
+            for j in occupied:  # name the lowest occupied state that does not factor
+                try:
+                    np.linalg.cholesky(self.sigma[j])
+                except np.linalg.LinAlgError:
+                    raise NumericError(f"covariance of state {j} is not positive definite", state=int(j)) from None
+            raise
+        count, S, Linv = count[occupied], S[occupied], np.linalg.inv(L)
+        # tr(Sigma^-1 S) = tr(L^-1 S L^-T); an overflowed scatter scores -inf
+        quad = np.where(np.isfinite(S).all(axis=(1, 2)), ((Linv @ S) * Linv).sum(axis=(1, 2)), np.inf)
+        logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        return float(-0.5 * (count * (self.M * np.log(2 * np.pi) + logdet) + quad).sum())
 
 
-def gaussian_log_density(x: np.ndarray, mean: np.ndarray, cov: np.ndarray, state=None) -> np.ndarray:
-    """Multivariate normal log-density of rows of x, via Cholesky."""
-    try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise NumericError(f"covariance of state {state} is not positive definite", state=state)
-    diff = np.atleast_2d(x) - mean
-    sol = solve_triangular(L, diff.T, lower=True)
-    quad = (sol ** 2).sum(axis=0)
-    logdet = 2.0 * np.log(np.diag(L)).sum()
-    return -0.5 * (len(mean) * _LOG_2PI + logdet + quad)
+def _scatter(mu: np.ndarray, o: np.ndarray, q: np.ndarray):
+    """Per state j of the N x M `mu`: the count of nodes q assigns to j, and
+    the sum over them of the residual outer products (o_t - mu(j))(o_t - mu(j))^T
+    (o: U x M observations, q: U states)."""
+    N, M = mu.shape
+    count, S = np.zeros(N), np.zeros((N, M, M))
+    for j in range(N):
+        resid = o[q == j] - mu[j]
+        count[j] = len(resid)
+        S[j] = resid.T @ resid
+    return count, S
 
 
 def assign_real(model: RealModel, x) -> int:

@@ -46,6 +46,8 @@ class RealEmission:
             raise InputError("mu must be N x M and sigma N x M x M")
         if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
             raise InputError("mu and sigma must be finite")
+        if not np.array_equal(self.sigma, self.sigma.transpose(0, 2, 1)):
+            raise InputError("covariances must be symmetric")
         try:
             np.linalg.cholesky(self.sigma)
         except np.linalg.LinAlgError as e:
@@ -181,9 +183,12 @@ def emit_observations(states: StateLattice, emission, seed: int = 0) -> SymbolLa
         cdf = np.cumsum(emission.B, axis=1)
         u = rng.random(size=states.shape.lengths)
         symbols = np.empty(u.shape, dtype=np.int64)
-        for j in range(emission.N):  # symbol: how many of the state's cdf entries lie below u
+        # symbol: how many of the state's cdf entries lie below u, at most its
+        # last of positive probability (a row may sum to just under 1)
+        for j in range(emission.N):
             mask = states.states == j
-            symbols[mask] = np.searchsorted(cdf[j], u[mask], side="left")
+            symbols[mask] = np.minimum(np.searchsorted(cdf[j], u[mask], side="left"),
+                                       np.flatnonzero(emission.B[j])[-1])
         return SymbolLattice.discrete(symbols, M=emission.B.shape[1])
     if isinstance(emission, RealEmission):
         M = emission.mu.shape[1]

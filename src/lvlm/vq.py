@@ -44,7 +44,7 @@ EXACT_THRESHOLD = 64
 TREE_CANDIDATES = 12
 SHORT_CANDIDATES = 5
 THREADED_QUERY_MIN = 8192  # measured: threads cost more than they save below this
-_SCAN_BLOCK = 1 << 18  # elements of one d2_blocks block's (rows, centroids, M) differences, for _scan
+_SCAN_BLOCK = 1 << 18  # elements of one _scan block's (rows, centroids, M) differences
 
 
 @dataclass(frozen=True)
@@ -74,19 +74,6 @@ class Codebook:
 def _nearest(tree, x, k):
     """k-d tree query of the rows of `x`, threaded only from `THREADED_QUERY_MIN` rows up."""
     return tree.query(x, k=k, workers=-1 if len(x) >= THREADED_QUERY_MIN else 1)
-
-
-def d2_blocks(x, c):
-    """Squared L2 distances from the rows of `x` to every row of `c`, a block
-    of rows at a time, each of at most `_SCAN_BLOCK` difference elements:
-    yields (slice of x's rows, block's d²). `_scan` is its only user: an
-    exact round prices at most `exact_threshold` (64 by default) stale
-    clusters against the live ones, where one block costs less than a loop
-    over the live clusters."""
-    step = max(1, _SCAN_BLOCK // c.size)
-    for i in range(0, len(x), step):
-        rows = slice(i, i + step)
-        yield rows, ((c - x[rows, None]) ** 2).sum(axis=2)
 
 
 def merge_cost(size_a, centroid_a, size_b, centroid_b) -> float:
@@ -161,10 +148,15 @@ class _Agglomerator:
 
     def _scan(self, ids, q):
         """Cheapest partner of each cluster in `q` among all of `ids`, d² from
-        the centroids, ties to the lowest id; a block of rows at a time."""
-        s = self.size[ids]
-        for rows, d2 in d2_blocks(self.centroid[q], self.centroid[ids]):
-            r = q[rows, None]
+        the centroids, ties to the lowest id; a block of at most `_SCAN_BLOCK`
+        difference elements at a time. An exact round prices at most
+        `exact_threshold` stale clusters, where one block costs less than a
+        loop over the live ones."""
+        s, c = self.size[ids], self.centroid[ids]
+        step = max(1, _SCAN_BLOCK // c.size)
+        for i in range(0, len(q), step):
+            r = q[i:i + step, None]
+            d2 = ((c - self.centroid[r]) ** 2).sum(axis=2)
             cost = s * self.size[r] / (s + self.size[r]) * d2
             cost[r == ids] = np.inf
             best = cost.min(axis=1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from lvlm import DiscreteModel, InputError, SymbolLattice, cli, io
+from lvlm import DiscreteModel, InputError, RealModel, SymbolLattice, cli, io
 from lvlm.cli import main
 
 
@@ -133,6 +133,30 @@ def test_learn_too_few_distinct_signatures_exits_2(tmp_path, capsys):
     assert err.startswith("lvlm: numeric error: only 1 distinct") and len(err.strip().splitlines()) == 1
 
 
+def test_learn_overflowing_covariance_exits_2(tmp_path, capsys):
+    # finite values whose squared residuals overflow
+    vals = 1e160 * (1 + np.random.default_rng(0).normal(size=(8, 8, 2)))
+    io.write_lattice(tmp_path / "r.lat", SymbolLattice.real(vals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run(capsys, "learn", "--variant", "real", "--n", "2", "--wl", "1",
+                           "--in", str(tmp_path / "r.lat"), "--out", str(tmp_path / "m.lvlm"))
+    assert code == 2
+    assert err.strip().splitlines()[-1].startswith("lvlm: numeric error: covariance of state 0 overflows")
+    assert not (tmp_path / "m.lvlm").exists()
+
+
+def test_evaluate_covariance_not_pd_exits_2(tmp_path, capsys):
+    sigma = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])  # state 1: eigenvalues -1 and 3
+    model = RealModel(N=2, M=2, d=1, A=np.full((2, 2), 0.5), mu=np.array([[0.0, 0.0], [10.0, 10.0]]),
+                      sigma=sigma, w_e=0)
+    io.write_model(tmp_path / "m.lvlm", model)
+    io.write_lattice(tmp_path / "o.lat", SymbolLattice.real(np.array([[0.0, 0.0], [10.0, 10.0]])))
+    code, out, err = run(capsys, "evaluate", "--model", str(tmp_path / "m.lvlm"), "--in", str(tmp_path / "o.lat"))
+    assert code == 2 and out == ""
+    assert err.startswith("lvlm: numeric error: covariance of state 1 is not positive definite")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_real_pipeline_via_cli(tmp_path, capsys):
     obs_p, model_p, q_p = (str(tmp_path / n) for n in ("o.lat", "m.lvlm", "q.lat"))
     code, _, _ = run(capsys, "synth", "--shape", "16x16", "--n", "2",
@@ -257,6 +281,7 @@ SYNTH_BAD_ARGS = {
     "seed-negative": ("--n", "2", "--seed", "-1"),
     "sigma-wrong-size": ("--n", "2", "--mu", "0;1", "--sigma", "1,0,0"),
     "sigma-scale-negative": ("--n", "2", "--mu", "0;1", "--sigma-scale", "-1"),
+    "sigma-asymmetric": ("--n", "1", "--mu", "0,0", "--sigma", "1,5,0,1"),
 }
 
 

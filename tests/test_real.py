@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from lvlm import (
     InputError,
+    NumericError,
     RealModel,
     SymbolLattice,
     assign_real,
@@ -150,8 +151,6 @@ def test_score_decreases_moving_point_off_mean():
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 3), h=st.integers(3, 6))
 @settings(max_examples=100, deadline=None)
 def test_learned_sigma_symmetric_psd(seed, n, h):
-    from lvlm import NumericError
-
     rng = np.random.default_rng(seed)
     obs = SymbolLattice.real(rng.normal(size=(h, h, 2)))
     try:
@@ -167,3 +166,44 @@ def test_learned_sigma_symmetric_psd(seed, n, h):
 def test_model_validation():
     with pytest.raises(InputError):
         toy_model(sigma=np.array([[[1.0, 0.5], [0.2, 1.0]]] * 2))
+
+
+NOT_PD = np.array([[1.0, 2.0], [2.0, 1.0]])  # symmetric, eigenvalues -1 and 3
+
+
+def not_pd_model():
+    """States 0, 2 and 3 have a covariance that is not positive definite; w_e = 0
+    decodes a node at a state's mean to that state."""
+    mu = np.array([[0.0, 0.0], [10.0, 10.0], [20.0, 20.0], [30.0, 30.0]])
+    return toy_model(N=4, mu=mu, sigma=np.array([NOT_PD, np.eye(2), NOT_PD, NOT_PD]), w_e=0)
+
+
+def test_evaluate_not_pd_names_lowest_occupied_state():
+    obs = SymbolLattice.real(np.array([[30.0, 30.0], [10.0, 10.0], [20.0, 20.0]]))
+    with pytest.raises(NumericError, match="^covariance of state 2 is not positive definite$") as e:
+        evaluate_real(not_pd_model(), obs)
+    assert e.value.state == 2
+
+
+def test_evaluate_not_pd_on_unoccupied_state_scores():
+    m = not_pd_model()
+    vals = np.array([[10.0, 10.0], [10.5, 9.0], [9.0, 10.0]])
+    got = evaluate_real(m, SymbolLattice.real(vals))
+    assert got == pytest.approx(straightline_evaluate_real(m, vals), abs=1e-9)
+
+
+def test_learn_overflowing_covariance_is_numeric_error():
+    # finite values whose squared residuals overflow
+    vals = 1e160 * (1 + np.random.default_rng(0).normal(size=(8, 8, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="^covariance of state 0 overflows") as e:
+            learn_real(SymbolLattice.real(vals), 1, 2)
+    assert e.value.state == 0
+
+
+def test_evaluate_overflowing_residuals_score_minus_inf():
+    # finite values whose squared residuals overflow: the density underflows to 0
+    m = toy_model(N=1, mu=np.zeros((1, 2)), sigma=np.eye(2)[None], A=np.ones((1, 1)), w_e=0)
+    vals = 1e160 * np.random.default_rng(0).normal(size=(4, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert evaluate_real(m, SymbolLattice.real(vals)) == -np.inf

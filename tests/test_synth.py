@@ -74,6 +74,21 @@ def test_emit_discrete_equals_cdf_count():
     assert np.array_equal(obs.values, want)
 
 
+def test_emit_discrete_row_short_of_one_stays_in_alphabet(monkeypatch):
+    # the row [0.5, 0.4999999995, 0] sums to 1 within tolerance, but its cdf
+    # ends below the largest uniform draw, which then takes its last symbol
+    # of positive probability
+    class LargestDraw:
+        def random(self, size):
+            return np.full(size, 1 - 2.0 ** -53)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: LargestDraw())
+    B = np.array([[0.5, 0.4999999995, 0.0], [0.0, 0.5, 0.5]])
+    q = StateLattice.from_array(np.array([[0, 1], [1, 0]]), N=2)
+    obs = emit_observations(q, DiscreteEmission(B), seed=0)
+    assert np.array_equal(obs.values, [[1, 2], [2, 1]])
+
+
 def test_emit_discrete_memory_wide_alphabet():
     # one state at a time: no node x symbol temporary at M = 256
     rng = np.random.default_rng(13)
