@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Time lvlm's nearest-row search, decoding and evaluation at fixed shapes.
+"""Time lvlm's nearest-row search, decoding, evaluation, lattice I/O and
+inertia index at fixed shapes.
 
 Cases, each on seeded inputs:
 
 - `image-discrete`: the benchmark workload's shape, a 256² image of 4
   symbols in blocks of 3 states, window radius 2: the nearest-row search
   over its window signatures (3 rows), and `decode_discrete` and
-  `evaluate_discrete` of a 3-state model.
+  `evaluate_discrete` of a 3-state model. Of the states that model decodes:
+  `io.write_lattice`, `io.read_lattice` of the written file,
+  `io.states_to_pgm`, and `inertia_index` at radius 2. A written file's
+  fingerprint is that of its bytes.
 - `real-256`: a 256² grid of 2-channel standard normal vectors, window
   radius 1, with N = 4, 64 and 256 states whose means are distinct window
   signatures of the grid (identity covariances, uniform A): `decode_real`
@@ -36,6 +40,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -48,7 +53,12 @@ WIDE_M, WIDE_STATE_COUNTS = 16, (4, 64)
 
 
 def fingerprint(value):
-    data = np.ascontiguousarray(value).tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
+    if isinstance(value, Path):
+        data = value.read_bytes()
+    elif isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value).tobytes()
+    else:
+        data = repr(value).encode()
     return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
@@ -61,10 +71,11 @@ def blocky_image(rng, side, n_states, M, block=16, p=0.7):
     return np.where(rng.random(states.shape) < p, states, other)
 
 
-def cases():
-    """(name, shape, call) for every case; inputs are built before timing."""
+def cases(tmp):
+    """(name, shape, call) for every case; inputs are built before timing,
+    files are written under the directory `tmp`."""
     from lvlm import (DiscreteModel, RealModel, SymbolLattice, decode_discrete, decode_real,
-                      evaluate_discrete, evaluate_real, sweep_signatures)
+                      evaluate_discrete, evaluate_real, inertia_index, io, sweep_signatures)
     from lvlm.model import _nearest_rows
 
     out = []
@@ -80,6 +91,13 @@ def cases():
     out.append(("image-discrete/nearest", shape, lambda: _nearest_rows(B, signatures)))
     out.append(("image-discrete/decode", shape, lambda: decode_discrete(model, image)[1].states))
     out.append(("image-discrete/evaluate", shape, lambda: evaluate_discrete(model, image)))
+    states = decode_discrete(model, image)[1]
+    written, pgm = tmp / "states.lat", tmp / "states.pgm"
+    io.write_lattice(written, states)  # for the read case; every write of it writes the same bytes
+    out.append(("image-discrete/write_lattice", shape, lambda: io.write_lattice(written, states) or written))
+    out.append(("image-discrete/read_lattice", shape, lambda: io.read_lattice(written).values))
+    out.append(("image-discrete/states_to_pgm", shape, lambda: io.states_to_pgm(pgm, states) or pgm))
+    out.append(("image-discrete/inertia", shape, lambda: inertia_index(states, w)))
 
     grid = SymbolLattice.real(rng.normal(size=(SIDE, SIDE, 2)))
     means = sweep_signatures(grid, 1).flat()
@@ -115,14 +133,15 @@ def cases():
 def measure(reps):
     """{case: {"shape", "s", "fingerprint"}} for the lvlm on sys.path."""
     result = {}
-    for name, shape, call in cases():
-        value = call()  # warm caches and lazy set-up before timing
-        times = []
-        for _ in range(reps):
-            t = time.perf_counter()
-            call()
-            times.append(time.perf_counter() - t)
-        result[name] = {"shape": shape, "s": statistics.median(times), "fingerprint": fingerprint(value)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, shape, call in cases(Path(tmp)):
+            value = call()  # warm caches and lazy set-up before timing
+            times = []
+            for _ in range(reps):
+                t = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - t)
+            result[name] = {"shape": shape, "s": statistics.median(times), "fingerprint": fingerprint(value)}
     return result
 
 

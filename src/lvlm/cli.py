@@ -65,6 +65,11 @@ def _radii(args):
     return w, (args.we if args.we is not None else w), (args.wl if args.wl is not None else w)
 
 
+def _distinct_outputs(a, b, flags: str):
+    if a and b and os.path.realpath(a) == os.path.realpath(b):
+        raise InputError(f"{flags} name the same file")
+
+
 def _write_lattice_any(path, lat, fmt):
     if fmt == "pgm":
         io.write_pgm(path, lat)
@@ -97,6 +102,8 @@ def _cmd_synth(args):
         raise InputError("synth --sigma-scale needs --mu and no --sigma")
     if args.b:
         emission = DiscreteEmission(_parse_matrix(args.b, "B"))
+        if emission.B.shape[1] > 256:
+            raise InputError(f"--b has {emission.B.shape[1]} symbols; lattice files store at most 256")
     elif args.mu:
         mu = _parse_matrix(args.mu, "mu")
         if args.sigma:
@@ -115,14 +122,13 @@ def _cmd_synth(args):
                          sweeps=args.sweeps, seed=args.seed)
     if bool(args.out) != (emission is not None):
         raise InputError("synth writes observations (--out) exactly when given an emission (--b or --mu)")
-    if args.out and args.states_out and os.path.realpath(args.out) == os.path.realpath(args.states_out):
-        raise InputError("--out and --states-out name the same file")
+    _distinct_outputs(args.out, args.states_out, "--out and --states-out")
     states = gibbs_sample(config)
+    obs = emit_observations(states, emission, seed=args.seed + 1) if emission is not None else None
     if args.states_out:
         _write_lattice_any(args.states_out, states, args.format)
         print(f"states={args.states_out}")
-    if emission is not None:
-        obs = emit_observations(states, emission, seed=args.seed + 1)
+    if obs is not None:
         _write_lattice_any(args.out, obs, args.format if obs.kind == "discrete" else "lat")
         print(f"observations={args.out}")
     return 0
@@ -148,9 +154,13 @@ def _variant(model):
 
 
 def _cmd_decode(args):
+    _distinct_outputs(args.out, args.pgm, "--out and --pgm")
     model = io.read_model(args.model)
     decode, _, M = _variant(model)
-    _, states = decode(model, io.read_lattice_auto(args.input, M=M))
+    obs = io.read_lattice_auto(args.input, M=M)
+    if args.pgm and obs.shape.d != 2:
+        raise InputError("PGM visualization needs a 2-d state lattice")
+    _, states = decode(model, obs)
     io.write_lattice(args.out, states)
     print(f"states={args.out}")
     if args.pgm:
@@ -285,7 +295,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the explicit checks report what fails
+            return args.func(args)
     except InputError as e:
         print(f"lvlm: error: {e}", file=sys.stderr)
         return 1

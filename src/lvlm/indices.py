@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .lattice import StateLattice, SymbolLattice, sweep_signatures
+from .lattice import StateLattice, sweep_signatures
 
 ASSOCIATIVITY_THRESHOLD = 0.5
 INERTIA_THRESHOLD = 0.9
@@ -64,8 +64,7 @@ def inertia_index(states: StateLattice, w: int, *, interior_only: bool = False) 
     """
     if w < 0:
         raise InputError("window radius must be >= 0")
-    as_symbols = SymbolLattice(states.shape, states.states, states.N, "discrete")
-    field = sweep_signatures(as_symbols, w)
+    field = sweep_signatures(states, w)
     vals = np.sqrt((field.signatures ** 2).sum(axis=-1))
     if interior_only:
         sl = tuple(slice(w, n - w) for n in states.shape.lengths)

@@ -2,11 +2,13 @@
 
 Lattice file: text header `LVLM-LATTICE <d> <len_1> ... <len_d> <dtype>`
 with dtype u8 (symbol/state indices) or f64x<M> (real vectors), followed by
-whitespace-separated row-major values. 2D u8 lattices can also be read and
-written as PGM (P2 or P5). Model files are key=value text with matrices
-row-major; floats carry 17 significant digits so round trips are
-bit-faithful. Lattice and P2 bodies are formatted in one `str.format` call
-over all values. All writes go through a temp file plus rename.
+whitespace-separated row-major values. A decoded state lattice is a
+discrete `SymbolLattice` (`StateLattice`) and is written like any other. 2D
+u8 lattices are also read from PGM (P2 or P5) and written as P5. Model files
+are key=value text with matrices row-major; floats carry 17 significant
+digits so round trips are bit-faithful. Lattice bodies are formatted in one
+`str.format` call over all values. All writes go through a temp file plus
+rename.
 """
 
 from __future__ import annotations
@@ -67,9 +69,7 @@ def _read_text(path) -> str:
 
 # -- lattice files -----------------------------------------------------------
 
-def write_lattice(path, lat: SymbolLattice | StateLattice):
-    if isinstance(lat, StateLattice):
-        lat = SymbolLattice.discrete(lat.states, M=lat.N)
+def write_lattice(path, lat: SymbolLattice):
     lengths = lat.shape.lengths
     if lat.kind == "discrete":
         if lat.values.size and lat.values.max() > 255:
@@ -141,22 +141,15 @@ def read_pgm(path, M: int | None = None) -> SymbolLattice:
     return SymbolLattice.discrete(arr, M=M if M is not None else maxval + 1)
 
 
-def write_pgm(path, lat: SymbolLattice | StateLattice, *, binary=True, maxval=None):
-    if isinstance(lat, StateLattice):
-        lat = SymbolLattice.discrete(lat.states, M=lat.N)
+def write_pgm(path, lat: SymbolLattice):
+    """P5 image of a 2-d discrete lattice, maxval M - 1 (at least 1)."""
     if lat.kind != "discrete" or lat.shape.d != 2:
         raise InputError("PGM output needs a 2-d discrete lattice")
-    if maxval is None:
-        maxval = max(1, lat.M - 1)
-    if maxval > 255 or (lat.values.size and lat.values.max() > maxval):
-        raise InputError("values exceed PGM maxval")
+    if lat.M > 256:
+        raise InputError("PGM values must fit in [0, 255]")
     h, w = lat.shape.lengths
-    if binary:
-        header = f"P5\n{w} {h}\n{maxval}\n".encode()
-        write_atomic(path, header + lat.values.astype(np.uint8).tobytes())
-    else:
-        header = f"P2\n{w} {h}\n{maxval}\n"
-        write_atomic(path, (header + _format_rows(lat.values, w, "{}")).encode())
+    header = f"P5\n{w} {h}\n{max(1, lat.M - 1)}\n".encode()
+    write_atomic(path, header + lat.values.astype(np.uint8).tobytes())
 
 
 def states_to_pgm(path, states: StateLattice):
@@ -167,7 +160,7 @@ def states_to_pgm(path, states: StateLattice):
         gray = (states.states * 255) // (states.N - 1)
     else:
         gray = np.zeros_like(states.states)
-    write_pgm(path, SymbolLattice.discrete(gray, M=256), maxval=255)
+    write_pgm(path, SymbolLattice.discrete(gray, M=256))
 
 
 def read_lattice_auto(path, M: int | None = None) -> SymbolLattice:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 
 
 @dataclass(frozen=True)
@@ -79,25 +79,22 @@ class SymbolLattice:
 
 
 @dataclass(frozen=True)
-class StateLattice:
-    """Decoded latent-state configuration Q."""
+class StateLattice(SymbolLattice):
+    """Decoded latent-state configuration Q: a discrete lattice of N states."""
 
-    shape: LatticeShape
-    states: np.ndarray
-    N: int
+    kind: str = "discrete"
 
-    def __post_init__(self):
-        if self.states.shape != self.shape.lengths:
-            raise InputError("state array shape does not match lattice shape")
-        if self.states.size and (self.states.min() < 0 or self.states.max() >= self.N):
-            raise InputError(f"state indices must lie in [0, {self.N})")
+    @property
+    def states(self) -> np.ndarray:
+        return self.values
+
+    @property
+    def N(self) -> int:
+        return self.M
 
     @classmethod
     def from_array(cls, states, N=None) -> "StateLattice":
-        states = np.ascontiguousarray(states, dtype=np.int64)
-        if N is None:
-            N = int(states.max()) + 1 if states.size else 1
-        return cls(LatticeShape(states.shape), states, int(N))
+        return cls.discrete(states, M=N)
 
 
 @dataclass(frozen=True)
@@ -197,4 +194,6 @@ def sweep_signatures(lattice: SymbolLattice, w: int) -> SignatureField:
         else:
             plane = lattice.values[..., c]
         out[..., c] = _box_sum(plane, w) / cells
+    if lattice.kind == "real" and not np.isfinite(out).all():
+        raise NumericError("window mean overflows")
     return SignatureField(lattice.shape, out)

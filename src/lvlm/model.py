@@ -99,14 +99,22 @@ def _nearest_rows(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = np.empty(len(x), dtype=np.int64)
     step = max(1, min(_BLOCK_NODES, _BLOCK // (2 * rows.shape[1])))
     for i in range(0, len(x), step):
-        _nearest_block(rows, x[i:i + step], out[i:i + step])
+        block = x[i:i + step]
+        with np.errstate(over="ignore"):  # a d² that overflows is inf, above every finite one
+            found = _nearest_block(rows, block, out[i:i + step])
+        if not found:
+            # at some node every state's d² overflows: search the block again,
+            # scaled by the power of two that keeps d² finite
+            k = vq.overflow_shift(rows, block)
+            _nearest_block(np.ldexp(rows, -k), np.ldexp(block, -k), out[i:i + step])
     return out
 
 
-def _nearest_block(rows: np.ndarray, x: np.ndarray, q: np.ndarray) -> None:
+def _nearest_block(rows: np.ndarray, x: np.ndarray, q: np.ndarray) -> bool:
     """Write the nearest-row index of each row of x into q: the columns of x
     made contiguous, then a running minimum of d² over the states in
-    ascending order, taken over only where a state's d² is strictly smaller."""
+    ascending order, taken over only where a state's d² is strictly smaller.
+    Returns False when some node's least d² overflows."""
     cols = np.ascontiguousarray(x.T)
     sq = np.empty(cols.shape)
     best = np.full(len(x), np.inf)
@@ -118,6 +126,7 @@ def _nearest_block(rows: np.ndarray, x: np.ndarray, q: np.ndarray) -> None:
         np.less(d2, best, out=closer)
         np.minimum(best, d2, out=best)
         np.copyto(q, n, where=closer)
+    return not np.isinf(best).any()
 
 
 def assign(model: LatticeModel, x) -> int:

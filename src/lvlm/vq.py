@@ -71,6 +71,15 @@ class Codebook:
         return int(self.centroids.shape[1])
 
 
+def overflow_shift(*arrays) -> int:
+    """The k for which 2^-k brings the largest magnitude in `arrays` below
+    2^480, or 0 when it is there already. Below that no squared distance or
+    merge cost of finite points overflows; and scaling by a power of two is
+    exact short of underflow, so it keeps the order of distances and costs."""
+    top = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
+    return max(0, int(np.frexp(top)[1]) - 480)
+
+
 def _nearest(tree, x, k):
     """k-d tree query of the rows of `x`, threaded only from `THREADED_QUERY_MIN` rows up."""
     return tree.query(x, k=k, workers=-1 if len(x) >= THREADED_QUERY_MIN else 1)
@@ -213,7 +222,8 @@ def pnn_quantize(points, n_clusters, *, exact_threshold=EXACT_THRESHOLD, return_
     `n_clusters` remain. Above `exact_threshold` live clusters the merge
     sequence is the batched mutual-nearest-neighbor approximation; at or
     below it, the exact greedy sequence. `return_history` adds the merges as
-    (kept point, merged point, cost) triples.
+    (kept point, merged point, cost) triples; a cost past the largest float
+    reads inf.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] < 1:
@@ -239,18 +249,21 @@ def pnn_quantize(points, n_clusters, *, exact_threshold=EXACT_THRESHOLD, return_
     start = np.cumsum(kept) - 1  # each point's starting cluster
     start[repeats] = start[first_of[repeats]]
 
-    agg = _Agglomerator(points[rep], np.bincount(start).astype(np.float64))
+    # merges are priced on points scaled by a power of two, so that the costs
+    # of huge finite points do not overflow
+    shift = overflow_shift(points)
+    agg = _Agglomerator(np.ldexp(points[rep], -shift), np.bincount(start).astype(np.float64))
     agg.run(n_clusters, exact_threshold)
 
     # resolve merge chains by pointer jumping; the roots are the survivors
     root = agg.parent
     while not np.array_equal(root[root], root):
         root = root[root]
-    codebook = Codebook(agg.centroid[agg.alive], agg.size[agg.alive])
+    codebook = Codebook(np.ldexp(agg.centroid[agg.alive], shift), agg.size[agg.alive])
     assignment = (np.cumsum(agg.alive) - 1)[root[start]]
     if return_history:
         ids = rep.tolist()
         history = list(zip(first_of[repeats].tolist(), repeats.tolist(), [0.0] * len(repeats)))
-        history += [(ids[a], ids[b], c) for a, b, c in agg.history]
+        history += [(ids[a], ids[b], float(np.ldexp(c, 2 * shift))) for a, b, c in agg.history]
         return codebook, assignment, history
     return codebook, assignment

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
-from lvlm import DiscreteModel, InputError, RealModel, SymbolLattice, cli, io
+from lvlm import (DiscreteModel, InputError, RealModel, SymbolLattice, cli, io, learn_discrete, learn_real,
+                  pnn_quantize)
 from lvlm.cli import main
 
 
@@ -143,6 +145,41 @@ def test_learn_overflowing_covariance_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.strip().splitlines()[-1].startswith("lvlm: numeric error: covariance of state 0 overflows")
     assert not (tmp_path / "m.lvlm").exists()
+
+
+def test_numeric_error_is_one_stderr_line_with_warnings_as_errors(tmp_path, capsys):
+    # overflowing squares and products along the way raise no warning out of main
+    vals = 1e160 * (1 + np.random.default_rng(0).normal(size=(8, 8, 2)))
+    io.write_lattice(tmp_path / "r.lat", SymbolLattice.real(vals))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "learn", "--variant", "real", "--n", "2", "--wl", "1",
+                           "--in", str(tmp_path / "r.lat"), "--out", str(tmp_path / "m.lvlm"))
+    assert code == 2
+    assert err == "lvlm: numeric error: covariance of state 0 overflows\n"
+
+
+def test_learn_overflowing_window_mean_exits_2(tmp_path, capsys):
+    vals = np.random.default_rng(0).uniform(0.85e308, 1.7e308, size=(8, 8, 2))
+    io.write_lattice(tmp_path / "r.lat", SymbolLattice.real(vals))
+    code, _, err = run(capsys, "learn", "--variant", "real", "--n", "2", "--wl", "1",
+                       "--in", str(tmp_path / "r.lat"), "--out", str(tmp_path / "m.lvlm"))
+    assert code == 2 and err == "lvlm: numeric error: window mean overflows\n"
+    assert not (tmp_path / "m.lvlm").exists()
+
+
+@pytest.mark.parametrize("lo, hi, lengths", [(0.85e308, 1.7e308, (8, 8)), (0.0, 1e200, (20, 15))])
+def test_quantize_huge_finite_points(tmp_path, capsys, lo, hi, lengths):
+    # squared distances overflow; the codebook is that of the points scaled by 2^-800
+    vals = np.random.default_rng(0).uniform(lo, hi, size=lengths + (2,))
+    io.write_lattice(tmp_path / "p.lat", SymbolLattice.real(vals))
+    code, out, err = run(capsys, "quantize", "--in", str(tmp_path / "p.lat"), "--n", "2",
+                         "--out", str(tmp_path / "cb.lvlm"))
+    assert code == 0 and err == ""
+    cb = io.read_codebook(tmp_path / "cb.lvlm")
+    want, _ = pnn_quantize(np.ldexp(vals.reshape(-1, 2), -800), 2)
+    assert np.array_equal(cb.sizes, want.sizes)
+    assert np.array_equal(cb.centroids, np.ldexp(want.centroids, 800))
 
 
 def test_evaluate_covariance_not_pd_exits_2(tmp_path, capsys):
@@ -302,6 +339,9 @@ SYNTH_CONFLICTS = {
     "self-weight-and-potentials": "--potentials 1,1;1,1 --self-weight 7 --states-out {dir}/q.lat",
     "sigma-scale-without-mu": "--n 2 --b 0.8,0.2;0.2,0.8 --sigma-scale 5 --out {dir}/y.lat",
     "sigma-scale-and-sigma": "--n 2 --mu 0;1 --sigma 1;1 --sigma-scale 5 --out {dir}/y.lat",
+    "b-past-256-symbols": "--n 2 --b " + ";".join(",".join("1" if j == 299 - i else "0" for j in range(300))
+                                                  for i in range(2))
+                          + " --out {dir}/y.lat --states-out {dir}/q.lat",
 }
 
 
@@ -406,3 +446,97 @@ def test_out_of_memory_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "gibbs_sample", exhausted)
     code, out, err = run(capsys, "synth", "--shape", "4x4", "--n", "2")
     assert code == 1 and out == "" and err == "lvlm: error: out of memory\n"
+
+
+# Flag combinations of the commands that read lattices: which flags are given,
+# N and M that agree or conflict with the inputs, equal output paths, and 2-D
+# or 3-D inputs. {in} is the input directory and {out} a fresh, empty one.
+LATTICES = ["d2.lat", "d3.lat", "r2.lat", "r3.lat", "d2.pgm"]
+MODELS = ["dn2d2.lvlm", "dn3d2.lvlm", "dn2d3.lvlm", "rn2d2.lvlm", "rn2d3.lvlm"]
+READERS = {"lattice": io.read_lattice, "pgm": io.read_pgm, "model": io.read_model, "codebook": io.read_codebook}
+
+
+@pytest.fixture(scope="module")
+def combo_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("combo")
+    rng = np.random.default_rng(0)
+    for d in (2, 3):
+        symbols = SymbolLattice.discrete(rng.integers(0, 3, size=(6,) * d), M=3)
+        vectors = SymbolLattice.real(rng.normal(size=(6,) * d + (2,)))
+        io.write_lattice(files / f"d{d}.lat", symbols)
+        io.write_lattice(files / f"r{d}.lat", vectors)
+        for n in (2, 3):
+            io.write_model(files / f"dn{n}d{d}.lvlm", learn_discrete(symbols, 1, n))
+        io.write_model(files / f"rn2d{d}.lvlm", learn_real(vectors, 1, 2))
+        if d == 2:
+            io.write_pgm(files / "d2.pgm", symbols)
+    return files
+
+
+@st.composite
+def flag_combination(draw):
+    """(argv, [(output, kind)]) of one decode, learn, index or quantize run."""
+    cmd = draw(st.sampled_from(["decode", "learn", "index", "quantize"]))
+    variant, d = draw(st.sampled_from("dr")), draw(st.sampled_from("23"))
+    # half the time an input of the drawn variant and dimension, else any
+    lattice = st.sampled_from([f"{variant}{d}.lat"] + ["d2.pgm"] * (variant + d == "d2")) | st.sampled_from(LATTICES)
+    lattice = lattice.map(lambda name: "{in}/" + name)
+    model = st.sampled_from([f"{variant}n2d{d}.lvlm"]) | st.sampled_from(MODELS)
+    model = model.map(lambda name: "{in}/" + name)
+    count = st.sampled_from(["1", "2", "3", "40"])
+
+    def optional(flag, values):
+        value = draw(st.none() | values)
+        return [] if value is None else [flag, value]
+
+    outputs = []
+    if cmd == "decode":
+        argv = ["--model", draw(model), "--in", draw(lattice), "--out", "{out}/a"]
+        outputs.append(("{out}/a", "lattice"))
+        pgm = draw(st.sampled_from([None, "{out}/b", "{out}/a"]))
+        if pgm:
+            argv += ["--pgm", pgm]
+            outputs.append((pgm, "pgm"))
+    elif cmd == "learn":
+        inputs = draw(st.lists(lattice, min_size=1, max_size=2))
+        argv = ["--variant", {"d": "discrete", "r": "real"}[variant], "--n", draw(count)]
+        argv += sum((["--in", p] for p in inputs), [])
+        argv += ["--w" if draw(st.booleans()) else "--wl", draw(st.sampled_from(["0", "1", "2"]))]
+        for flag in ("--w", "--we", "--wl"):
+            argv += optional(flag, st.sampled_from(["0", "1", "2"]))
+        argv += optional("--m", st.sampled_from(["2", "3", "4"])) + ["--out", "{out}/a"]
+        outputs.append(("{out}/a", "model"))
+    elif cmd == "index":
+        argv = optional("--model", model) + optional("--states", lattice)
+        argv += optional("--w", st.sampled_from(["0", "1", "4"]))
+        argv += ["--interior-only"] if draw(st.booleans()) else []
+    else:
+        argv = ["--in", draw(lattice), "--n", draw(count)] + optional("--m", st.sampled_from(["2", "3", "4"]))
+        argv += ["--out", "{out}/a"]
+        outputs.append(("{out}/a", "codebook"))
+    return [cmd] + argv, outputs
+
+
+def _tree(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=flag_combination())
+@example(case=(["decode", "--model", "{in}/dn2d2.lvlm", "--in", "{in}/d2.lat", "--out", "{out}/a",
+                "--pgm", "{out}/a"], [("{out}/a", "lattice"), ("{out}/a", "pgm")]))
+@example(case=(["decode", "--model", "{in}/dn2d3.lvlm", "--in", "{in}/d3.lat", "--out", "{out}/a",
+                "--pgm", "{out}/b"], [("{out}/a", "lattice"), ("{out}/b", "pgm")]))
+def test_flag_combinations_write_all_outputs_or_none(combo_files, tmp_path_factory, capsys, case):
+    argv, outputs = case
+    out_dir = tmp_path_factory.mktemp("out")
+    inputs = _tree(combo_files)
+    code, _, err = run(capsys, *(a.format(**{"in": combo_files, "out": out_dir}) for a in argv))
+    assert _tree(combo_files) == inputs
+    if code == 0:
+        for path, kind in outputs:
+            READERS[kind](path.format(out=out_dir))
+    else:
+        assert code in (1, 2) and err.startswith("lvlm: ") and len(err.splitlines()) == 1
+        assert list(out_dir.iterdir()) == []

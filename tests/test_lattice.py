@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from lvlm import InputError, LatticeShape, SymbolLattice, neighbors, sweep_signatures, window_bounds
+from lvlm import InputError, LatticeShape, NumericError, SymbolLattice, neighbors, sweep_signatures, window_bounds
 
 from oracles import naive_signatures
 
@@ -144,3 +144,10 @@ def test_sweep_memory_wide_alphabet():
     assert peak <= 1.25 * got.nbytes
     want = naive_signatures(vals[:12, :12], 256, 2, "discrete")
     assert np.array_equal(got[:10, :10], want[:10, :10])
+
+
+def test_overflowing_window_mean_is_numeric_error():
+    vals = np.full((3, 3, 1), 1e308)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="window mean overflows"):
+        sweep_signatures(SymbolLattice.real(vals), 1)
+    assert np.array_equal(sweep_signatures(SymbolLattice.real(vals), 0).signatures, vals)

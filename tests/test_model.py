@@ -88,3 +88,11 @@ def test_assign_field_memory_large_field():
     q, peak = _traced_peak(lambda: _assign_field(rows, X))
     assert peak <= 1.25 * q.nbytes + model._BLOCK * 8
     assert np.array_equal(q.ravel()[::997], per_row(rows, X.flat()[::997]))
+
+
+def test_nearest_rows_where_every_d2_overflows():
+    # every d² of the first two nodes overflows; the last node's stays finite
+    rows = np.array([[0.0], [1e200], [3e200]])
+    x = np.array([[0.9e200], [2.5e200], [1.0]])
+    assert _nearest_rows(rows, x).tolist() == [1, 2, 0]
+    assert _nearest_rows(rows, x).tolist() == per_row(np.ldexp(rows, -700), np.ldexp(x, -700)).tolist()

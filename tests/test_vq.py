@@ -347,3 +347,25 @@ def test_short_long_routing_changes_no_output(monkeypatch, kind, seed):
     long_only = pnn_quantize(pts, N, exact_threshold=1, return_history=True)
     assert routed[2] == long_only[2] and np.array_equal(routed[1], long_only[1])
     assert np.array_equal(routed[0].centroids, long_only[0].centroids)
+
+
+def test_pnn_huge_finite_points_priced_without_overflow():
+    # every squared distance here overflows; greedy PNN merges 0-1, 2.5-4, then those two
+    points = np.array([[0.0], [1e200], [2.5e200], [4e200], [7e200]])
+    cb, asg = pnn_quantize(points, 2)
+    assert asg.tolist() == [0, 0, 0, 0, 1] and cb.sizes.tolist() == [4.0, 1.0]
+    assert cb.centroids[:, 0] == pytest.approx([1.875e200, 7e200])
+    with np.errstate(over="ignore"):  # the reported costs overflow to inf
+        _, asg, history = pnn_quantize(points, 2, return_history=True)
+    assert [(a, b) for a, b, _ in history] == [(0, 1), (2, 3), (0, 2)]
+
+
+@pytest.mark.parametrize("exact_threshold", [1, 64])
+def test_pnn_huge_points_as_their_power_of_two_scaling(exact_threshold):
+    # scaling by a power of two changes no merge; coalesce queries included
+    points = np.random.default_rng(5).uniform(0, 1e200, size=(300, 2))
+    cb, asg = pnn_quantize(points, 2, exact_threshold=exact_threshold)
+    small_cb, small_asg = pnn_quantize(np.ldexp(points, -700), 2, exact_threshold=exact_threshold)
+    assert np.array_equal(asg, small_asg)
+    assert np.array_equal(cb.centroids, np.ldexp(small_cb.centroids, 700))
+    assert np.array_equal(cb.sizes, small_cb.sizes)
