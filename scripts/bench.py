@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time lvlm's nearest-row search, decoding, evaluation, lattice I/O and
-inertia index at fixed shapes.
+"""Time lvlm's window sweep, nearest-row search, decoding, evaluation,
+classification, lattice I/O and inertia index at fixed shapes.
 
 Cases, each on seeded inputs:
 
@@ -10,7 +10,13 @@ Cases, each on seeded inputs:
   `evaluate_discrete` of a 3-state model. Of the states that model decodes:
   `io.write_lattice`, `io.read_lattice` of the written file,
   `io.states_to_pgm`, and `inertia_index` at radius 2. A written file's
-  fingerprint is that of its bytes.
+  fingerprint is that of its bytes. `image-discrete/classify`:
+  `classify_image` of a 64² image of that kind under a bundle of 4 such
+  models whose emission rows are shifted by 0 to 3 symbols.
+- `sweep`: `sweep_signatures` alone, on a 256² image of 4 symbols at radius
+  2, a 128² image of 256 symbols at radius 1, a 40³ grid of 2-channel
+  standard normal vectors at radius 1, and a 40³ lattice of 3 states at
+  radius 1.
 - `real-256`: a 256² grid of 2-channel standard normal vectors, window
   radius 1, with N = 4, 64 and 256 states whose means are distinct window
   signatures of the grid (identity covariances, uniform A): `decode_real`
@@ -50,6 +56,7 @@ SIDE = 256
 STATE_COUNTS = (4, 64, 256)
 WIDTHS = (2, 4, 16)
 WIDE_M, WIDE_STATE_COUNTS = 16, (4, 64)
+CLASSIFY_SIDE, CLASSES = 64, 4
 
 
 def fingerprint(value):
@@ -74,8 +81,9 @@ def blocky_image(rng, side, n_states, M, block=16, p=0.7):
 def cases(tmp):
     """(name, shape, call) for every case; inputs are built before timing,
     files are written under the directory `tmp`."""
-    from lvlm import (DiscreteModel, RealModel, SymbolLattice, decode_discrete, decode_real,
-                      evaluate_discrete, evaluate_real, inertia_index, io, sweep_signatures)
+    from lvlm import (ClassEntry, ClassifierBundle, DiscreteModel, RealModel, SymbolLattice, classify_image,
+                      decode_discrete, decode_real, evaluate_discrete, evaluate_real, inertia_index, io,
+                      sweep_signatures)
     from lvlm.model import _nearest_rows
 
     out = []
@@ -127,6 +135,23 @@ def cases(tmp):
         shape = {"U": SIDE ** 2, "N": n, "M": WIDE_M, "w": 1}
         out.append((f"real-256-M16/N{n}/decode", shape, lambda m=real: decode_real(m, wide)[1].states))
         out.append((f"real-256-M16/N{n}/evaluate", shape, lambda m=real: evaluate_real(m, wide)))
+
+    rng = np.random.default_rng(1)  # its own stream, so that the cases above keep their inputs
+    bundle = ClassifierBundle(tuple(
+        ClassEntry(f"c{c}", DiscreteModel(N=N, M=M, d=2, A=A, B=np.roll(B, c, axis=1), w=w, w_e=w, w_l=w),
+                   np.log(1 / CLASSES)) for c in range(CLASSES)))
+    test = SymbolLattice.discrete((blocky_image(rng, CLASSIFY_SIDE, N, M) + 1) % M, M=M)
+    out.append(("image-discrete/classify", {"U": CLASSIFY_SIDE ** 2, "N": N, "M": M, "w": w, "classes": CLASSES},
+                lambda: classify_image(bundle, test)))
+
+    for name, lat, r in [
+        ("sweep/256-M4", image, 2),
+        ("sweep/128-M256", SymbolLattice.discrete(rng.integers(0, 256, size=(128, 128)), M=256), 1),
+        ("sweep/40x3-real-M2", SymbolLattice.real(rng.normal(size=(40, 40, 40, 2))), 1),
+        ("sweep/40x3-states-N3", SymbolLattice.discrete(rng.integers(0, 3, size=(40, 40, 40)), M=3), 1),
+    ]:
+        out.append((name, {"U": lat.shape.node_count, "M": lat.M, "w": r, "kind": lat.kind},
+                    lambda lat=lat, r=r: sweep_signatures(lat, r).signatures))
     return out
 
 

@@ -2,7 +2,8 @@
 
 Scores are unnormalized log-posteriors (log-prior + evaluation log-score);
 softmax normalization is offered for display only, since evaluation is a
-score rather than a calibrated likelihood.
+score rather than a calibrated likelihood. An image is swept once per
+distinct evaluation radius among the bundle's classes, not once per class.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model as core
 from .discrete import DiscreteModel, evaluate_discrete
 from .errors import InputError
 from .lattice import SymbolLattice
@@ -50,11 +52,18 @@ class ClassifierBundle:
 def classify_image(bundle: ClassifierBundle, obs: SymbolLattice):
     """Argmax over classes of log-prior + evaluate(model, obs).
 
-    Returns (label, scores) with one unnormalized log-posterior per class,
-    in declaration order; ties go to the first-declared class.
+    The bundle's models share variant, M and d, so their signature fields of
+    obs differ only by window radius: obs is swept once per distinct w_e and
+    each class is evaluated on its radius's field. Returns (label, scores)
+    with one unnormalized log-posterior per class, in declaration order;
+    ties go to the first-declared class.
     """
     evaluate = evaluate_discrete if bundle.variant == "discrete" else evaluate_real
-    scores = [c.log_prior + evaluate(c.model, obs) for c in bundle.classes]
+    fields = {}
+    for c in bundle.classes:
+        if c.model.w_e not in fields:
+            fields[c.model.w_e] = core.evaluation_field(c.model, obs)
+    scores = [c.log_prior + evaluate(c.model, obs, signatures=fields[c.model.w_e]) for c in bundle.classes]
     return bundle.classes[int(np.argmax(scores))].label, scores
 
 

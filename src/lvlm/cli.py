@@ -125,12 +125,16 @@ def _cmd_synth(args):
     _distinct_outputs(args.out, args.states_out, "--out and --states-out")
     states = gibbs_sample(config)
     obs = emit_observations(states, emission, seed=args.seed + 1) if emission is not None else None
+    outputs = []  # (path, lattice, format, name printed)
     if args.states_out:
-        _write_lattice_any(args.states_out, states, args.format)
-        print(f"states={args.states_out}")
+        outputs.append((args.states_out, states, args.format, "states"))
     if obs is not None:
-        _write_lattice_any(args.out, obs, args.format if obs.kind == "discrete" else "lat")
-        print(f"observations={args.out}")
+        outputs.append((args.out, obs, args.format if obs.kind == "discrete" else "lat", "observations"))
+    with io.all_or_none([path for path, _, _, _ in outputs]) as temps:
+        for tmp, (_, lat, fmt, _) in zip(temps, outputs):
+            _write_lattice_any(tmp, lat, fmt)
+    for path, _, _, name in outputs:
+        print(f"{name}={path}")
     return 0
 
 
@@ -161,10 +165,12 @@ def _cmd_decode(args):
     if args.pgm and obs.shape.d != 2:
         raise InputError("PGM visualization needs a 2-d state lattice")
     _, states = decode(model, obs)
-    io.write_lattice(args.out, states)
+    with io.all_or_none([args.out, args.pgm] if args.pgm else [args.out]) as temps:
+        io.write_lattice(temps[0], states)
+        if args.pgm:
+            io.states_to_pgm(temps[1], states)
     print(f"states={args.out}")
     if args.pgm:
-        io.states_to_pgm(args.pgm, states)
         print(f"pgm={args.pgm}")
     return 0
 

@@ -62,9 +62,10 @@ def decode_discrete(model: DiscreteModel, obs: SymbolLattice):
     return core.decode(model, obs, model.w)
 
 
-def evaluate_discrete(model: DiscreteModel, obs: SymbolLattice) -> float:
-    """Log-score of obs: decode with w_e, then emission + neighbor terms."""
-    return core.evaluate(model, obs)
+def evaluate_discrete(model: DiscreteModel, obs: SymbolLattice, *, signatures=None) -> float:
+    """Log-score of obs: decode with w_e, then emission + neighbor terms;
+    `signatures`, when given, is obs's field at w_e (see `model.evaluate`)."""
+    return core.evaluate(model, obs, signatures=signatures)
 
 
 def learn_discrete(obs, w_l: int, n_states: int, *, w=None, w_e=None, alpha=1.0) -> DiscreteModel:

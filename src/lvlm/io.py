@@ -8,15 +8,18 @@ u8 lattices are also read from PGM (P2 or P5) and written as P5. Model files
 are key=value text with matrices row-major; floats carry 17 significant
 digits so round trips are bit-faithful. Lattice bodies are formatted in one
 `str.format` call over all values. All writes go through a temp file plus
-rename.
+rename; a command with several outputs writes them all or none
+(`all_or_none`).
 """
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -48,15 +51,44 @@ def _format_rows(values: np.ndarray, per_row: int, spec: str) -> str:
 
 
 def write_atomic(path, data: bytes):
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    """Write `data` to `path` through a temp file beside it and a rename."""
+    with all_or_none([path]) as (tmp,):
+        Path(tmp).write_bytes(data)
+
+
+def _naming(e: OSError, path: Path) -> OSError:
+    """e reported against `path`, the file asked for, not a temp file."""
+    return type(e)(e.errno, e.strerror, str(path)) if e.errno else e
+
+
+@contextmanager
+def all_or_none(paths):
+    """Temp files beside each of `paths`, to be written in the block: when it
+    ends without error they are renamed onto `paths`, and otherwise removed,
+    so the outputs are written all or none. A path that is a directory, or
+    whose directory is missing, fails before the block runs; every error
+    names the path asked for."""
+    paths, temps = [Path(p) for p in paths], []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path in paths:
+            try:
+                if path.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+            except OSError as e:
+                raise _naming(e, path) from None
+            os.close(fd)
+            temps.append(tmp)
+        yield temps
+        for tmp, path in zip(temps, paths):
+            try:
+                os.replace(tmp, path)
+            except OSError as e:
+                raise _naming(e, path) from None
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 

@@ -3,12 +3,14 @@
 Coordinates are 0-based tuples, arrays are row-major. A node's w-window is
 the axis-aligned hypercube [t-w, t+w] clamped to the lattice; signatures are
 normalized by the actual (clamped) cell count so they stay valid at edges.
-The sweep sums each channel over these windows by a separable box sum, so no
-node is visited in a Python loop.
+The sweep sums every channel over these windows in one separable box sum,
+the channel a trailing axis, so no node or channel is visited in a Python
+loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -155,45 +157,64 @@ def window_bounds(shape: LatticeShape, t, w: int):
     return lo, hi, cells
 
 
-def _box_sum(plane: np.ndarray, w: int) -> np.ndarray:
-    """Sum of `plane` over the clamped box [t-w, t+w] at every node t.
+def _box_sum(planes: np.ndarray, w: int) -> np.ndarray:
+    """Sum of `planes` over the clamped box [t-w, t+w] at every node t, for
+    each channel of the trailing axis at once.
 
-    One axis at a time, the shifted slices for offsets -r..+r are added to
-    zeros in ascending order, so each node adds its window's cells in index
-    order and nodes with the same clamped window get bit-equal sums.
+    One lattice axis at a time, the shifted slices for offsets -r..+r are
+    added to zeros in ascending order, so each node adds its window's cells
+    in index order and nodes with the same clamped window get bit-equal sums.
     """
-    for axis, n in enumerate(plane.shape):
+    for axis, n in enumerate(planes.shape[:-1]):
         r = min(w, n - 1)
-        acc = np.zeros_like(plane)
+        acc = np.zeros_like(planes)
         for k in range(-r, r + 1):
-            dst = [slice(None)] * plane.ndim
-            src = [slice(None)] * plane.ndim
+            dst = [slice(None)] * planes.ndim
+            src = [slice(None)] * planes.ndim
             dst[axis] = slice(max(0, -k), n - max(0, k))
             src[axis] = slice(max(0, k), n - max(0, -k))
-            acc[tuple(dst)] += plane[tuple(src)]
-        plane = acc
-    return plane
+            acc[tuple(dst)] += planes[tuple(src)]
+        planes = acc
+    return planes
+
+
+def _window_cells(lengths: tuple[int, ...], w: int) -> np.ndarray:
+    """Cell count of every node's clamped window, with a trailing unit axis:
+    the product of the per-axis clamped window lengths."""
+    spans = []
+    for n in lengths:
+        t, r = np.arange(n), min(w, n - 1)
+        spans.append(np.minimum(t + r, n - 1) - np.maximum(t - r, 0) + 1)
+    return functools.reduce(np.multiply, np.ix_(*spans))[..., None]
 
 
 def sweep_signatures(lattice: SymbolLattice, w: int) -> SignatureField:
-    """Window statistic at every node by a separable box sum, one channel at
-    a time.
+    """Window statistic at every node by one separable box sum over all
+    channels, the channel a trailing axis.
 
-    Discrete: empirical symbol distribution over the clamped window (exact
-    integer counts, so bit-identical to a per-node recount). Real: sample
-    mean of the window vectors.
+    Discrete: empirical symbol distribution over the clamped window, from
+    one-hot symbol counts in the narrowest unsigned type that holds a full
+    window's count (exact, so bit-identical to a per-node recount). The
+    one-hot is built for a block of symbols at a time, a block's counts
+    taking no more bytes per node than one float64 output channel, so the
+    working memory beside the output is a few output channels at any M.
+    Real: sample mean of the window vectors.
     """
     if w < 0:
         raise InputError("window radius must be >= 0")
     lengths = lattice.shape.lengths
+    cells = _window_cells(lengths, w)
+    if lattice.kind == "real":
+        out = _box_sum(np.asarray(lattice.values, dtype=np.float64), w)
+        np.divide(out, cells, out=out)
+        if not np.isfinite(out).all():
+            raise NumericError("window mean overflows")
+        return SignatureField(lattice.shape, out)
     out = np.empty(lengths + (lattice.M,), dtype=np.float64)
-    cells = _box_sum(np.ones(lengths, dtype=np.int64), w)
-    for c in range(lattice.M):
-        if lattice.kind == "discrete":
-            plane = (lattice.values == c).astype(np.int64)
-        else:
-            plane = lattice.values[..., c]
-        out[..., c] = _box_sum(plane, w) / cells
-    if lattice.kind == "real" and not np.isfinite(out).all():
-        raise NumericError("window mean overflows")
+    count = np.min_scalar_type(math.prod(min(2 * w + 1, n) for n in lengths))
+    block = max(1, out.itemsize // count.itemsize)
+    symbols = lattice.values[..., None]
+    for c in range(0, lattice.M, block):
+        onehot = (symbols == np.arange(c, min(c + block, lattice.M))).astype(count)
+        np.divide(_box_sum(onehot, w), cells, out=out[..., c:c + block])
     return SignatureField(lattice.shape, out)

@@ -147,35 +147,45 @@ def _signatures(obs: SymbolLattice, M: int, w: int) -> SignatureField:
     return lattice.sweep_signatures(SymbolLattice(obs.shape, obs.values, M, obs.kind), w)
 
 
-def decode(model: LatticeModel, obs: SymbolLattice, w: int):
-    """Signature field and per-node nearest-row state at window radius w."""
+def _check_obs(model: LatticeModel, obs: SymbolLattice):
+    """obs is a lattice the model can decode: its variant, alphabet and dimension."""
     if obs.kind != model.kind:
         raise InputError(f"{model.kind} model needs a {model.kind} lattice")
     if obs.M > model.M or (model.exact_alphabet and obs.M != model.M):
         raise InputError(f"lattice has M={obs.M}, model has M={model.M}")
     if obs.shape.d != model.d:
         raise InputError(f"lattice is {obs.shape.d}-d, model expects {model.d}-d")
+
+
+def decode(model: LatticeModel, obs: SymbolLattice, w: int):
+    """Signature field and per-node nearest-row state at window radius w."""
+    _check_obs(model, obs)
     X = _signatures(obs, model.M, w)
     return X, StateLattice(obs.shape, _assign_field(model.rows, X), model.N)
 
 
 def _pair_score(A: np.ndarray, q: np.ndarray, alpha: float) -> float:
     """Sum over nodes of 1/2 * sum_r [log alpha + log a(q_t,q_r) - log k_t].
-    On a lattice of two or more nodes every node has a neighbor."""
+    On a lattice of two or more nodes every node has a neighbor. Each pair's
+    a(q_t,q_r) and log a(q_t,q_r) are taken from the flat A and log A at one
+    code q_t * N + q_r per pair and orientation."""
     if q.size < 2:
         return 0.0
+    N = len(A)
+    flat = A.ravel()
     with np.errstate(divide="ignore"):
-        logA = np.log(A)
+        log_flat = np.log(flat)
     # per node: k_t, sum_r log a(q_t,q_r), and its neighbor count
     k = np.zeros(q.shape)
     sla = np.zeros(q.shape)
     deg = np.zeros(q.shape, dtype=np.int64)
     for lo, hi in axis_pairs(q.ndim):
         qa, qb = q[lo], q[hi]
-        k[lo] += A[qa, qb]
-        k[hi] += A[qb, qa]
-        sla[lo] += logA[qa, qb]
-        sla[hi] += logA[qb, qa]
+        forward, backward = qa * N + qb, qb * N + qa
+        k[lo] += flat.take(forward)
+        k[hi] += flat.take(backward)
+        sla[lo] += log_flat.take(forward)
+        sla[hi] += log_flat.take(backward)
         deg[lo] += 1
         deg[hi] += 1
     if np.any(k <= 0):
@@ -183,10 +193,25 @@ def _pair_score(A: np.ndarray, q: np.ndarray, alpha: float) -> float:
     return float(0.5 * (sla.sum() + np.log(alpha) * deg.sum() - (deg * np.log(k)).sum()))
 
 
-def evaluate(model: LatticeModel, obs: SymbolLattice) -> float:
-    """Log-score of obs: decode with w_e, then emission + neighbor terms."""
-    _, Q = decode(model, obs, model.w_e)
-    return model._log_emission(obs, Q.states) + _pair_score(model.A, Q.states, model.alpha)
+def evaluation_field(model: LatticeModel, obs: SymbolLattice) -> SignatureField:
+    """obs's signature field at the model's w_e, which `evaluate` decodes."""
+    _check_obs(model, obs)
+    return _signatures(obs, model.M, model.w_e)
+
+
+def evaluate(model: LatticeModel, obs: SymbolLattice, *, signatures: SignatureField | None = None) -> float:
+    """Log-score of obs: decode with w_e, then emission + neighbor terms.
+    `signatures` is obs's field at w_e when the caller has swept it already
+    (the same for every model of M entries, so classification sweeps an
+    image once per radius); it must match obs's shape and the model's M."""
+    _check_obs(model, obs)
+    if signatures is None:
+        signatures = _signatures(obs, model.M, model.w_e)
+    elif signatures.signatures.shape != obs.shape.lengths + (model.M,):
+        raise InputError(f"signature field of shape {signatures.signatures.shape} does not fit a "
+                         f"{obs.shape.lengths} lattice under a model of M={model.M}")
+    q = _assign_field(model.rows, signatures)
+    return model._log_emission(obs, q) + _pair_score(model.A, q, model.alpha)
 
 
 def _adjacency_counts(N: int, q: np.ndarray) -> np.ndarray:

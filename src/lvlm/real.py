@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model as core
+from . import model as core, vq
 from .errors import InputError, NumericError
 from .lattice import SymbolLattice
 
@@ -64,7 +64,8 @@ class RealModel(core.LatticeModel):
         return {"mu": mu, "sigma": sigma}
 
     def _log_emission(self, obs: SymbolLattice, q: np.ndarray) -> float:
-        count, S = _scatter(self.mu, obs.values.reshape(-1, self.M), q.ravel())
+        o = obs.values.reshape(-1, self.M)
+        count, S = _scatter(self.mu, o, q.ravel())
         occupied = np.flatnonzero(count)
         try:
             L = np.linalg.cholesky(self.sigma[occupied])
@@ -76,8 +77,13 @@ class RealModel(core.LatticeModel):
                     raise NumericError(f"covariance of state {j} is not positive definite", state=int(j)) from None
             raise
         count, S, Linv = count[occupied], S[occupied], np.linalg.inv(L)
-        # tr(Sigma^-1 S) = tr(L^-1 S L^-T); an overflowed scatter scores -inf
-        quad = np.where(np.isfinite(S).all(axis=(1, 2)), ((Linv @ S) * Linv).sum(axis=(1, 2)), np.inf)
+        # a state whose scatter overflows is scattered again on its residuals
+        # scaled by 2^-k, and its quadratic term scaled back by 2^2k
+        shift = np.zeros(len(occupied), dtype=np.int64)
+        for i in np.flatnonzero(~np.isfinite(S).all(axis=(1, 2))):
+            shift[i], S[i] = _scaled_scatter(self.mu[occupied[i]], o[q.ravel() == occupied[i]])
+        # tr(Sigma^-1 S) = tr(L^-1 S L^-T)
+        quad = np.ldexp(((Linv @ S) * Linv).sum(axis=(1, 2)), 2 * shift)
         logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
         return float(-0.5 * (count * (self.M * np.log(2 * np.pi) + logdet) + quad).sum())
 
@@ -95,6 +101,15 @@ def _scatter(mu: np.ndarray, o: np.ndarray, q: np.ndarray):
     return count, S
 
 
+def _scaled_scatter(mu_j: np.ndarray, o: np.ndarray):
+    """(k, S'): the scatter of the rows of o about mu_j with both scaled by
+    2^-k, k the power of two that keeps every residual product finite; S' is
+    the scatter times 2^-2k, exactly short of underflow."""
+    k = vq.overflow_shift(mu_j, o)
+    resid = np.ldexp(o, -k) - np.ldexp(mu_j, -k)
+    return k, resid.T @ resid
+
+
 def assign_real(model: RealModel, x) -> int:
     """State whose mean is L2-closest to x; ties go to lowest index."""
     return core.assign(model, x)
@@ -105,9 +120,10 @@ def decode_real(model: RealModel, obs: SymbolLattice):
     return core.decode(model, obs, model.w)
 
 
-def evaluate_real(model: RealModel, obs: SymbolLattice) -> float:
-    """Log-score: decode with w_e, then Gaussian emission + neighbor terms."""
-    return core.evaluate(model, obs)
+def evaluate_real(model: RealModel, obs: SymbolLattice, *, signatures=None) -> float:
+    """Log-score: decode with w_e, then Gaussian emission + neighbor terms;
+    `signatures`, when given, is obs's field at w_e (see `model.evaluate`)."""
+    return core.evaluate(model, obs, signatures=signatures)
 
 
 def learn_real(obs, w_l: int, n_states: int, *, w=None, w_e=None, alpha=1.0) -> RealModel:

@@ -353,6 +353,37 @@ def test_synth_conflicting_outputs_or_flags_exit_1(tmp_path, capsys, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+# decode and synth runs with two outputs, one of them in a missing directory
+# or naming a directory: each must exit 1 naming that output, and write neither
+MISSING_OUTPUT_DIRS = {
+    "decode-pgm": ("decode --model {inp}/m.lvlm --in {inp}/o.lat --out {dir}/q.lat --pgm {dir}/nodir/q.pgm",
+                   "nodir/q.pgm"),
+    "decode-out": ("decode --model {inp}/m.lvlm --in {inp}/o.lat --out {dir}/nodir/q.lat --pgm {dir}/q.pgm",
+                   "nodir/q.lat"),
+    "decode-pgm-is-directory": ("decode --model {inp}/m.lvlm --in {inp}/o.lat --out {dir}/q.lat --pgm {inp}",
+                                "{inp}"),
+    "synth-observations": ("synth --shape 8x8 --n 2 --b 0.8,0.2;0.2,0.8 --states-out {dir}/q.lat --out {dir}/nodir/o.lat",
+                           "nodir/o.lat"),
+    "synth-states": ("synth --shape 8x8 --n 2 --b 0.8,0.2;0.2,0.8 --states-out {dir}/nodir/q.lat --out {dir}/o.lat",
+                     "nodir/q.lat"),
+}
+
+
+@pytest.mark.parametrize("argv,named", MISSING_OUTPUT_DIRS.values(), ids=MISSING_OUTPUT_DIRS.keys())
+def test_output_in_missing_directory_writes_nothing(tmp_path, capsys, argv, named):
+    inp, out_dir = tmp_path / "in", tmp_path / "out"
+    inp.mkdir()
+    out_dir.mkdir()
+    io.write_model(inp / "m.lvlm", DiscreteModel(N=2, M=2, d=2, A=np.full((2, 2), 0.5),
+                                                 B=np.array([[0.8, 0.2], [0.2, 0.8]])))
+    io.write_lattice(inp / "o.lat", SymbolLattice.discrete(np.indices((6, 6)).sum(axis=0) % 2, M=2))
+    code, out, err = run(capsys, *argv.format(inp=inp, dir=out_dir).split())
+    assert code == 1 and out == ""
+    assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1
+    assert f"{named.format(inp=inp)}'" in err and "/." not in err  # the path asked for, not a temp file
+    assert list(out_dir.iterdir()) == [] and sorted(p.name for p in inp.iterdir()) == ["m.lvlm", "o.lat"]
+
+
 # Per subcommand: the argv (with {files} for the input directory) and each
 # numeric flag's valid value. Decode, evaluate and classify take no numeric flag.
 FUZZ_COMMANDS = {
@@ -493,7 +524,7 @@ def flag_combination(draw):
     if cmd == "decode":
         argv = ["--model", draw(model), "--in", draw(lattice), "--out", "{out}/a"]
         outputs.append(("{out}/a", "lattice"))
-        pgm = draw(st.sampled_from([None, "{out}/b", "{out}/a"]))
+        pgm = draw(st.sampled_from([None, "{out}/b", "{out}/a", "{out}/nodir/b"]))
         if pgm:
             argv += ["--pgm", pgm]
             outputs.append((pgm, "pgm"))

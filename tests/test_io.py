@@ -309,3 +309,36 @@ def test_read_bundle_parses_or_raises_input_error(tmp_path, data):
     except InputError:
         return
     assert all(c.log_prior < 0 for c in bundle.classes)
+
+
+def test_all_or_none_writes_every_file_or_none(tmp_path):
+    lat = SymbolLattice.discrete(np.array([[0, 1], [1, 0]]), M=2)
+    good, missing = tmp_path / "a.lat", tmp_path / "nodir" / "b.pgm"
+    with pytest.raises(FileNotFoundError) as e:
+        with io.all_or_none([good, missing]) as (a, b):
+            io.write_lattice(a, lat)
+            io.write_pgm(b, lat)
+    assert e.value.filename == str(missing)  # the path asked for, not its temp file
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "d").mkdir()
+    with pytest.raises(IsADirectoryError) as e:
+        with io.all_or_none([good, tmp_path / "d"]) as (a, b):
+            io.write_lattice(a, lat)
+    assert e.value.filename == str(tmp_path / "d")
+    with pytest.raises(InputError):  # a failing write inside the block removes every temp file
+        with io.all_or_none([good, tmp_path / "b.pgm"]) as (a, b):
+            io.write_lattice(a, lat)
+            io.write_pgm(b, SymbolLattice.discrete(np.zeros((2, 2, 2), dtype=int), M=2))
+    assert [p.name for p in tmp_path.iterdir()] == ["d"] and list((tmp_path / "d").iterdir()) == []
+    with io.all_or_none([good, tmp_path / "b.pgm"]) as (a, b):
+        io.write_lattice(a, lat)
+        io.write_pgm(b, lat)
+    assert np.array_equal(io.read_lattice(good).values, lat.values)
+    assert np.array_equal(io.read_pgm(tmp_path / "b.pgm").values, lat.values)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.lat", "b.pgm", "d"]
+
+
+def test_write_error_names_the_path_asked_for(tmp_path):
+    with pytest.raises(FileNotFoundError) as e:
+        io.write_lattice(tmp_path / "nodir" / "q.lat", SymbolLattice.discrete(np.zeros((2, 2), dtype=int), M=2))
+    assert e.value.filename == str(tmp_path / "nodir" / "q.lat")

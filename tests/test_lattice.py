@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -131,8 +132,9 @@ def test_real_equal_windows_give_equal_signatures(lengths, w, m, seed):
 
 
 def test_sweep_memory_wide_alphabet():
-    # one channel at a time: the peak stays near the output itself even at
-    # PGM alphabet size, and a corner crop equals the per-node recount
+    # one-hot counts built a block of symbols at a time, each block taking the
+    # bytes of one output channel: the peak stays near the output itself even
+    # at PGM alphabet size, and a corner crop equals the per-node recount
     vals = np.random.default_rng(11).integers(0, 256, size=(128, 128))
     lat = SymbolLattice.discrete(vals, M=256)
     tracemalloc.start()
@@ -144,6 +146,39 @@ def test_sweep_memory_wide_alphabet():
     assert peak <= 1.25 * got.nbytes
     want = naive_signatures(vals[:12, :12], 256, 2, "discrete")
     assert np.array_equal(got[:10, :10], want[:10, :10])
+
+
+@pytest.mark.parametrize("lengths,M,w", [
+    ((40,), 3, 2), ((7,), 5, 9),                # 1-D, w past the axis
+    ((17, 11), 4, 3), ((5, 30), 6, 7),          # w past one axis only
+    ((20, 20), 3, 8),                           # 17² = 289 cells: uint16 counts
+    ((7, 6, 5), 3, 1), ((4, 9, 3), 2, 4),       # 3-D, w past two axes
+    ((9, 9), 256, 2),                           # several blocks of symbols
+])
+def test_discrete_sweep_equals_recount(lengths, M, w):
+    vals = np.random.default_rng(sum(lengths) * M + w).integers(0, M, size=lengths)
+    got = sweep_signatures(SymbolLattice.discrete(vals, M=M), w).signatures
+    assert np.array_equal(got, naive_signatures(vals, M, w, "discrete"))
+
+
+# (lengths, M, w) -> blake2b digest of the sweep's bytes, as the one-channel-
+# at-a-time sweep computed them: the all-channel sweep adds in the same order
+REAL_SWEEP_FINGERPRINTS = {
+    ((257,), 3, 9): "b1e129e3d6defefa",
+    ((31, 17), 2, 2): "89433668d661f05a",
+    ((12, 9, 5), 3, 1): "5c4454ab07ce0fd8",
+    ((6, 40), 1, 8): "013a99766995ca97",
+    ((4, 3, 2), 2, 5): "ca64322c16f55d11",
+}
+
+
+@pytest.mark.parametrize("case", REAL_SWEEP_FINGERPRINTS)
+def test_real_sweep_bytes_unchanged(case):
+    lengths, M, w = case
+    rng = np.random.default_rng(sum(lengths) + M + w)
+    vals = rng.normal(size=lengths + (M,)) * 10.0 ** rng.integers(-8, 9, size=M)
+    sig = sweep_signatures(SymbolLattice.real(vals), w).signatures
+    assert hashlib.blake2b(sig.tobytes(), digest_size=8).hexdigest() == REAL_SWEEP_FINGERPRINTS[case]
 
 
 def test_overflowing_window_mean_is_numeric_error():

@@ -1,13 +1,15 @@
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lvlm import SymbolLattice, sweep_signatures
+from lvlm import DiscreteModel, InputError, LatticeShape, SymbolLattice, evaluate_discrete, sweep_signatures
 from lvlm import model
 from lvlm.model import _assign_field, _nearest_rows, _sum_rows_pairwise
 
-from oracles import nearest_row
+from oracles import _straightline_pairs, nearest_row
 
 STATE_COUNTS = [1, 2, 3, 64, 256]
 WIDTHS = [*range(1, 21), 127, 128, 129, 200, 256]
@@ -96,3 +98,41 @@ def test_nearest_rows_where_every_d2_overflows():
     x = np.array([[0.9e200], [2.5e200], [1.0]])
     assert _nearest_rows(rows, x).tolist() == [1, 2, 0]
     assert _nearest_rows(rows, x).tolist() == per_row(np.ldexp(rows, -700), np.ldexp(x, -700)).tolist()
+
+
+@pytest.mark.parametrize("lengths", [(2,), (9,), (5, 7), (4, 3, 6), (1, 5, 1)])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_pair_score_matches_straightline(lengths, zeros):
+    # zeros in A make some pairs score -inf, and a row of zeros a k_t of 0
+    rng = np.random.default_rng(len(lengths) * 10 + zeros)
+    N = 4
+    A = rng.random((N, N))
+    if zeros:
+        A[0, 1] = A[2] = 0.0
+    q = rng.integers(0, N, size=lengths)
+    if zeros:
+        q[...] = np.where(q == 2, 3, q)  # keep the zero row unoccupied, so some scores stay finite
+    for states in (q, np.where(q == 1, 0, q)):
+        oracle = SimpleNamespace(A=A, alpha=0.7)
+        want = _straightline_pairs(oracle, LatticeShape(lengths), {t: states[t] for t in np.ndindex(*lengths)},
+                                   lambda t: 0.0)
+        got = model._pair_score(A, states, 0.7)
+        assert got == pytest.approx(want, rel=1e-12) if math.isfinite(want) else got == want
+
+
+def test_pair_score_zero_row_occupied_is_minus_inf():
+    A = np.array([[0.5, 0.5], [0.0, 0.0]])
+    assert model._pair_score(A, np.array([[0, 1], [0, 0]]), 1.0) == -np.inf
+
+
+def test_evaluate_rejects_mismatched_signatures():
+    rng = np.random.default_rng(14)
+    m = DiscreteModel(N=2, M=3, d=2, A=np.full((2, 2), 0.5), B=np.array([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]))
+    obs = SymbolLattice.discrete(rng.integers(0, 3, size=(6, 5)), M=3)
+    X = sweep_signatures(obs, m.w_e)
+    assert evaluate_discrete(m, obs, signatures=X) == evaluate_discrete(m, obs)
+    for wrong in (sweep_signatures(SymbolLattice.discrete(obs.values.T, M=3), 1),           # shape
+                  sweep_signatures(SymbolLattice.discrete(obs.values, M=4), 1),             # M
+                  sweep_signatures(SymbolLattice.discrete(obs.values[:, :4], M=3), 1)):     # nodes
+        with pytest.raises(InputError):
+            evaluate_discrete(m, obs, signatures=wrong)

@@ -207,3 +207,13 @@ def test_evaluate_overflowing_residuals_score_minus_inf():
     vals = 1e160 * np.random.default_rng(0).normal(size=(4, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         assert evaluate_real(m, SymbolLattice.real(vals)) == -np.inf
+
+
+def test_evaluate_overflowing_scatter_rescaled_to_finite_score():
+    # the scatter of residuals 1e160 overflows, but under Sigma = 1e300 I each
+    # node's quadratic term is 2e20: the score is finite, about -4e20
+    m = toy_model(N=1, mu=np.zeros((1, 2)), sigma=1e300 * np.eye(2)[None], A=np.ones((1, 1)), w_e=0)
+    vals = np.full((4, 2), 1e160)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = evaluate_real(m, SymbolLattice.real(vals))
+    assert got == pytest.approx(-4e20, rel=1e-12)
