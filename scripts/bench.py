@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time lvlm's window sweep, nearest-row search, decoding, evaluation,
-classification, lattice I/O and inertia index at fixed shapes.
+classification, lattice I/O, inertia index and command-line front end at
+fixed shapes.
 
 Cases, each on seeded inputs:
 
@@ -27,6 +28,14 @@ Cases, each on seeded inputs:
   radius 1, with N = 4 and 64 states whose means are distinct window
   signatures of the grid and whose covariances are random (I + G Gᵀ, G with
   entries of standard deviation 1/4): `decode_real` and `evaluate_real`.
+- `cli-volume`: lattice files of the benchmark workload's shapes: a 40³ grid
+  of 2-channel standard normal vectors (f64x2), a 40³ lattice of 3 states
+  (u8) and a 24³ f64x2 grid: `io.read_lattice` of each, and
+  `io.write_lattice` of the two 40³ lattices.
+- `cli`: `lvlm index --model --states --w 1` through `cli.main` on a 3-state
+  real model and the 40³ state lattice (its fingerprint is the standard
+  output), and `cli.build_parser()` alone (its fingerprint is the help
+  text); both are timed after a first call in the process.
 
 Each source tree is timed in its own process, so that two trees can be
 compared on the same machine: `--before SRC` times that tree's `src`
@@ -39,6 +48,7 @@ which must agree across trees for results that should not change.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -48,6 +58,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +68,7 @@ STATE_COUNTS = (4, 64, 256)
 WIDTHS = (2, 4, 16)
 WIDE_M, WIDE_STATE_COUNTS = 16, (4, 64)
 CLASSIFY_SIDE, CLASSES = 64, 4
+VOLUME_SIDE, TEST_SIDE = 40, 24
 
 
 def fingerprint(value):
@@ -64,6 +76,8 @@ def fingerprint(value):
         data = value.read_bytes()
     elif isinstance(value, np.ndarray):
         data = np.ascontiguousarray(value).tobytes()
+    elif isinstance(value, argparse.ArgumentParser):
+        data = value.format_help().encode()
     else:
         data = repr(value).encode()
     return hashlib.blake2b(data, digest_size=8).hexdigest()
@@ -81,7 +95,7 @@ def blocky_image(rng, side, n_states, M, block=16, p=0.7):
 def cases(tmp):
     """(name, shape, call) for every case; inputs are built before timing,
     files are written under the directory `tmp`."""
-    from lvlm import (ClassEntry, ClassifierBundle, DiscreteModel, RealModel, SymbolLattice, classify_image,
+    from lvlm import (ClassEntry, ClassifierBundle, DiscreteModel, RealModel, SymbolLattice, classify_image, cli,
                       decode_discrete, decode_real, evaluate_discrete, evaluate_real, inertia_index, io,
                       sweep_signatures)
     from lvlm.model import _nearest_rows
@@ -152,6 +166,34 @@ def cases(tmp):
     ]:
         out.append((name, {"U": lat.shape.node_count, "M": lat.M, "w": r, "kind": lat.kind},
                     lambda lat=lat, r=r: sweep_signatures(lat, r).signatures))
+
+    rng = np.random.default_rng(2)  # its own stream, as above
+    volume = (VOLUME_SIDE,) * 3
+    lattices = {
+        "40x3-f64x2": SymbolLattice.real(rng.normal(size=volume + (2,))),
+        "40x3-u8": SymbolLattice.discrete(rng.integers(0, N, size=volume), M=N),
+        "24x3-f64x2": SymbolLattice.real(rng.normal(size=(TEST_SIDE,) * 3 + (2,))),
+    }
+    for name, lat in lattices.items():
+        path = tmp / f"{name}.lat"
+        io.write_lattice(path, lat)
+        shape = {"U": lat.shape.node_count, "M": lat.M, "kind": lat.kind, "bytes": path.stat().st_size}
+        out.append((f"cli-volume/read_lattice/{name}", shape, lambda path=path: io.read_lattice(path).values))
+        if lat.shape.lengths == volume:
+            out.append((f"cli-volume/write_lattice/{name}", shape,
+                        lambda lat=lat, path=tmp / f"written-{name}.lat": io.write_lattice(path, lat) or path))
+
+    real = RealModel(N=N, M=2, d=3, A=A, mu=rng.normal(size=(N, 2)), sigma=np.tile(np.eye(2), (N, 1, 1)))
+    io.write_model(tmp / "model.txt", real)
+    argv = ["index", "--model", str(tmp / "model.txt"), "--states", str(tmp / "40x3-u8.lat"), "--w", "1"]
+
+    def index():
+        with contextlib.redirect_stdout(StringIO()) as stdout:
+            code = cli.main(argv)
+        return code, stdout.getvalue()
+
+    out.append(("cli/index", {"U": VOLUME_SIDE ** 3, "N": N, "w": 1}, index))
+    out.append(("cli/build_parser", {}, cli.build_parser))
     return out
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error or out of memory, 2 numeric error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -229,7 +230,10 @@ def _cmd_quantize(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The `lvlm` parser, built once per process: parsing does not change it,
+    and each `_cmd_*` looks its layer functions up when it runs."""
     p = _Parser(prog="lvlm", description="Latent-variable lattice models")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -6,10 +6,11 @@ whitespace-separated row-major values. A decoded state lattice is a
 discrete `SymbolLattice` (`StateLattice`) and is written like any other. 2D
 u8 lattices are also read from PGM (P2 or P5) and written as P5. Model files
 are key=value text with matrices row-major; floats carry 17 significant
-digits so round trips are bit-faithful. Lattice bodies are formatted in one
-`str.format` call over all values. All writes go through a temp file plus
-rename; a command with several outputs writes them all or none
-(`all_or_none`).
+digits so round trips are bit-faithful. Lattice bodies are formatted with
+one `%` operation over all values and parsed, like P2 rasters, in one
+`np.fromstring` pass; values are separated by ASCII whitespace. All writes
+go through a temp file plus rename; a command with several outputs writes
+them all or none (`all_or_none`).
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ def _fmt_vec(a) -> str:
 
 def _format_rows(values: np.ndarray, per_row: int, spec: str) -> str:
     """All of `values` in row-major order, `per_row` to a line, each formatted
-    by `spec` ("{}" or "{:.17g}"), in one str.format call."""
-    flat = values.ravel().tolist()
+    by `spec` ("%d" or "%.17g"), in one % operation."""
+    flat = tuple(values.ravel().tolist())
     row = " ".join([spec] * per_row) + "\n"
-    return (row * (len(flat) // per_row)).format(*flat)
+    return (row * (len(flat) // per_row)) % flat
 
 
 def write_atomic(path, data: bytes):
@@ -107,35 +108,49 @@ def write_lattice(path, lat: SymbolLattice):
         if lat.values.size and lat.values.max() > 255:
             raise InputError("u8 lattice values must fit in [0, 255]")
         header = f"{LATTICE_MAGIC} {lat.shape.d} {' '.join(map(str, lengths))} u8\n"
-        body = _format_rows(lat.values, lengths[-1], "{}")
+        body = _format_rows(lat.values, lengths[-1], "%d")
     else:
         header = f"{LATTICE_MAGIC} {lat.shape.d} {' '.join(map(str, lengths))} f64x{lat.M}\n"
-        body = _format_rows(lat.values, lat.M, "{:.17g}")
+        body = _format_rows(lat.values, lat.M, "%.17g")
     write_atomic(path, (header + body).encode())
 
 
+# a sign with no digit after it, which np.fromstring reads as 0 or joins to
+# the next number in integer mode
+_LONE_SIGN = re.compile(rb"[+-](?![0-9])")
+
+
+def _parse_values(body: bytes, dtype) -> np.ndarray:
+    """The whitespace-separated numbers of `body` in one np.fromstring pass;
+    ValueError where a value is malformed."""
+    if not body or body.isspace():  # which np.fromstring reads as one -1 or 0
+        return np.empty(0, dtype=dtype)
+    if dtype is np.int64 and (b"-" in body or b"+" in body) and _LONE_SIGN.search(body):
+        raise ValueError("sign without digits")
+    return np.fromstring(body, dtype=dtype, sep=" ")
+
+
 def read_lattice(path, M: int | None = None) -> SymbolLattice:
-    text = _read_text(path).split()
-    if not text or text[0] != LATTICE_MAGIC:
+    head = Path(path).read_bytes().split(None, 2)  # magic, d, the rest
+    if not head or head[0] != LATTICE_MAGIC.encode():
         raise InputError(f"{path}: not a lattice file")
     try:
-        d = int(text[1])
-        # d < 1 leaves no lengths, which LatticeShape rejects
-        shape = LatticeShape(tuple(int(x) for x in text[2:2 + max(d, 0)]))
-        dtype = text[2 + d]
+        d = max(int(head[1]), 0)  # d < 1 leaves no lengths, which LatticeShape rejects
+        fields = head[2].split(None, d + 1)  # the lengths, the dtype, the body
+        shape = LatticeShape(tuple(int(x) for x in fields[:d]))
+        dtype = fields[d].decode()
         m = int(dtype[4:]) if dtype.startswith("f64x") else 0
-    except (IndexError, ValueError) as e:
+    except (IndexError, ValueError, OverflowError) as e:
         raise InputError(f"{path}: malformed lattice header ({e})") from e
     if dtype != "u8" and m < 1:
         raise InputError(f"{path}: unknown dtype {dtype!r}")
-    vals = text[3 + d:]
-    count = shape.node_count * max(m, 1)
-    if len(vals) != count:
-        raise InputError(f"{path}: expected {count} values, got {len(vals)}")
     try:
-        arr = np.array(vals, dtype=np.float64 if m else np.int64)
-    except (ValueError, OverflowError) as e:
+        arr = _parse_values(fields[d + 1] if len(fields) > d + 1 else b"", np.float64 if m else np.int64)
+    except ValueError as e:
         raise InputError(f"{path}: malformed {dtype} value ({e})") from e
+    count = shape.node_count * max(m, 1)
+    if arr.size != count:
+        raise InputError(f"{path}: expected {count} values, got {arr.size}")
     if m:
         return SymbolLattice.real(arr.reshape(shape.lengths + (m,)))
     if arr.min() < 0 or arr.max() > 255:
@@ -162,7 +177,7 @@ def read_pgm(path, M: int | None = None) -> SymbolLattice:
         if header[1] == b"P5":
             raster = np.frombuffer(data[pos:pos + width * height], dtype=np.uint8)
         else:
-            raster = np.array(data[pos:].split(), dtype=np.int64)
+            raster = _parse_values(data[pos:], np.int64)
     except (ValueError, OverflowError) as e:
         raise InputError(f"{path}: malformed PGM file ({e})") from e
     if maxval > 255:

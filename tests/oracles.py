@@ -2,7 +2,7 @@
 
 Everything here recomputes from first principles (per-node window recounts,
 full pairwise merge scans, straight-line log-score accumulation, joint
-distributions by enumeration, files written value by value) and stays
+distributions by enumeration, files written and parsed value by value) and stays
 independent of the vectorized / accelerated code paths it checks.
 """
 
@@ -134,6 +134,14 @@ def lattice_file_bytes(values, real):
     for row in values.reshape(-1, values.shape[-1]):
         lines.append(" ".join(f"{float(x):.17g}" if real else str(int(x)) for x in row))
     return ("\n".join(lines) + "\n").encode()
+
+
+def token_values(body, real):
+    """The values of a lattice body or P2 raster parsed token by token: the
+    text split at whitespace, each token converted by numpy (float64 if
+    `real`, else int64). Raises ValueError or OverflowError on a token that
+    does not convert."""
+    return np.array(body.split(), dtype=np.float64 if real else np.int64)
 
 
 def gibbs_joint(lengths, potentials):

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -480,10 +484,23 @@ def test_out_of_memory_exits_1(monkeypatch, capsys):
 
 
 # Flag combinations of the commands that read lattices: which flags are given,
-# N and M that agree or conflict with the inputs, equal output paths, and 2-D
-# or 3-D inputs. {in} is the input directory and {out} a fresh, empty one.
+# N and M that agree or conflict with the inputs, equal output paths, 2-D or
+# 3-D inputs, and bundles whose models agree, mix w_e, M, d or variant, or
+# whose last line is cut short. {in} is the input directory and {out} a
+# fresh, empty one.
 LATTICES = ["d2.lat", "d3.lat", "r2.lat", "r3.lat", "d2.pgm"]
-MODELS = ["dn2d2.lvlm", "dn3d2.lvlm", "dn2d3.lvlm", "rn2d2.lvlm", "rn2d3.lvlm"]
+MODELS = ["dn2d2.lvlm", "dn3d2.lvlm", "dn2d3.lvlm", "rn2d2.lvlm", "rn2d3.lvlm", "dn2d2we2.lvlm", "dm4n2d2.lvlm"]
+BUNDLES = {  # name: the models of its classes
+    "d2": ["dn2d2.lvlm", "dn3d2.lvlm"],
+    "d3": ["dn2d3.lvlm"],
+    "r2": ["rn2d2.lvlm", "rn2d2.lvlm"],
+    "r3": ["rn2d3.lvlm", "rn2d3.lvlm"],
+    "mixed-we": ["dn2d2.lvlm", "dn2d2we2.lvlm"],
+    "mixed-m": ["dn2d2.lvlm", "dm4n2d2.lvlm"],
+    "mixed-d": ["dn2d2.lvlm", "dn2d3.lvlm"],
+    "mixed-variant": ["dn2d2.lvlm", "rn2d2.lvlm"],
+}
+REJECTED_BUNDLES = {"mixed-m", "mixed-d", "mixed-variant", "truncated"}
 READERS = {"lattice": io.read_lattice, "pgm": io.read_pgm, "model": io.read_model, "codebook": io.read_codebook}
 
 
@@ -501,13 +518,20 @@ def combo_files(tmp_path_factory):
         io.write_model(files / f"rn2d{d}.lvlm", learn_real(vectors, 1, 2))
         if d == 2:
             io.write_pgm(files / "d2.pgm", symbols)
+            io.write_model(files / "dn2d2we2.lvlm", learn_discrete(symbols, 1, 2, w_e=2))
+            io.write_model(files / "dm4n2d2.lvlm",
+                           learn_discrete(SymbolLattice.discrete(rng.integers(0, 4, size=(6, 6)), M=4), 1, 2))
+    for name, models in BUNDLES.items():
+        io.write_bundle(files / f"{name}.bundle", [(f"c{i}", 1 / len(models), m) for i, m in enumerate(models)])
+    manifest = (files / "d2.bundle").read_bytes()
+    (files / "truncated.bundle").write_bytes(manifest[:manifest.rindex(b" ")])  # no model path on its last line
     return files
 
 
 @st.composite
 def flag_combination(draw):
-    """(argv, [(output, kind)]) of one decode, learn, index or quantize run."""
-    cmd = draw(st.sampled_from(["decode", "learn", "index", "quantize"]))
+    """(argv, [(output, kind)]) of one decode, learn, index, quantize, evaluate or classify run."""
+    cmd = draw(st.sampled_from(["decode", "learn", "index", "quantize", "evaluate", "classify"]))
     variant, d = draw(st.sampled_from("dr")), draw(st.sampled_from("23"))
     # half the time an input of the drawn variant and dimension, else any
     lattice = st.sampled_from([f"{variant}{d}.lat"] + ["d2.pgm"] * (variant + d == "d2")) | st.sampled_from(LATTICES)
@@ -541,10 +565,16 @@ def flag_combination(draw):
         argv = optional("--model", model) + optional("--states", lattice)
         argv += optional("--w", st.sampled_from(["0", "1", "4"]))
         argv += ["--interior-only"] if draw(st.booleans()) else []
-    else:
+    elif cmd == "quantize":
         argv = ["--in", draw(lattice), "--n", draw(count)] + optional("--m", st.sampled_from(["2", "3", "4"]))
         argv += ["--out", "{out}/a"]
         outputs.append(("{out}/a", "codebook"))
+    elif cmd == "evaluate":
+        argv = ["--model", draw(model), "--in", draw(lattice)]
+    else:
+        bundle = st.sampled_from([variant + d]) | st.sampled_from(sorted(BUNDLES) + ["truncated"])
+        argv = ["--bundle", "{in}/" + draw(bundle) + ".bundle", "--in", draw(lattice)]
+        argv += ["--softmax"] if draw(st.booleans()) else []
     return [cmd] + argv, outputs
 
 
@@ -559,15 +589,40 @@ def _tree(path):
                 "--pgm", "{out}/a"], [("{out}/a", "lattice"), ("{out}/a", "pgm")]))
 @example(case=(["decode", "--model", "{in}/dn2d3.lvlm", "--in", "{in}/d3.lat", "--out", "{out}/a",
                 "--pgm", "{out}/b"], [("{out}/a", "lattice"), ("{out}/b", "pgm")]))
+@example(case=(["classify", "--bundle", "{in}/mixed-we.bundle", "--in", "{in}/d2.lat"], []))
+@example(case=(["classify", "--bundle", "{in}/truncated.bundle", "--in", "{in}/d2.lat"], []))
 def test_flag_combinations_write_all_outputs_or_none(combo_files, tmp_path_factory, capsys, case):
     argv, outputs = case
     out_dir = tmp_path_factory.mktemp("out")
     inputs = _tree(combo_files)
-    code, _, err = run(capsys, *(a.format(**{"in": combo_files, "out": out_dir}) for a in argv))
+    code, out, err = run(capsys, *(a.format(**{"in": combo_files, "out": out_dir}) for a in argv))
     assert _tree(combo_files) == inputs
     if code == 0:
         for path, kind in outputs:
             READERS[kind](path.format(out=out_dir))
+        if argv[0] == "evaluate":
+            assert out.startswith("logp=") and len(out.splitlines()) == 1
+        if argv[0] == "classify":
+            assert out.startswith("label=") and Path(argv[2]).stem not in REJECTED_BUNDLES
     else:
         assert code in (1, 2) and err.startswith("lvlm: ") and len(err.splitlines()) == 1
         assert list(out_dir.iterdir()) == []
+
+
+def test_parser_built_once_and_reused(combo_files, tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    runs = [  # one parser serves them all, a rejected flag between the others
+        ["index", "--model", f"{combo_files}/dn2d2.lvlm", "--states", f"{combo_files}/d2.lat", "--w", "1"],
+        ["decode", "--bogus"],
+        ["decode", "--model", f"{combo_files}/dn2d2.lvlm", "--in", f"{combo_files}/d2.lat",
+         "--out", str(tmp_path / "q.lat")],
+    ]
+    results = [run(capsys, *argv) for argv in runs]
+    states = (tmp_path / "q.lat").read_bytes()
+    code, out, err = results[1]
+    assert code == 1 and out == "" and err.startswith("lvlm: ") and len(err.splitlines()) == 1
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv, result in zip(runs, results):  # each again in a process of its own
+        fresh = subprocess.run([sys.executable, "-m", "lvlm.cli", *argv], env=env, capture_output=True, text=True)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == result
+    assert (tmp_path / "q.lat").read_bytes() == states

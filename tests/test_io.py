@@ -7,7 +7,7 @@ from lvlm import DiscreteModel, InputError, RealModel, StateLattice, SymbolLatti
 from lvlm import io
 from lvlm.vq import Codebook
 
-from oracles import lattice_file_bytes
+from oracles import lattice_file_bytes, token_values
 
 
 def test_lattice_u8_round_trip(tmp_path):
@@ -219,6 +219,83 @@ def test_read_lattice_auto_rejects_malformed_file(tmp_path, data):
     p.write_bytes(data)
     with pytest.raises(InputError):
         io.read_lattice_auto(p)
+
+
+# Bodies the token parse reads differently from np.fromstring, or which the
+# reader no longer accepts: each must be an InputError.
+PARSE_QUIRKS = {
+    # np.fromstring reads a body of whitespace alone as one -1 (float) or 0 (int)
+    "u8 whitespace-only body": b"LVLM-LATTICE 1 1 u8\n \n\t",
+    "f64 whitespace-only body": b"LVLM-LATTICE 1 1 f64x1\n \n\t",
+    "P2 whitespace-only raster": b"P2\n1 1\n255\n \n\t",
+    # in integer mode it reads a sign with no digit after it as 0, or joins
+    # it to the next number
+    "u8 trailing lone sign": b"LVLM-LATTICE 1 3 u8\n0 1 -\n",
+    "u8 sign before whitespace": b"LVLM-LATTICE 1 1 u8\n+ 99\n",
+    "f64 trailing lone sign": b"LVLM-LATTICE 1 3 f64x1\n0 1 -\n",
+    "f64 sign before whitespace": b"LVLM-LATTICE 1 1 f64x1\n+ 99\n",
+    "P2 trailing lone sign": b"P2\n3 1\n255\n0 1 -\n",
+    "P2 sign before whitespace": b"P2\n1 1\n255\n+ 99\n",
+    # values and separators are ASCII: the token parse took 1_0 as 10, split
+    # at \x1c, and read non-ASCII digits
+    "u8 underscore": b"LVLM-LATTICE 1 1 u8\n1_0\n",
+    "f64 underscore": b"LVLM-LATTICE 1 1 f64x1\n1_0.5\n",
+    "P2 underscore": b"P2\n1 1\n255\n1_0\n",
+    "u8 non-ASCII separator": b"LVLM-LATTICE 1 2 u8\n1\x1c2\n",
+    "f64 non-ASCII separator": b"LVLM-LATTICE 1 2 f64x1\n1\x1c2\n",
+    "P2 non-ASCII separator": b"P2\n2 1\n255\n1\x1c2\n",
+    "u8 non-ASCII digit": "LVLM-LATTICE 1 1 u8\n\u07c3\n".encode(),
+}
+
+
+@pytest.mark.parametrize("data", PARSE_QUIRKS.values(), ids=PARSE_QUIRKS.keys())
+def test_reader_rejects_parse_quirks(tmp_path, data):
+    p = tmp_path / "q"
+    p.write_bytes(data)
+    with pytest.raises(InputError):
+        io.read_lattice_auto(p)
+
+
+@pytest.mark.parametrize("data, want", [
+    (b"LVLM-LATTICE\n2 2\n3\nu8 0 1 2\n2 1 0\n", [[0, 1, 2], [2, 1, 0]]),
+    (b"LVLM-LATTICE 2 2 3 u8\r\n0 1 2\r\n2 1 0\r\n", [[0, 1, 2], [2, 1, 0]]),
+    (b"LVLM-LATTICE 1\r\n2 f64x2\r\n0.5 -1e3\r\n2 0.25\r\n", [[0.5, -1e3], [2, 0.25]]),
+    (b"P2\r\n3 2\r\n255\r\n0 1 2\r\n2 1 0\r\n", [[0, 1, 2], [2, 1, 0]]),
+], ids=["header-across-lines", "u8-crlf", "f64-crlf-header-across-lines", "p2-crlf"])
+def test_reader_header_across_lines_and_crlf(tmp_path, data, want):
+    p = tmp_path / "f"
+    p.write_bytes(data)
+    assert np.array_equal(io.read_lattice_auto(p).values, want)
+
+
+# digits, signs, '.', 'e', nan/inf and ASCII whitespace
+BODY_PIECES = list("0123456789+-.e") + ["nan", "inf"] + [" "] * 8 + list("\n\t\r\x0b\x0c")
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.lists(st.sampled_from(BODY_PIECES), max_size=16).map("".join),
+       kind=st.sampled_from(["u8", "f64x1", "P2"]))
+def test_reader_matches_token_parse(tmp_path, body, kind):
+    # the header declares as many values as the body has tokens (at least 1),
+    # so the file is valid exactly when every token parses to a valid value
+    n = max(1, len(body.split()))
+    header = f"P2\n{n} 1\n255\n" if kind == "P2" else f"LVLM-LATTICE 1 {n} {kind}\n"
+    p = tmp_path / "f"
+    p.write_bytes((header + body).encode())
+    real = kind == "f64x1"
+    try:
+        want = token_values(body, real)
+    except (ValueError, OverflowError):
+        want = None
+    if want is not None and not (want.size == n and (np.isfinite(want).all() if real else
+                                                    ((want >= 0) & (want <= 255)).all())):
+        want = None
+    if want is None:
+        with pytest.raises(InputError):
+            io.read_lattice_auto(p)
+    else:
+        got = io.read_lattice_auto(p).values
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()  # bit-equal, -0.0 included
 
 
 VALID = [
