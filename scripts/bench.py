@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time lvlm's window sweep, nearest-row search, decoding, evaluation,
-classification, lattice I/O, inertia index and command-line front end at
-fixed shapes.
+classification, lattice and model I/O, inertia index and command-line front
+end at fixed shapes.
 
 Cases, each on seeded inputs:
 
@@ -36,6 +36,9 @@ Cases, each on seeded inputs:
   real model and the 40³ state lattice (its fingerprint is the standard
   output), and `cli.build_parser()` alone (its fingerprint is the help
   text); both are timed after a first call in the process.
+- `model_io`: `io.write_model` then `io.read_model` of the same file, for
+  a real model with N = 64 states of M = 16 channels (16,384 covariance
+  values, random I + G Gᵀ); its fingerprint is the written file's bytes.
 
 Each source tree is timed in its own process, so that two trees can be
 compared on the same machine: `--before SRC` times that tree's `src`
@@ -194,6 +197,21 @@ def cases(tmp):
 
     out.append(("cli/index", {"U": VOLUME_SIDE ** 3, "N": N, "w": 1}, index))
     out.append(("cli/build_parser", {}, cli.build_parser))
+
+    rng = np.random.default_rng(3)  # its own stream, as above
+    n, m = 64, 16
+    g = rng.normal(scale=0.25, size=(n, m, m))
+    sigma = np.eye(m) + g @ g.transpose(0, 2, 1)
+    many = RealModel(N=n, M=m, d=3, A=np.full((n, n), 1.0 / n), mu=rng.normal(size=(n, m)),
+                     sigma=(sigma + sigma.transpose(0, 2, 1)) / 2)
+
+    def model_io(path=tmp / "model-N64-M16.txt"):
+        io.write_model(path, many)
+        io.read_model(path)
+        return path
+
+    out.append(("model_io/N64-M16", {"N": n, "M": m, "values": many.A.size + many.mu.size + many.sigma.size},
+                model_io))
     return out
 
 

@@ -30,9 +30,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_matrix(text: str, name: str) -> np.ndarray:
-    """Rows separated by ';', entries by ','. E.g. '0.8,0.2;0.2,0.8'."""
+    """Rows separated by ';', entries by ',', each one number. E.g. '0.8,0.2;0.2,0.8'."""
     try:
-        rows = [[float(x) for x in row.split(",")] for row in text.split(";")]
+        rows = [[io._parse_number(x, np.float64) for x in row.split(",")] for row in text.split(";")]
     except ValueError as e:
         raise InputError(f"bad {name} matrix: {e}") from e
     if len({len(r) for r in rows}) != 1:
@@ -52,7 +52,7 @@ def _parse_shape(text: str) -> LatticeShape:
     """Axis lengths joined by 'x', with at most as many nodes as an int64
     array numpy can address."""
     try:
-        shape = LatticeShape(tuple(int(x) for x in text.lower().split("x")))
+        shape = LatticeShape(tuple(io._parse_number(x, np.int64) for x in text.lower().split("x")))
     except ValueError as e:
         raise InputError(f"bad shape {text!r}") from e
     if shape.node_count > np.iinfo(np.intp).max // np.dtype(np.int64).itemsize:

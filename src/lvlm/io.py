@@ -4,13 +4,12 @@ Lattice file: text header `LVLM-LATTICE <d> <len_1> ... <len_d> <dtype>`
 with dtype u8 (symbol/state indices) or f64x<M> (real vectors), followed by
 whitespace-separated row-major values. A decoded state lattice is a
 discrete `SymbolLattice` (`StateLattice`) and is written like any other. 2D
-u8 lattices are also read from PGM (P2 or P5) and written as P5. Model files
-are key=value text with matrices row-major; floats carry 17 significant
-digits so round trips are bit-faithful. Lattice bodies are formatted with
-one `%` operation over all values and parsed, like P2 rasters, in one
-`np.fromstring` pass; values are separated by ASCII whitespace. All writes
-go through a temp file plus rename; a command with several outputs writes
-them all or none (`all_or_none`).
+u8 lattices are also read from PGM (P2 or P5) and written as P5. Model and
+codebook files are key=value lines (split at ASCII line breaks, no key
+twice), matrices row-major. Numbers read from files and CLI matrix flags
+have one ASCII syntax (`_parse_values`); numbers written are formatted by
+`_format_rows` (`%d`, or bit-faithful `%.17g`). Writes go through a temp
+file and a rename, a command's outputs all or none (`all_or_none`).
 """
 
 from __future__ import annotations
@@ -35,20 +34,12 @@ from .vq import Codebook
 LATTICE_MAGIC = "LVLM-LATTICE"
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _fmt_vec(a) -> str:
-    return " ".join(_fmt(x) for x in np.asarray(a, dtype=np.float64).ravel())
-
-
-def _format_rows(values: np.ndarray, per_row: int, spec: str) -> str:
-    """All of `values` in row-major order, `per_row` to a line, each formatted
-    by `spec` ("%d" or "%.17g"), in one % operation."""
-    flat = tuple(values.ravel().tolist())
+def _format_rows(values, per_row: int, spec: str) -> str:
+    """All of `values` (an array or a number) row-major, `per_row` to a line
+    (one empty line for 0), each formatted by `spec` in one % operation."""
+    flat = tuple(np.ravel(values).tolist())
     row = " ".join([spec] * per_row) + "\n"
-    return (row * (len(flat) // per_row)) % flat
+    return (row * (len(flat) // per_row if per_row else 1)) % flat
 
 
 def write_atomic(path, data: bytes):
@@ -93,26 +84,25 @@ def all_or_none(paths):
         raise
 
 
-def _read_text(path) -> str:
+def _read_lines(path) -> list[bytes]:
+    """The lines of a UTF-8 text file, split at ASCII line breaks only."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text()
+        data.decode()
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not a UTF-8 text file") from e
+    return data.splitlines()
 
 
 # -- lattice files -----------------------------------------------------------
 
 def write_lattice(path, lat: SymbolLattice):
     lengths = lat.shape.lengths
-    if lat.kind == "discrete":
-        if lat.values.size and lat.values.max() > 255:
-            raise InputError("u8 lattice values must fit in [0, 255]")
-        header = f"{LATTICE_MAGIC} {lat.shape.d} {' '.join(map(str, lengths))} u8\n"
-        body = _format_rows(lat.values, lengths[-1], "%d")
-    else:
-        header = f"{LATTICE_MAGIC} {lat.shape.d} {' '.join(map(str, lengths))} f64x{lat.M}\n"
-        body = _format_rows(lat.values, lat.M, "%.17g")
-    write_atomic(path, (header + body).encode())
+    if lat.kind == "discrete" and lat.values.size and lat.values.max() > 255:
+        raise InputError("u8 lattice values must fit in [0, 255]")
+    dtype, per_row, spec = ("u8", lengths[-1], "%d") if lat.kind == "discrete" else (f"f64x{lat.M}", lat.M, "%.17g")
+    header = f"{LATTICE_MAGIC} {lat.shape.d} {' '.join(map(str, lengths))} {dtype}\n"
+    write_atomic(path, (header + _format_rows(lat.values, per_row, spec)).encode())
 
 
 # a sign with no digit after it, which np.fromstring reads as 0 or joins to
@@ -120,14 +110,29 @@ def write_lattice(path, lat: SymbolLattice):
 _LONE_SIGN = re.compile(rb"[+-](?![0-9])")
 
 
-def _parse_values(body: bytes, dtype) -> np.ndarray:
-    """The whitespace-separated numbers of `body` in one np.fromstring pass;
-    ValueError where a value is malformed."""
-    if not body or body.isspace():  # which np.fromstring reads as one -1 or 0
+def _parse_values(text: bytes | str, dtype) -> np.ndarray:
+    """The ASCII-whitespace-separated numbers (np.int64 or np.float64) of
+    `text` in one np.fromstring pass; ValueError where one is malformed or
+    not ASCII, or an integer reaches 2^63 - 1 (np.fromstring saturates there)."""
+    if isinstance(text, str):
+        text = text.encode("ascii")  # UnicodeEncodeError, a ValueError
+    if not text or text.isspace():  # which np.fromstring reads as one -1 or 0
         return np.empty(0, dtype=dtype)
-    if dtype is np.int64 and (b"-" in body or b"+" in body) and _LONE_SIGN.search(body):
+    if dtype is np.int64 and (b"-" in text or b"+" in text) and _LONE_SIGN.search(text):
         raise ValueError("sign without digits")
-    return np.fromstring(body, dtype=dtype, sep=" ")
+    values = np.fromstring(text, dtype=dtype, sep=" ")
+    if dtype is np.int64 and values.max(initial=0) == np.iinfo(np.int64).max:
+        raise ValueError("integer out of range")
+    return values
+
+
+def _parse_number(token: bytes | str, dtype):
+    """The one number of `token` (see `_parse_values`), as a Python int or float."""
+    try:
+        (number,) = _parse_values(token, dtype).tolist()
+    except ValueError as e:
+        raise ValueError(f"{token!r} is not one number ({e})") from None
+    return number
 
 
 def read_lattice(path, M: int | None = None) -> SymbolLattice:
@@ -135,11 +140,11 @@ def read_lattice(path, M: int | None = None) -> SymbolLattice:
     if not head or head[0] != LATTICE_MAGIC.encode():
         raise InputError(f"{path}: not a lattice file")
     try:
-        d = max(int(head[1]), 0)  # d < 1 leaves no lengths, which LatticeShape rejects
+        d = max(_parse_number(head[1], np.int64), 0)  # d < 1 leaves no lengths, which LatticeShape rejects
         fields = head[2].split(None, d + 1)  # the lengths, the dtype, the body
-        shape = LatticeShape(tuple(int(x) for x in fields[:d]))
+        shape = LatticeShape(tuple(_parse_number(x, np.int64) for x in fields[:d]))
         dtype = fields[d].decode()
-        m = int(dtype[4:]) if dtype.startswith("f64x") else 0
+        m = _parse_number(fields[d][4:], np.int64) if dtype.startswith("f64x") else 0
     except (IndexError, ValueError, OverflowError) as e:
         raise InputError(f"{path}: malformed lattice header ({e})") from e
     if dtype != "u8" and m < 1:
@@ -172,7 +177,7 @@ def read_pgm(path, M: int | None = None) -> SymbolLattice:
         raise InputError(f"{path}: not a P2/P5 PGM file")
     pos = header.end()
     try:
-        width, height, maxval = (int(t) for t in header.group(2, 3, 4))
+        width, height, maxval = _parse_values(b" ".join(header.group(2, 3, 4)), np.int64).tolist()
         shape = LatticeShape((height, width))
         if header[1] == b"P5":
             raster = np.frombuffer(data[pos:pos + width * height], dtype=np.uint8)
@@ -221,50 +226,48 @@ def read_lattice_auto(path, M: int | None = None) -> SymbolLattice:
 
 # -- model files ---------------------------------------------------------------
 
-def _kv_lines(pairs):
-    return "".join(f"{k}={v}\n" for k, v in pairs)
+def _kv_lines(pairs) -> str:
+    """A key=value line per (key, values, spec), values row-major."""
+    return "".join(f"{k}={_format_rows(v, np.size(v), spec)}" for k, v, spec in pairs)
 
 
 def write_model(path, model: DiscreteModel | RealModel):
-    pairs = [
-        ("variant", model.kind), ("N", model.N), ("M", model.M), ("d", model.d),
-        ("w", model.w), ("w_e", model.w_e), ("w_l", model.w_l),
-        ("alpha", _fmt(model.alpha)), ("A", _fmt_vec(model.A)),
-    ]
-    if isinstance(model, DiscreteModel):
-        pairs.append(("B", _fmt_vec(model.B)))
-    else:
-        pairs += [("mu", _fmt_vec(model.mu)), ("sigma", _fmt_vec(model.sigma))]
-    write_atomic(path, _kv_lines(pairs).encode())
+    ints = [(k, getattr(model, k), "%d") for k in ("N", "M", "d", "w", "w_e", "w_l")]
+    arrays = ("A", "B") if isinstance(model, DiscreteModel) else ("A", "mu", "sigma")
+    floats = [(k, getattr(model, k), "%.17g") for k in ("alpha",) + arrays]
+    write_atomic(path, (f"variant={model.kind}\n" + _kv_lines(ints + floats)).encode())
 
 
 def _parse_kv(path) -> dict:
+    """key -> value (bytes) of a key=value file; a repeated key is malformed."""
     fields = {}
-    for line in _read_text(path).splitlines():
+    for line in _read_lines(path):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith(b"#"):
             continue
-        if "=" not in line:
-            raise InputError(f"{path}: malformed line {line!r}")
-        k, v = line.split("=", 1)
-        fields[k.strip()] = v.strip()
+        if b"=" not in line:
+            raise InputError(f"{path}: malformed line {line.decode()!r}")
+        k, v = line.split(b"=", 1)
+        k = k.strip().decode()
+        if k in fields:
+            raise InputError(f"{path}: repeated key {k!r}")
+        fields[k] = v.strip()
     return fields
 
 
 def read_model(path) -> DiscreteModel | RealModel:
     f = _parse_kv(path)
     try:
-        variant = f["variant"]
-        N, M, d = int(f["N"]), int(f["M"]), int(f["d"])
-        w, w_e, w_l = int(f["w"]), int(f["w_e"]), int(f["w_l"])
-        alpha = float(f["alpha"])
-        A = np.fromstring(f["A"], sep=" ").reshape(N, N)
+        variant = f["variant"].decode()
+        N, M, d, w, w_e, w_l = (_parse_number(f[k], np.int64) for k in ("N", "M", "d", "w", "w_e", "w_l"))
+        alpha = _parse_number(f["alpha"], np.float64)
+        A = _parse_values(f["A"], np.float64).reshape(N, N)
         if variant == "discrete":
-            B = np.fromstring(f["B"], sep=" ").reshape(N, M)
+            B = _parse_values(f["B"], np.float64).reshape(N, M)
             return DiscreteModel(N=N, M=M, d=d, A=A, B=B, w=w, w_e=w_e, w_l=w_l, alpha=alpha)
         if variant == "real":
-            mu = np.fromstring(f["mu"], sep=" ").reshape(N, M)
-            sigma = np.fromstring(f["sigma"], sep=" ").reshape(N, M, M)
+            mu = _parse_values(f["mu"], np.float64).reshape(N, M)
+            sigma = _parse_values(f["sigma"], np.float64).reshape(N, M, M)
             return RealModel(N=N, M=M, d=d, A=A, mu=mu, sigma=sigma, w=w, w_e=w_e, w_l=w_l, alpha=alpha)
     except (KeyError, ValueError) as e:
         raise InputError(f"{path}: malformed model file ({e})") from e
@@ -272,20 +275,17 @@ def read_model(path) -> DiscreteModel | RealModel:
 
 
 def write_codebook(path, codebook: Codebook):
-    pairs = [
-        ("variant", "codebook"), ("N", codebook.N), ("M", codebook.M),
-        ("centroids", _fmt_vec(codebook.centroids)),
-        ("sizes", " ".join(str(int(s)) for s in codebook.sizes)),
-    ]
-    write_atomic(path, _kv_lines(pairs).encode())
+    pairs = [("N", codebook.N, "%d"), ("M", codebook.M, "%d"),
+             ("centroids", codebook.centroids, "%.17g"), ("sizes", codebook.sizes, "%d")]
+    write_atomic(path, ("variant=codebook\n" + _kv_lines(pairs)).encode())
 
 
 def read_codebook(path) -> Codebook:
     f = _parse_kv(path)
     try:
-        N, M = int(f["N"]), int(f["M"])
-        centroids = np.fromstring(f["centroids"], sep=" ").reshape(N, M)
-        sizes = np.fromstring(f["sizes"], sep=" ")
+        N, M = _parse_number(f["N"], np.int64), _parse_number(f["M"], np.int64)
+        centroids = _parse_values(f["centroids"], np.float64).reshape(N, M)
+        sizes = _parse_values(f["sizes"], np.float64)
         return Codebook(centroids, sizes)
     except (KeyError, ValueError) as e:
         raise InputError(f"{path}: malformed codebook file ({e})") from e
@@ -302,23 +302,23 @@ def write_bundle(path, entries):
     for label, prior, model_path in entries:
         if any(ch.isspace() for ch in label):
             raise InputError(f"class label {label!r} must not contain whitespace")
-        lines.append(f"{label} {_fmt(prior)} {model_path}")
+        lines.append(f"{label} {_format_rows(prior, 1, '%.17g').rstrip()} {model_path}")
     write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_bundle(path) -> ClassifierBundle:
     """Model paths are relative to the manifest's directory unless absolute."""
-    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != BUNDLE_MAGIC:
+    lines = [ln for ln in _read_lines(path) if ln.strip()]
+    if not lines or lines[0].strip() != BUNDLE_MAGIC.encode():
         raise InputError(f"{path}: not a bundle manifest")
     entries = []
     for ln in lines[1:]:
-        parts = ln.split(maxsplit=2)
-        if len(parts) != 3 or "\0" in ln:  # no path holds a NUL byte
-            raise InputError(f"{path}: malformed bundle line {ln!r}")
-        label, prior, model_path = parts
+        parts = ln.split(None, 2)
+        if len(parts) != 3 or b"\0" in ln:  # no path holds a NUL byte
+            raise InputError(f"{path}: malformed bundle line {ln.decode()!r}")
+        label, prior, model_path = (part.decode() for part in parts)
         try:
-            prior = float(prior)
+            prior = _parse_number(prior, np.float64)
         except ValueError as e:
             raise InputError(f"{path}: malformed prior {prior!r}") from e
         if not (math.isfinite(prior) and prior > 0):

@@ -136,6 +136,28 @@ def lattice_file_bytes(values, real):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _per_value_floats(a):
+    return " ".join(f"{float(x):.17g}" for x in np.asarray(a, dtype=np.float64).ravel())
+
+
+def model_file_bytes(model):
+    """A model file written one value at a time: key=value lines, integers by
+    str() and floats one by one with 17 significant digits."""
+    arrays = ("A", "B") if model.kind == "discrete" else ("A", "mu", "sigma")
+    pairs = ([("variant", model.kind)] + [(k, str(getattr(model, k))) for k in ("N", "M", "d", "w", "w_e", "w_l")]
+             + [(k, _per_value_floats(getattr(model, k))) for k in ("alpha",) + arrays])
+    return "".join(f"{k}={v}\n" for k, v in pairs).encode()
+
+
+def codebook_file_bytes(codebook):
+    """A codebook file written one value at a time, as `model_file_bytes`;
+    sizes as str(int(s))."""
+    pairs = [("variant", "codebook"), ("N", str(codebook.N)), ("M", str(codebook.M)),
+             ("centroids", _per_value_floats(codebook.centroids)),
+             ("sizes", " ".join(str(int(s)) for s in codebook.sizes))]
+    return "".join(f"{k}={v}\n" for k, v in pairs).encode()
+
+
 def token_values(body, real):
     """The values of a lattice body or P2 raster parsed token by token: the
     text split at whitespace, each token converted by numpy (float64 if

@@ -316,6 +316,39 @@ def test_synth_non_finite_parameters_exit_1(tmp_path, capsys, flags):
     assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1
 
 
+# matrix and shape flags take lvlm's one ASCII number syntax: each of these
+# was read by float() or int() (as 9, 0.5, 10, 1 and 16)
+SYNTH_NON_ASCII_NUMBERS = {
+    "potentials-underscore": "--shape 8x8 --potentials 0_9,0.1;0.1,0.9",
+    "b-arabic-indic-digit": "--shape 8x8 --n 2 --b \u0660.5,0.5;0.5,0.5 --out {dir}/y.lat",
+    "mu-underscore": "--shape 8x8 --n 2 --mu 0,0;1_0,1 --out {dir}/y.lat",
+    "sigma-arabic-indic-digit": "--shape 8x8 --n 1 --mu 0 --sigma \u0661 --out {dir}/y.lat",
+    "shape-underscore": "--shape 1_6 --n 2",
+}
+
+
+@pytest.mark.parametrize("flags", SYNTH_NON_ASCII_NUMBERS.values(), ids=SYNTH_NON_ASCII_NUMBERS.keys())
+def test_synth_matrix_flags_take_only_ascii_numbers(tmp_path, capsys, flags):
+    code, out, err = run(capsys, "synth", *flags.format(dir=tmp_path).split(), "--states-out", str(tmp_path / "q.lat"))
+    assert code == 1 and out == ""
+    assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+MATRIX_FORMS = ["1.", ".5", "1e-3", "-0", "+2", "-.5E+2", "007", " 3.25 ", "1e308", "4.9e-324", "-0.0e0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 3), cols=st.integers(1, 4))
+def test_matrix_flags_parse_like_float(data, rows, cols):
+    # ASCII decimal text: the repr of any finite double, and forms repr never writes
+    entry = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(MATRIX_FORMS))
+    entries = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    got = cli._parse_matrix(";".join(",".join(row) for row in entries), "x")
+    want = np.array([[float(x) for x in row] for row in entries])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()  # bit-equal, -0.0 included
+
+
 SYNTH_BAD_ARGS = {
     "n-zero": ("--n", "0"),
     "n-negative": ("--n", "-3"),

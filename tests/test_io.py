@@ -1,3 +1,4 @@
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from lvlm import DiscreteModel, InputError, RealModel, StateLattice, SymbolLatti
 from lvlm import io
 from lvlm.vq import Codebook
 
-from oracles import lattice_file_bytes, token_values
+from oracles import codebook_file_bytes, lattice_file_bytes, model_file_bytes, token_values
 
 
 def test_lattice_u8_round_trip(tmp_path):
@@ -166,6 +167,53 @@ def test_codebook_round_trip(tmp_path):
     assert np.array_equal(back.sizes, cb.sizes)
 
 
+def finite_floats(lo=None, hi=None):
+    """Finite doubles (subnormals, +-0 and extremes included), with the
+    special values of the lattice writer's test drawn more often."""
+    specials = [x for x in SPECIAL_FLOATS if (lo is None or x >= lo) and (hi is None or x <= hi)]
+    return st.one_of(st.sampled_from(specials), st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def models(draw):
+    N, M = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ints = {k: draw(st.integers(lo, 2 ** 62)) for k, lo in [("d", 1), ("w", 0), ("w_e", 0), ("w_l", 0)]}
+    A = draw(hnp.arrays(np.float64, (N, N), elements=finite_floats(lo=0.0)))
+    alpha = draw(finite_floats(lo=5e-324, hi=1.0))
+    if draw(st.booleans()):
+        B = draw(hnp.arrays(np.float64, (N, M), elements=st.floats(1e-3, 1e3)))
+        return DiscreteModel(N=N, M=M, A=A, B=B / B.sum(axis=1, keepdims=True), alpha=alpha, **ints)
+    s = draw(hnp.arrays(np.float64, (N, M, M), elements=finite_floats()))
+    sigma = np.triu(s) + np.triu(s, 1).transpose(0, 2, 1)  # symmetric without rounding
+    mu = draw(hnp.arrays(np.float64, (N, M), elements=finite_floats()))
+    return RealModel(N=N, M=M, A=A, mu=mu, sigma=sigma, alpha=alpha, **ints)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=models())
+def test_write_model_matches_per_value_format(tmp_path, model):
+    p = tmp_path / "m.lvlm"
+    io.write_model(p, model)
+    assert p.read_bytes() == model_file_bytes(model)
+    back = io.read_model(p)
+    arrays = ("A", "B") if model.kind == "discrete" else ("A", "mu", "sigma")
+    assert all(getattr(back, k).tobytes() == getattr(model, k).tobytes() for k in arrays)  # -0.0 included
+    assert [getattr(back, k) for k in ("N", "M", "d", "w", "w_e", "w_l", "alpha")] == \
+        [getattr(model, k) for k in ("N", "M", "d", "w", "w_e", "w_l", "alpha")]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), N=st.integers(0, 4), M=st.integers(1, 3))
+def test_write_codebook_matches_per_value_format(tmp_path, data, N, M):
+    centroids = data.draw(hnp.arrays(np.float64, (N, M), elements=finite_floats()))
+    sizes = data.draw(hnp.arrays(np.float64, N, elements=st.integers(1, 2 ** 53).map(float)))
+    p = tmp_path / "cb.lvlm"
+    io.write_codebook(p, Codebook(centroids, sizes))
+    assert p.read_bytes() == codebook_file_bytes(Codebook(centroids, sizes))
+    back = io.read_codebook(p)
+    assert back.centroids.tobytes() == centroids.tobytes() and back.sizes.tobytes() == sizes.tobytes()
+
+
 @pytest.mark.parametrize("fields", [b"centroids=nan 1\nsizes=1 3\n", b"centroids=0 1\nsizes=nan 3\n"])
 def test_read_codebook_rejects_non_finite(tmp_path, fields):
     p = tmp_path / "cb.lvlm"
@@ -254,6 +302,84 @@ def test_reader_rejects_parse_quirks(tmp_path, data):
     p.write_bytes(data)
     with pytest.raises(InputError):
         io.read_lattice_auto(p)
+
+
+VALID_MODEL_1 = "variant=real\nN=1\nM=2\nd=1\nw=1\nw_e=1\nw_l=1\nalpha=0.5\nA=1\nmu=0 1\nsigma=1 0 0 1\n"
+VALID_CODEBOOK = "variant=codebook\nN=2\nM=1\ncentroids=0.5 1\nsizes=1 3\n"
+VALID_BUNDLE = "LVLM-BUNDLE\na 0.25 a.lvlm\nb 0.75 b.lvlm\n"
+
+# Header, model, codebook and bundle fields the reader took before every
+# number went through `_parse_values`, and which are malformed now: numbers
+# and their separators and line breaks are ASCII, and integers stay below
+# 2^63 - 1 instead of growing without bound.
+NARROWED = {
+    "lattice d underscore": ("lattice", "LVLM-LATTICE 0_1 3 u8\n0 1 2\n"),
+    "lattice length underscore": ("lattice", "LVLM-LATTICE 1 1_0 u8\n" + "0 " * 10),
+    "lattice f64x1_0": ("lattice", "LVLM-LATTICE 1 1 f64x1_0\n" + "0.5 " * 10),
+    "model N underscore": ("model", VALID_MODEL_1.replace("N=1", "N=0_1")),
+    "model alpha underscore": ("model", VALID_MODEL_1.replace("alpha=0.5", "alpha=0.2_5")),
+    "model N non-ASCII digit": ("model", VALID_MODEL_1.replace("N=1", "N=\u0661")),
+    "model alpha non-ASCII digit": ("model", VALID_MODEL_1.replace("alpha=0.5", "alpha=\u0660.5")),
+    "model non-ASCII separator": ("model", VALID_MODEL_1.replace("N=1", "N=\u00a01")),
+    "model \\x1c separator": ("model", VALID_MODEL_1.replace("w=1", "w=1\x1c")),
+    "model U+2028 line break": ("model", VALID_MODEL_1.replace("\nN=1", "\u2028N=1")),
+    "model U+0085 line break": ("model", VALID_MODEL_1.replace("\nM=2", "\x85M=2")),
+    "model \\x0b line break": ("model", VALID_MODEL_1.replace("\nd=1", "\x0bd=1")),
+    "model saturating integer": ("model", VALID_MODEL_1.replace("w=1", "w=99999999999999999999")),
+    "codebook N underscore": ("codebook", VALID_CODEBOOK.replace("N=2", "N=0_2")),
+    "codebook M non-ASCII digit": ("codebook", VALID_CODEBOOK.replace("M=1", "M=\u0661")),
+    "codebook non-ASCII separator": ("codebook", VALID_CODEBOOK.replace("N=2", "N=2\u00a0")),
+    "codebook U+2028 line break": ("codebook", VALID_CODEBOOK.replace("\nM=1", "\u2028M=1")),
+    "bundle prior underscore": ("bundle", VALID_BUNDLE.replace("0.25", "0.2_5")),
+    "bundle prior non-ASCII digit": ("bundle", VALID_BUNDLE.replace("0.25", "\u0660.25")),
+    "bundle non-ASCII separator": ("bundle", VALID_BUNDLE.replace("a 0.25 a", "a\u00a00.25\u00a0a")),
+    "bundle U+2028 line break": ("bundle", VALID_BUNDLE.replace("BUNDLE\n", "BUNDLE\u2028")),
+}
+
+
+@pytest.mark.parametrize("reader, text", NARROWED.values(), ids=NARROWED.keys())
+def test_readers_reject_numbers_outside_the_ascii_syntax(tmp_path, reader, text):
+    for name in "ab":
+        (tmp_path / f"{name}.lvlm").write_bytes(VALID_MODELS[0])
+    p = tmp_path / "f"
+    p.write_bytes(text.encode())
+    read = {"lattice": io.read_lattice, "model": io.read_model, "codebook": io.read_codebook,
+            "bundle": io.read_bundle}[reader]
+    with pytest.raises(InputError):
+        read(p)
+
+
+@pytest.mark.parametrize("reader, text", [
+    ("model", VALID_MODEL_1.replace("M=2\n", "M=2\nw=1\n")),
+    ("model", VALID_MODEL_1 + "A=1\n"),
+    ("codebook", VALID_CODEBOOK.replace("M=1\n", "M=1\n N = 2\n")),
+], ids=["model-int", "model-array", "codebook"])
+def test_repeated_key_is_malformed(tmp_path, reader, text):
+    p = tmp_path / "f"
+    p.write_bytes(text.encode())
+    with pytest.raises(InputError, match="repeated key"):
+        {"model": io.read_model, "codebook": io.read_codebook}[reader](p)
+
+
+@pytest.mark.parametrize("reader, text", [
+    ("model", VALID_MODEL_1.replace("\n", "\r\n")),
+    ("model", VALID_MODEL_1.replace("\n", "\r")),
+    ("model", " \t" + VALID_MODEL_1.replace("=", " \t= ").replace("\n", " \x0c\n# note\n\n")),
+    ("codebook", VALID_CODEBOOK.replace("\n", "\r\n").replace("=", " = ")),
+    ("bundle", VALID_BUNDLE.replace("\n", "\r\n").replace(" ", " \t ")),
+], ids=["model-crlf", "model-cr", "model-ascii-space", "codebook-crlf", "bundle-crlf-tabs"])
+def test_key_value_files_split_at_ascii_line_breaks_and_whitespace(tmp_path, reader, text):
+    for name in "ab":
+        (tmp_path / f"{name}.lvlm").write_bytes(VALID_MODELS[0])
+    (tmp_path / "want").write_text({"model": VALID_MODEL_1, "codebook": VALID_CODEBOOK, "bundle": VALID_BUNDLE}[reader])
+    (tmp_path / "got").write_bytes(text.encode())
+    read = {"model": io.read_model, "codebook": io.read_codebook, "bundle": io.read_bundle}[reader]
+    want, got = read(tmp_path / "want"), read(tmp_path / "got")
+    if reader == "bundle":
+        assert [(c.label, c.log_prior) for c in got.classes] == [(c.label, c.log_prior) for c in want.classes]
+    else:
+        assert {k: np.asarray(v).tobytes() for k, v in vars(got).items()} == \
+            {k: np.asarray(v).tobytes() for k, v in vars(want).items()}
 
 
 @pytest.mark.parametrize("data, want", [
