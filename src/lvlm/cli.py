@@ -40,9 +40,20 @@ def _parse_matrix(text: str, name: str) -> np.ndarray:
     return np.array(rows)
 
 
+def _flag_type(dtype, name: str):
+    """An argparse type that reads one number in the syntax of lvlm's files
+    (`io._parse_number`), reported as an invalid `name` value otherwise."""
+    parse = functools.partial(io._parse_number, dtype=dtype)
+    parse.__name__ = name
+    return parse
+
+
+_int, _float = _flag_type(np.int64, "int"), _flag_type(np.float64, "float")
+
+
 def _u8_count(text: str) -> int:
     """A state or symbol count for flags: stored as u8 values, so 1 to 256."""
-    n = int(text)
+    n = _int(text)
     if not 1 <= n <= 256:
         raise argparse.ArgumentTypeError(f"{text} is not in [1, 256] (values are stored as u8)")
     return n
@@ -240,17 +251,17 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("synth", help="sample states (and observations) from a potential model")
     sp.add_argument("--shape", required=True, help="e.g. 64x64 or 128 or 8x8x8")
     sp.add_argument("--n", type=_u8_count, help="state count")
-    sp.add_argument("--self-weight", type=float, dest="self_weight",
+    sp.add_argument("--self-weight", type=_float, dest="self_weight",
                     help="diagonal of the --n state potential (default 0.95)")
     sp.add_argument("--potentials", help="full N x N matrix, rows ';'-separated: entry (i, j) is the "
                     "potential of a node in state i and the next node along an axis in state j")
     sp.add_argument("--b", help="discrete emission matrix N x M")
     sp.add_argument("--mu", help="real emission means N x M")
     sp.add_argument("--sigma", help="real emission covariances, N rows of M*M values")
-    sp.add_argument("--sigma-scale", type=float, dest="sigma_scale",
+    sp.add_argument("--sigma-scale", type=_float, dest="sigma_scale",
                     help="diagonal of every --mu state's covariance when --sigma is not given (default 1.0)")
-    sp.add_argument("--sweeps", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--sweeps", type=_int, default=50)
+    sp.add_argument("--seed", type=_int, default=0)
     sp.add_argument("--out", help="observation lattice path")
     sp.add_argument("--states-out", dest="states_out", help="ground-truth state lattice path")
     sp.add_argument("--format", choices=["lat", "pgm"], default="lat")
@@ -259,10 +270,10 @@ def build_parser() -> _Parser:
     lp = sub.add_parser("learn", help="learn a model from lattice files")
     lp.add_argument("--variant", choices=["discrete", "real"], required=True)
     lp.add_argument("--n", type=_u8_count, required=True, help="state count")
-    lp.add_argument("--w", type=int)
-    lp.add_argument("--we", type=int)
-    lp.add_argument("--wl", type=int)
-    lp.add_argument("--alpha", type=float, default=1.0)
+    lp.add_argument("--w", type=_int)
+    lp.add_argument("--we", type=_int)
+    lp.add_argument("--wl", type=_int)
+    lp.add_argument("--alpha", type=_float, default=1.0)
     lp.add_argument("--m", type=_u8_count, help="symbol alphabet size (default: inferred)")
     lp.add_argument("--in", dest="inputs", action="append", required=True)
     lp.add_argument("--out", required=True)
@@ -289,13 +300,13 @@ def build_parser() -> _Parser:
     ip = sub.add_parser("index", help="associativity / inertia report")
     ip.add_argument("--model")
     ip.add_argument("--states")
-    ip.add_argument("--w", type=int, default=1)
+    ip.add_argument("--w", type=_int, default=1)
     ip.add_argument("--interior-only", action="store_true", dest="interior_only")
     ip.set_defaults(func=_cmd_index)
 
     qp = sub.add_parser("quantize", help="PNN-quantize lattice vectors into a codebook")
     qp.add_argument("--in", dest="input", required=True)
-    qp.add_argument("--n", type=int, required=True)
+    qp.add_argument("--n", type=_int, required=True)
     qp.add_argument("--m", type=_u8_count, help="alphabet size for discrete input")
     qp.add_argument("--out", required=True)
     qp.set_defaults(func=_cmd_quantize)

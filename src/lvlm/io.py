@@ -6,15 +6,21 @@ whitespace-separated row-major values. A decoded state lattice is a
 discrete `SymbolLattice` (`StateLattice`) and is written like any other. 2D
 u8 lattices are also read from PGM (P2 or P5) and written as P5. Model and
 codebook files are key=value lines (split at ASCII line breaks, no key
-twice), matrices row-major. Numbers read from files and CLI matrix flags
-have one ASCII syntax (`_parse_values`); numbers written are formatted by
-`_format_rows` (`%d`, or bit-faithful `%.17g`). Writes go through a temp
-file and a rename, a command's outputs all or none (`all_or_none`).
+twice), matrices row-major. Numbers read from files and CLI flags have one
+ASCII syntax (`_parse_values`, that of np.fromstring): floats are parsed
+by orjson, which rounds as np.fromstring does, in chunks of bounded size;
+a chunk orjson rejects, or one holding a bare `-0` (an integer 0 in JSON),
+goes to np.fromstring, so both accept the same text. Numbers written are
+formatted by orjson (`_format_rows`), in pieces of bounded size: integers
+in decimal, floats as the shortest decimal that reads back as the same
+double. Writes go through a temp file and a rename, a command's outputs
+all or none (`all_or_none`).
 """
 
 from __future__ import annotations
 
 import errno
+import itertools
 import math
 import os
 import re
@@ -23,6 +29,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .classify import ClassEntry, ClassifierBundle
 from .discrete import DiscreteModel
@@ -34,18 +41,27 @@ from .vq import Codebook
 LATTICE_MAGIC = "LVLM-LATTICE"
 
 
-def _format_rows(values, per_row: int, spec: str) -> str:
-    """All of `values` (an array or a number) row-major, `per_row` to a line
-    (one empty line for 0), each formatted by `spec` in one % operation."""
-    flat = tuple(np.ravel(values).tolist())
-    row = " ".join([spec] * per_row) + "\n"
-    return (row * (len(flat) // per_row if per_row else 1)) % flat
+# numbers formatted per orjson call: bounds the text of a file held at once
+_FORMAT_VALUES = 1 << 14
 
 
-def write_atomic(path, data: bytes):
-    """Write `data` to `path` through a temp file beside it and a rename."""
-    with all_or_none([path]) as (tmp,):
-        Path(tmp).write_bytes(data)
+def _format_rows(rows):
+    """The numbers of the 2-d array `rows`, a line per row (an empty line for
+    one empty row), in pieces of about _FORMAT_VALUES numbers: integers in
+    decimal, floats as the shortest decimal that reads back as the same
+    double."""
+    rows = np.ascontiguousarray(rows)
+    step = max(1, _FORMAT_VALUES // max(1, rows.shape[1]))
+    for start in range(0, len(rows), step):
+        text = orjson.dumps(rows[start:start + step], option=orjson.OPT_SERIALIZE_NUMPY)  # [[1,2],[3,4]]
+        yield text[2:-2].replace(b"],[", b"\n").replace(b",", b" ") + b"\n"
+
+
+def write_atomic(path, data):
+    """Write `data`, bytes or an iterable of bytes, to `path` through a temp
+    file beside it and a rename."""
+    with all_or_none([path]) as (tmp,), open(tmp, "wb") as fh:
+        fh.writelines([data] if isinstance(data, bytes) else data)
 
 
 def _naming(e: OSError, path: Path) -> OSError:
@@ -100,9 +116,9 @@ def write_lattice(path, lat: SymbolLattice):
     lengths = lat.shape.lengths
     if lat.kind == "discrete" and lat.values.size and lat.values.max() > 255:
         raise InputError("u8 lattice values must fit in [0, 255]")
-    dtype, per_row, spec = ("u8", lengths[-1], "%d") if lat.kind == "discrete" else (f"f64x{lat.M}", lat.M, "%.17g")
+    dtype, per_row = ("u8", lengths[-1]) if lat.kind == "discrete" else (f"f64x{lat.M}", lat.M)
     header = f"{LATTICE_MAGIC} {lat.shape.d} {' '.join(map(str, lengths))} {dtype}\n"
-    write_atomic(path, (header + _format_rows(lat.values, per_row, spec)).encode())
+    write_atomic(path, itertools.chain([header.encode()], _format_rows(lat.values.reshape(-1, per_row))))
 
 
 # a sign with no digit after it, which np.fromstring reads as 0 or joins to
@@ -112,17 +128,62 @@ _LONE_SIGN = re.compile(rb"[+-](?![0-9])")
 
 def _parse_values(text: bytes | str, dtype) -> np.ndarray:
     """The ASCII-whitespace-separated numbers (np.int64 or np.float64) of
-    `text` in one np.fromstring pass; ValueError where one is malformed or
-    not ASCII, or an integer reaches 2^63 - 1 (np.fromstring saturates there)."""
+    `text`, exactly as np.fromstring reads them; ValueError where one is
+    malformed or not ASCII, or an integer reaches 2^63 - 1 (np.fromstring
+    saturates there)."""
     if isinstance(text, str):
         text = text.encode("ascii")  # UnicodeEncodeError, a ValueError
     if not text or text.isspace():  # which np.fromstring reads as one -1 or 0
         return np.empty(0, dtype=dtype)
-    if dtype is np.int64 and (b"-" in text or b"+" in text) and _LONE_SIGN.search(text):
+    if dtype is np.float64:
+        return np.concatenate([_parse_floats(chunk) for chunk in _chunks(text)])
+    if (b"-" in text or b"+" in text) and _LONE_SIGN.search(text):
         raise ValueError("sign without digits")
-    values = np.fromstring(text, dtype=dtype, sep=" ")
-    if dtype is np.int64 and values.max(initial=0) == np.iinfo(np.int64).max:
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if values.max(initial=0) == np.iinfo(np.int64).max:
         raise ValueError("integer out of range")
+    return values
+
+
+# bytes of text per float parse, about 12,000 17-digit values: bounds the
+# parse's transient memory (a Python float per value) whatever the file size
+_CHUNK_BYTES = 1 << 18
+_ASCII_WHITESPACE = b" \t\n\r\x0b\x0c"
+_ASCII_SPACE = re.compile(rb"\s")
+
+
+def _chunks(text: bytes):
+    """`text` cut at ASCII whitespace into pieces of about _CHUNK_BYTES, each
+    stripped, none empty."""
+    start = 0
+    while start < len(text):
+        cut = _ASCII_SPACE.search(text, start + _CHUNK_BYTES)
+        end = cut.start() if cut else len(text)
+        chunk = text[start:end].strip()
+        if chunk:
+            yield chunk
+        start = end + 1
+
+
+# ASCII whitespace to ',', so that a run of numbers reads as a JSON array,
+# and every other byte that is not part of a JSON number to '#', which JSON
+# rejects
+_AS_JSON = bytes(ch if ch in b"0123456789+-.eE" else b"#,"[ch in _ASCII_WHITESPACE] for ch in range(256))
+
+
+def _parse_floats(chunk: bytes) -> np.ndarray:
+    """The float64s of `chunk` (stripped, not empty): orjson's where it reads
+    the chunk as an array of JSON numbers, and np.fromstring's otherwise.
+    Both round correctly, so they give the same doubles for JSON numbers,
+    except -0, which JSON reads as the integer 0."""
+    framed = b"[%b]" % chunk.translate(_AS_JSON)
+    try:
+        numbers = orjson.loads(framed)
+    except orjson.JSONDecodeError:  # doubled whitespace, inf, nan, .5, +1, 01, malformed text
+        return np.fromstring(chunk, dtype=np.float64, sep=" ")
+    values = np.fromiter(numbers, dtype=np.float64, count=len(numbers))
+    if (values == 0).any() and (b"-0," in framed or framed.endswith(b"-0]")):
+        return np.fromstring(chunk, dtype=np.float64, sep=" ")  # JSON reads -0 as the integer 0
     return values
 
 
@@ -226,16 +287,20 @@ def read_lattice_auto(path, M: int | None = None) -> SymbolLattice:
 
 # -- model files ---------------------------------------------------------------
 
-def _kv_lines(pairs) -> str:
-    """A key=value line per (key, values, spec), values row-major."""
-    return "".join(f"{k}={_format_rows(v, np.size(v), spec)}" for k, v, spec in pairs)
+def _kv_lines(pairs):
+    """A key=value line per (key, value): a word, or numbers row-major."""
+    for k, v in pairs:
+        if isinstance(v, str):
+            yield f"{k}={v}\n".encode()
+        else:
+            yield f"{k}=".encode()
+            yield from _format_rows(np.reshape(v, (1, -1)))
 
 
 def write_model(path, model: DiscreteModel | RealModel):
-    ints = [(k, getattr(model, k), "%d") for k in ("N", "M", "d", "w", "w_e", "w_l")]
     arrays = ("A", "B") if isinstance(model, DiscreteModel) else ("A", "mu", "sigma")
-    floats = [(k, getattr(model, k), "%.17g") for k in ("alpha",) + arrays]
-    write_atomic(path, (f"variant={model.kind}\n" + _kv_lines(ints + floats)).encode())
+    keys = ("N", "M", "d", "w", "w_e", "w_l", "alpha") + arrays
+    write_atomic(path, _kv_lines([("variant", model.kind)] + [(k, getattr(model, k)) for k in keys]))
 
 
 def _parse_kv(path) -> dict:
@@ -275,13 +340,15 @@ def read_model(path) -> DiscreteModel | RealModel:
 
 
 def write_codebook(path, codebook: Codebook):
-    pairs = [("N", codebook.N, "%d"), ("M", codebook.M, "%d"),
-             ("centroids", codebook.centroids, "%.17g"), ("sizes", codebook.sizes, "%d")]
-    write_atomic(path, ("variant=codebook\n" + _kv_lines(pairs)).encode())
+    pairs = [("variant", "codebook"), ("N", codebook.N), ("M", codebook.M),
+             ("centroids", codebook.centroids), ("sizes", codebook.sizes.astype(np.int64))]
+    write_atomic(path, _kv_lines(pairs))
 
 
 def read_codebook(path) -> Codebook:
     f = _parse_kv(path)
+    if f.get("variant") != b"codebook":
+        raise InputError(f"{path}: not a codebook file (no variant=codebook)")
     try:
         N, M = _parse_number(f["N"], np.int64), _parse_number(f["M"], np.int64)
         centroids = _parse_values(f["centroids"], np.float64).reshape(N, M)
@@ -298,12 +365,20 @@ BUNDLE_MAGIC = "LVLM-BUNDLE"
 
 def write_bundle(path, entries):
     """entries: iterable of (label, prior, model_path); paths stored as given."""
-    lines = [BUNDLE_MAGIC]
+    lines = [BUNDLE_MAGIC.encode() + b"\n"]
     for label, prior, model_path in entries:
-        if any(ch.isspace() for ch in label):
-            raise InputError(f"class label {label!r} must not contain whitespace")
-        lines.append(f"{label} {_format_rows(prior, 1, '%.17g').rstrip()} {model_path}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
+        model_path = os.fspath(model_path)
+        if not label or "\0" in label or any(ch.isspace() for ch in label):
+            raise InputError(f"class label {label!r} must be non-empty, without whitespace or NUL")
+        # read_bundle splits lines at ASCII line breaks and fields at ASCII whitespace
+        if not model_path or model_path != model_path.strip(_ASCII_WHITESPACE.decode()) \
+                or any(ch in model_path for ch in "\n\r\0"):
+            raise InputError(f"model path {model_path!r} must be non-empty, without a line break or NUL, "
+                             "and not begin or end with whitespace")
+        if not (math.isfinite(prior) and prior > 0):
+            raise InputError(f"prior {prior!r} of class {label!r} must be finite and > 0")
+        lines.append(f"{label} ".encode() + b"".join(_format_rows([[prior]])).rstrip() + f" {model_path}\n".encode())
+    write_atomic(path, b"".join(lines))
 
 
 def read_bundle(path) -> ClassifierBundle:

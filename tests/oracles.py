@@ -8,6 +8,7 @@ independent of the vectorized / accelerated code paths it checks.
 
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -124,25 +125,48 @@ def coalesce_rounds_oracle(points, stop_at, candidates=12, sizes=None):
     return history
 
 
+def float_text(x):
+    """A double as lvlm writes it, built one value at a time from Python's
+    repr digits (the shortest that read back as x): integral values below
+    1e16 as digits and '.0', others of magnitude in [1e-5, 1e16) as a
+    decimal fraction, the rest as d.ddde<exponent>, without '+' or leading
+    zeros in the exponent."""
+    x = float(x)
+    if x == 0:
+        return "-0.0" if math.copysign(1.0, x) < 0 else "0.0"
+    sign, digits, exp = Decimal(repr(x)).normalize().as_tuple()
+    d = "".join(map(str, digits))
+    point = len(d) + exp  # 10^(point - 1) <= |x| < 10^point
+    if exp >= 0 and point <= 16:
+        text = d + "0" * exp + ".0"
+    elif 0 < point <= 16:
+        text = d[:point] + "." + d[point:]
+    elif -5 < point <= 0:
+        text = "0." + "0" * -point + d
+    else:
+        text = (d[0] + "." + d[1:] if len(d) > 1 else d) + f"e{point - 1}"
+    return "-" * sign + text
+
+
 def lattice_file_bytes(values, real):
     """A lattice file written one value at a time: the header, then one line
-    per node of M floats with 17 significant digits (real) or one line per
-    last-axis row of integers (u8)."""
+    per node of M floats (`float_text`, real) or one line per last-axis row
+    of integers (u8)."""
     lengths = values.shape[:-1] if real else values.shape
     dtype = f"f64x{values.shape[-1]}" if real else "u8"
     lines = [f"LVLM-LATTICE {len(lengths)} {' '.join(str(n) for n in lengths)} {dtype}"]
     for row in values.reshape(-1, values.shape[-1]):
-        lines.append(" ".join(f"{float(x):.17g}" if real else str(int(x)) for x in row))
+        lines.append(" ".join(float_text(x) if real else str(int(x)) for x in row))
     return ("\n".join(lines) + "\n").encode()
 
 
 def _per_value_floats(a):
-    return " ".join(f"{float(x):.17g}" for x in np.asarray(a, dtype=np.float64).ravel())
+    return " ".join(float_text(x) for x in np.asarray(a, dtype=np.float64).ravel())
 
 
 def model_file_bytes(model):
     """A model file written one value at a time: key=value lines, integers by
-    str() and floats one by one with 17 significant digits."""
+    str() and floats one by one by `float_text`."""
     arrays = ("A", "B") if model.kind == "discrete" else ("A", "mu", "sigma")
     pairs = ([("variant", model.kind)] + [(k, str(getattr(model, k))) for k in ("N", "M", "d", "w", "w_e", "w_l")]
              + [(k, _per_value_floats(getattr(model, k))) for k in ("alpha",) + arrays])

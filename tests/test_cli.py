@@ -335,6 +335,26 @@ def test_synth_matrix_flags_take_only_ascii_numbers(tmp_path, capsys, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+# scalar flags take the same syntax: argparse's int() and float() read these
+# as 2, 10, 0.25, 10 and 0.9
+SCALAR_FLAGS_OUTSIDE_SYNTAX = {
+    "quantize-n-arabic-indic-digit": "quantize --in {dir}/d.lat --out {dir}/c.txt --n \u0662",
+    "index-w-underscore": "index --states {dir}/d.lat --w 1_0",
+    "learn-alpha-underscore": "learn --variant discrete --n 2 --w 1 --alpha 0.2_5 --in {dir}/d.lat --out {dir}/m.lvlm",
+    "synth-seed-underscore": "synth --shape 4x4 --n 2 --seed 1_0 --states-out {dir}/q.lat",
+    "synth-self-weight-arabic-indic-digit": "synth --shape 4x4 --n 2 --self-weight \u0660.9 --states-out {dir}/q.lat",
+}
+
+
+@pytest.mark.parametrize("argv", SCALAR_FLAGS_OUTSIDE_SYNTAX.values(), ids=SCALAR_FLAGS_OUTSIDE_SYNTAX.keys())
+def test_scalar_flags_take_only_ascii_numbers(tmp_path, capsys, argv):
+    io.write_lattice(tmp_path / "d.lat", SymbolLattice.discrete(np.eye(4, dtype=int), M=2))
+    code, out, err = run(capsys, *argv.format(dir=tmp_path).split())
+    assert code == 1 and out == ""
+    assert err.startswith("lvlm: error:") and len(err.strip().splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["d.lat"]
+
+
 MATRIX_FORMS = ["1.", ".5", "1e-3", "-0", "+2", "-.5E+2", "007", " 3.25 ", "1e308", "4.9e-324", "-0.0e0"]
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
@@ -41,12 +43,14 @@ def test_lattice_1d_and_3d(tmp_path):
 
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
-                  1.7976931348623157e308, 3.0, -12.0, 1e16, 2.0 ** 53 + 2, 0.1]
+                  1.7976931348623157e308, 3.0, -12.0, 1e16, 2.0 ** 53 + 2, 0.1, -1.7976931348623157e308, 1e-5]
 
 
+@pytest.mark.parametrize("format_values", [1, 5, 1 << 14])  # numbers per orjson call
 @pytest.mark.parametrize("lengths", [(7,), (3, 5), (2, 3, 4)])
 @pytest.mark.parametrize("M", [1, 3])
-def test_write_lattice_real_matches_per_value_format(tmp_path, lengths, M):
+def test_write_lattice_real_matches_per_value_format(tmp_path, monkeypatch, lengths, M, format_values):
+    monkeypatch.setattr(io, "_FORMAT_VALUES", format_values)
     rng = np.random.default_rng(len(lengths) * 10 + M)
     vals = rng.normal(size=lengths + (M,)) * 10.0 ** rng.integers(-300, 300, size=lengths + (M,))
     flat = vals.reshape(-1)
@@ -58,8 +62,10 @@ def test_write_lattice_real_matches_per_value_format(tmp_path, lengths, M):
     assert io.read_lattice(p).values.tobytes() == vals.tobytes()  # bit-exact, -0.0 included
 
 
+@pytest.mark.parametrize("format_values", [1, 5, 1 << 14])
 @pytest.mark.parametrize("lengths", [(9,), (4, 6), (2, 3, 5)])
-def test_write_lattice_u8_matches_per_value_format(tmp_path, lengths):
+def test_write_lattice_u8_matches_per_value_format(tmp_path, monkeypatch, lengths, format_values):
+    monkeypatch.setattr(io, "_FORMAT_VALUES", format_values)
     vals = np.random.default_rng(len(lengths)).integers(0, 256, size=lengths)
     vals.reshape(-1)[:2] = [0, 255]
     p = tmp_path / "u.lat"
@@ -222,6 +228,19 @@ def test_read_codebook_rejects_non_finite(tmp_path, fields):
         io.read_codebook(p)
 
 
+def test_read_codebook_requires_codebook_variant(tmp_path):
+    p = tmp_path / "f"
+    p.write_text(VALID_CODEBOOK.replace("variant=codebook\n", ""))
+    with pytest.raises(InputError, match="variant=codebook"):
+        io.read_codebook(p)
+    p.write_text(VALID_CODEBOOK.replace("variant=codebook", "variant=real"))
+    with pytest.raises(InputError, match="variant=codebook"):
+        io.read_codebook(p)
+    p.write_bytes(VALID_MODELS[0])
+    with pytest.raises(InputError):
+        io.read_codebook(p)
+
+
 def test_bundle_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     for name, p0 in [("a", 0.25), ("b", 0.75)]:
@@ -232,6 +251,25 @@ def test_bundle_round_trip(tmp_path):
     bundle = io.read_bundle(tmp_path / "bundle.txt")
     assert [c.label for c in bundle.classes] == ["a", "b"]
     assert bundle.classes[0].log_prior == pytest.approx(np.log(0.25))
+
+
+@pytest.mark.parametrize("entry", [
+    ("a", 0.5, " lead.lvlm"), ("a", 0.5, "trail.lvlm "), ("a", 0.5, "trail.lvlm\t"), ("a", 0.5, "a\nb.lvlm"),
+    ("a", 0.5, "a\rb.lvlm"), ("a", 0.5, "a\0b.lvlm"), ("a", 0.5, ""), ("", 0.5, "a.lvlm"), ("a\0", 0.5, "a.lvlm"),
+    ("a", float("nan"), "a.lvlm"), ("a", float("inf"), "a.lvlm"), ("a", 0.0, "a.lvlm"), ("a", -0.5, "a.lvlm"),
+], ids=repr)
+def test_write_bundle_rejects_what_read_bundle_would_not_read_back(tmp_path, entry):
+    with pytest.raises(InputError):
+        io.write_bundle(tmp_path / "bundle.txt", [("b", 0.5, "b.lvlm"), entry])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_bundle_keeps_inner_whitespace_of_a_model_path(tmp_path):
+    io.write_model(tmp_path / "my model.lvlm", DiscreteModel(N=1, M=2, d=2, A=np.ones((1, 1)),
+                                                             B=np.array([[0.5, 0.5]])))
+    io.write_bundle(tmp_path / "bundle.txt", [("a", 1, "my model.lvlm")])
+    assert (tmp_path / "bundle.txt").read_bytes() == b"LVLM-BUNDLE\na 1 my model.lvlm\n"
+    assert io.read_bundle(tmp_path / "bundle.txt").classes[0].model.N == 1
 
 
 def test_atomic_write_no_partial_file(tmp_path):
@@ -545,3 +583,121 @@ def test_write_error_names_the_path_asked_for(tmp_path):
     with pytest.raises(FileNotFoundError) as e:
         io.write_lattice(tmp_path / "nodir" / "q.lat", SymbolLattice.discrete(np.zeros((2, 2), dtype=int), M=2))
     assert e.value.filename == str(tmp_path / "nodir" / "q.lat")
+
+
+# -- the float text codec: orjson's exact parse and shortest format -----------
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(vals=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 3)), elements=finite_floats()))
+def test_every_finite_double_reads_back_bit_for_bit(tmp_path, vals):
+    n, m = vals.shape
+    model = RealModel(N=n, M=m, d=1, A=np.ones((n, n)), mu=vals, sigma=np.tile(np.eye(m), (n, 1, 1)))
+    for write, read, written, field in [(io.write_lattice, io.read_lattice, SymbolLattice.real(vals), "values"),
+                                        (io.write_model, io.read_model, model, "mu"),
+                                        (io.write_codebook, io.read_codebook, Codebook(vals, np.ones(n)), "centroids")]:
+        first, again = tmp_path / "first", tmp_path / "again"
+        write(first, written)
+        back = read(first)
+        assert getattr(back, field).tobytes() == vals.tobytes()  # -0.0, subnormals and +-max included
+        write(again, back)
+        assert again.read_bytes() == first.read_bytes()
+
+
+def fromstring(body: bytes) -> np.ndarray:
+    """The float body reader lvlm had before orjson: one np.fromstring pass,
+    an empty or whitespace-only body read as no values."""
+    return np.fromstring(body, sep=" ") if body.strip() else np.empty(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=hnp.arrays(np.float64, st.integers(1, 40), elements=finite_floats()),
+       spec=st.sampled_from(["%r", "%.17g", "%.25e"]), sep=st.sampled_from([" ", "\n", "\t", "\r\n", "  ", " \n"]))
+def test_parse_values_reads_written_doubles_as_fromstring(x, spec, sep):
+    body = sep.join(spec % v for v in x.tolist()).encode()
+    got = io._parse_values(body, np.float64)
+    assert got.tobytes() == fromstring(body).tobytes()
+    if spec != "%.25e":  # 17 significant digits or more read back exactly
+        assert got.tobytes() == x.tobytes()
+
+
+# tokens JSON reads differently from np.fromstring (-0 as the integer 0),
+# rejects (+1, .5, 5., 01, inf, nan), or that overflow, underflow or need
+# more than 17 digits
+CODEC_TOKENS = ["-0", "+1", ".5", "5.", "01", "inf", "nan", "-inf", "1e400", "-1e-400", "-0e0", "1e-0",
+                "9007199254740993", "18446744073709551617", "18446744073709551615", "-18446744073709551617",
+                "9" * 400, "1" + "0" * 308, "2.4703282292062328e-324", "1.797693134862315807e308"]
+
+
+@pytest.mark.parametrize("body", [
+    *CODEC_TOKENS, " ".join(CODEC_TOKENS), "1 -0", "-0 1", "-0\n", "1 2 -0\n3", "1\t2\t-0", "1\r\n2\r\n",
+    "1  2", "0.5\n\n0.25", "1\x0b2\x0c3",
+], ids=repr)
+def test_parse_values_reads_tokens_as_fromstring(body):
+    body = body.encode()
+    assert io._parse_values(body, np.float64).tobytes() == fromstring(body).tobytes()
+
+
+# number text, ASCII whitespace, and JSON syntax that no float body may take
+# as numbers
+CODEC_PIECES = (list("0123456789+-.eE") + ["-0", "nan", "inf", "true", "false", "null", "[", "]", ",", '"',
+                                            "{}", ":", "1e400"] + [" "] * 8 + list("\n\t\r\x0b\x0c"))
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.lists(st.sampled_from(CODEC_PIECES), max_size=24).map("".join).map(str.encode),
+       chunk_bytes=st.sampled_from([1, 2, 3, 5, 8, 1 << 18]))
+def test_parse_values_reads_and_rejects_as_fromstring(monkeypatch, body, chunk_bytes):
+    # small chunks put a chunk boundary at every whitespace byte
+    monkeypatch.setattr(io, "_CHUNK_BYTES", chunk_bytes)
+    try:
+        want = fromstring(body)
+    except ValueError:
+        with pytest.raises(ValueError):
+            io._parse_values(body, np.float64)
+    else:
+        assert io._parse_values(body, np.float64).tobytes() == want.tobytes()
+
+
+def test_parse_values_reads_a_body_of_many_chunks_as_one():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(50_000, 2)) * 10.0 ** rng.integers(-300, 300, size=(50_000, 2))
+    x.reshape(-1)[rng.choice(x.size, 1000, replace=False)] = -0.0
+    tokens = [repr(v) for v in x.reshape(-1).tolist()]
+    # tokens JSON rejects or misreads: their chunk is read by np.fromstring
+    tokens[40_000:40_010] = [".5", "+1", "5.", "01", "-0", "1e-400", "inf", "-0", "0", "-0"]
+    body = "\n".join(" ".join(tokens[i:i + 2]) for i in range(0, len(tokens), 2)).encode() + b"\r\n"
+    assert len(body) > 8 * io._CHUNK_BYTES
+    got = io._parse_values(body, np.float64)
+    assert got.tobytes() == fromstring(body).tobytes()
+    assert got.size == len(tokens)
+
+
+def test_parse_values_memory_is_bounded_by_the_chunk():
+    x = np.random.default_rng(9).normal(size=200_000)
+    body = " ".join(map(repr, x.tolist())).encode()  # 3.9 MB, 15 chunks
+    tracemalloc.start()
+    try:
+        got = io._parse_values(body, np.float64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == x.tobytes()
+    # the values twice (the chunks' arrays and their concatenation) and a few
+    # copies of one chunk's text and its Python floats; a parse of the whole
+    # body at once peaked at 11.9 MB
+    assert peak < 2 * got.nbytes + 12 * io._CHUNK_BYTES
+
+
+def test_write_lattice_memory_is_bounded_by_the_piece(tmp_path):
+    lat = SymbolLattice.real(np.random.default_rng(10).normal(size=(100_000, 2)))
+    p = tmp_path / "big.lat"
+    tracemalloc.start()
+    try:
+        io.write_lattice(p, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert io.read_lattice(p).values.tobytes() == lat.values.tobytes()
+    # a few copies of one piece's text (about 25 bytes a number); the whole
+    # file's text at once is 3.9 MB, and formatting it in one piece held 12 MB
+    assert peak < 8 * 25 * io._FORMAT_VALUES
