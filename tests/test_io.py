@@ -46,11 +46,9 @@ SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, 
                   1.7976931348623157e308, 3.0, -12.0, 1e16, 2.0 ** 53 + 2, 0.1, -1.7976931348623157e308, 1e-5]
 
 
-@pytest.mark.parametrize("format_values", [1, 5, 1 << 14])  # numbers per orjson call
 @pytest.mark.parametrize("lengths", [(7,), (3, 5), (2, 3, 4)])
 @pytest.mark.parametrize("M", [1, 3])
-def test_write_lattice_real_matches_per_value_format(tmp_path, monkeypatch, lengths, M, format_values):
-    monkeypatch.setattr(io, "_FORMAT_VALUES", format_values)
+def test_write_lattice_real_matches_per_value_format(tmp_path, lengths, M):
     rng = np.random.default_rng(len(lengths) * 10 + M)
     vals = rng.normal(size=lengths + (M,)) * 10.0 ** rng.integers(-300, 300, size=lengths + (M,))
     flat = vals.reshape(-1)
@@ -62,16 +60,31 @@ def test_write_lattice_real_matches_per_value_format(tmp_path, monkeypatch, leng
     assert io.read_lattice(p).values.tobytes() == vals.tobytes()  # bit-exact, -0.0 included
 
 
-@pytest.mark.parametrize("format_values", [1, 5, 1 << 14])
 @pytest.mark.parametrize("lengths", [(9,), (4, 6), (2, 3, 5)])
-def test_write_lattice_u8_matches_per_value_format(tmp_path, monkeypatch, lengths, format_values):
-    monkeypatch.setattr(io, "_FORMAT_VALUES", format_values)
+def test_write_lattice_u8_matches_per_value_format(tmp_path, lengths):
     vals = np.random.default_rng(len(lengths)).integers(0, 256, size=lengths)
     vals.reshape(-1)[:2] = [0, 255]
     p = tmp_path / "u.lat"
     io.write_lattice(p, SymbolLattice.discrete(vals, M=256))
     assert p.read_bytes() == lattice_file_bytes(vals, real=False)
     assert np.array_equal(io.read_lattice(p, M=256).values, vals)
+
+
+@pytest.mark.parametrize("format_values", [1, 5])  # numbers per orjson call
+@pytest.mark.parametrize("real", [True, False])
+def test_write_lattice_in_small_pieces_matches_per_value_format(tmp_path, monkeypatch, real, format_values):
+    monkeypatch.setattr(io, "_FORMAT_VALUES", format_values)
+    rng = np.random.default_rng(format_values)
+    if real:
+        vals = rng.normal(size=(3, 4, 2)) * 10.0 ** rng.integers(-300, 300, size=(3, 4, 2))
+        vals.reshape(-1)[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+        lattice = SymbolLattice.real(vals)
+    else:
+        vals = rng.integers(0, 256, size=(3, 7))
+        lattice = SymbolLattice.discrete(vals, M=256)
+    p = tmp_path / "p.lat"
+    io.write_lattice(p, lattice)
+    assert p.read_bytes() == lattice_file_bytes(vals, real=real)
 
 
 def test_state_lattice_written_as_u8(tmp_path):
