@@ -64,8 +64,8 @@ def inertia_index(states: StateLattice, w: int, *, interior_only: bool = False) 
     """
     if w < 0:
         raise InputError("window radius must be >= 0")
-    field = sweep_signatures(states, w)
-    vals = np.sqrt((field.signatures ** 2).sum(axis=-1))
+    freqs = sweep_signatures(states, w).signatures
+    vals = np.sqrt(np.square(freqs, out=freqs).sum(axis=-1))
     if interior_only:
         sl = tuple(slice(w, n - w) for n in states.shape.lengths)
         vals = vals[sl]

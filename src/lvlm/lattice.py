@@ -5,7 +5,7 @@ the axis-aligned hypercube [t-w, t+w] clamped to the lattice; signatures are
 normalized by the actual (clamped) cell count so they stay valid at edges.
 The sweep sums every channel over these windows in one separable box sum,
 the channel a trailing axis, so no node or channel is visited in a Python
-loop.
+loop. `sweep_blocks` gives the same field a block of nodes at a time.
 """
 
 from __future__ import annotations
@@ -218,3 +218,31 @@ def sweep_signatures(lattice: SymbolLattice, w: int) -> SignatureField:
         onehot = (symbols == np.arange(c, min(c + block, lattice.M))).astype(count)
         np.divide(_box_sum(onehot, w), cells, out=out[..., c:c + block])
     return SignatureField(lattice.shape, out)
+
+
+def sweep_blocks(lattice: SymbolLattice, w: int, nodes: int):
+    """The rows of `sweep_signatures(lattice, w).signatures` taken as an
+    array of (node, channel), in consecutive blocks of at most `nodes` nodes:
+    yields (first node, block). The whole field is never held: rows of the
+    first axis are swept a block's worth at a time, from the rows their
+    windows reach. A row's clamped window is the same in that part as in the
+    lattice, so every signature is bit-equal to the whole sweep's. A real
+    window cut short at the part's edge can overflow where none of the
+    lattice's does; the rest then comes from the whole sweep, which raises
+    only where one of the lattice's windows overflows."""
+    lengths = lattice.shape.lengths
+    per_row = lattice.shape.node_count // lengths[0]
+    top = end = 0  # rows [top, end) of the first axis are swept into X
+    for a in range(0, lattice.shape.node_count, nodes):
+        b = min(a + nodes, lattice.shape.node_count)
+        if b > end * per_row:
+            top, end = a // per_row, -(-b // per_row)
+            lo, hi = max(0, top - w), min(lengths[0], end + w)
+            part = SymbolLattice(LatticeShape((hi - lo,) + lengths[1:]), lattice.values[lo:hi],
+                                 lattice.M, lattice.kind)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    X = sweep_signatures(part, w).signatures[top - lo:end - lo].reshape(-1, lattice.M)
+            except NumericError:
+                X, top, end = sweep_signatures(lattice, w).flat(), 0, lengths[0]
+        yield a, X[a - top * per_row:b - top * per_row]

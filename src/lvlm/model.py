@@ -12,7 +12,10 @@ transposes a bounded block of signatures into contiguous columns and keeps a
 running minimum of d² over the states in ascending order, so ties go to the
 lowest state. Each state's d² adds its squared differences in the order of
 numpy's pairwise summation, so it is bit-equal to
-`((x - row) ** 2).sum(axis=1)`.
+`((x - row) ** 2).sum(axis=1)`. Evaluation sweeps its field in the search's
+blocks (`lattice.sweep_blocks`) and never holds it whole, and takes its
+neighbor pairs a bounded block at a time, so its temporaries stay small and
+are reused from the heap call after call.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ class LatticeModel:
 
 _BLOCK = 1 << 18  # elements of one block's transposed signatures and squared differences together
 _BLOCK_NODES = 1 << 14  # nodes of one block at most; at M = 4 faster than one 65,536-node block
+# nodes of one block of neighbor pairs: its int64 codes and float64 terms stay
+# below glibc's least mmap threshold (128 KiB), so they reuse heap memory
+# instead of being mapped, page-faulted and unmapped again on every call
+_PAIR_BLOCK_NODES = 1 << 13
 
 
 def _sum_rows_pairwise(a: np.ndarray) -> np.ndarray:
@@ -92,12 +99,17 @@ def _sum_rows_pairwise(a: np.ndarray) -> np.ndarray:
     return a[0]
 
 
+def _nearest_step(M: int) -> int:
+    """Nodes of one block of the nearest-row search at M entries."""
+    return max(1, min(_BLOCK_NODES, _BLOCK // (2 * M)))
+
+
 def _nearest_rows(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the L2-closest of the N x M `rows` for each row of x, ties to
     the lowest index; a block of at most `_BLOCK_NODES` rows of x, and of
     `_BLOCK` working elements, at a time."""
     out = np.empty(len(x), dtype=np.int64)
-    step = max(1, min(_BLOCK_NODES, _BLOCK // (2 * rows.shape[1])))
+    step = _nearest_step(rows.shape[1])
     for i in range(0, len(x), step):
         block = x[i:i + step]
         with np.errstate(over="ignore"):  # a d² that overflows is inf, above every finite one
@@ -142,6 +154,15 @@ def _assign_field(rows: np.ndarray, X: SignatureField) -> np.ndarray:
     return _nearest_rows(rows, X.flat()).reshape(X.shape.lengths)
 
 
+def _assign_swept(rows: np.ndarray, obs: SymbolLattice, M: int, w: int) -> np.ndarray:
+    """`_assign_field(rows, _signatures(obs, M, w))` from the field swept in
+    the nearest-row search's own blocks of nodes, never held whole."""
+    q = np.empty(obs.shape.node_count, dtype=np.int64)
+    for a, X in lattice.sweep_blocks(SymbolLattice(obs.shape, obs.values, M, obs.kind), w, _nearest_step(M)):
+        q[a:a + len(X)] = _nearest_rows(rows, X)
+    return q.reshape(obs.shape.lengths)
+
+
 def _signatures(obs: SymbolLattice, M: int, w: int) -> SignatureField:
     """Window signatures of obs with M entries (discrete: over M symbols)."""
     return lattice.sweep_signatures(SymbolLattice(obs.shape, obs.values, M, obs.kind), w)
@@ -168,29 +189,41 @@ def _pair_score(A: np.ndarray, q: np.ndarray, alpha: float) -> float:
     """Sum over nodes of 1/2 * sum_r [log alpha + log a(q_t,q_r) - log k_t].
     On a lattice of two or more nodes every node has a neighbor. Each pair's
     a(q_t,q_r) and log a(q_t,q_r) are taken from the flat A and log A at one
-    code q_t * N + q_r per pair and orientation."""
+    code q_t * N + q_r per pair and orientation. The pairs are taken a block
+    of first-axis rows at a time, about `_PAIR_BLOCK_NODES` nodes (one row at
+    least); every node still gets its terms in the same order, so the sums
+    are bit-equal to those of one whole-lattice pass."""
     if q.size < 2:
         return 0.0
     N = len(A)
     flat = A.ravel()
     with np.errstate(divide="ignore"):
         log_flat = np.log(flat)
-    # per node: k_t, sum_r log a(q_t,q_r), and its neighbor count
+    # per node: k_t, sum_r log a(q_t,q_r), and its neighbor count: two at
+    # most per axis longer than one node, of which there are fewer than 64
     k = np.zeros(q.shape)
     sla = np.zeros(q.shape)
-    deg = np.zeros(q.shape, dtype=np.int64)
-    for lo, hi in axis_pairs(q.ndim):
-        qa, qb = q[lo], q[hi]
-        forward, backward = qa * N + qb, qb * N + qa
-        k[lo] += flat.take(forward)
-        k[hi] += flat.take(backward)
-        sla[lo] += log_flat.take(forward)
-        sla[hi] += log_flat.take(backward)
-        deg[lo] += 1
-        deg[hi] += 1
+    deg = np.zeros(q.shape, dtype=np.uint8)
+    rows = max(1, _PAIR_BLOCK_NODES // (q.size // len(q)))
+    for axis, (lo, hi) in enumerate(axis_pairs(q.ndim)):
+        # pairs whose first node lies in rows [s, e) of q; along axis 0 their
+        # second nodes lie in rows [s + 1, e + 1)
+        for s in range(0, len(q) - (axis == 0), rows):
+            e = min(s + rows, len(q) - (axis == 0))
+            lo_b = (slice(s, e),) + lo[1:]
+            hi_b = (slice(s + 1, e + 1) if axis == 0 else slice(s, e),) + hi[1:]
+            qa, qb = q[lo_b], q[hi_b]
+            forward, backward = qa * N + qb, qb * N + qa
+            k[lo_b] += flat.take(forward)
+            k[hi_b] += flat.take(backward)
+            sla[lo_b] += log_flat.take(forward)
+            sla[hi_b] += log_flat.take(backward)
+            deg[lo_b] += 1
+            deg[hi_b] += 1
     if np.any(k <= 0):
         return float("-inf")
-    return float(0.5 * (sla.sum() + np.log(alpha) * deg.sum() - (deg * np.log(k)).sum()))
+    log_k = np.log(k, out=k)
+    return float(0.5 * (sla.sum() + np.log(alpha) * deg.sum() - np.multiply(deg, log_k, out=log_k).sum()))
 
 
 def evaluation_field(model: LatticeModel, obs: SymbolLattice) -> SignatureField:
@@ -206,11 +239,12 @@ def evaluate(model: LatticeModel, obs: SymbolLattice, *, signatures: SignatureFi
     image once per radius); it must match obs's shape and the model's M."""
     _check_obs(model, obs)
     if signatures is None:
-        signatures = _signatures(obs, model.M, model.w_e)
+        q = _assign_swept(model.rows, obs, model.M, model.w_e)
     elif signatures.signatures.shape != obs.shape.lengths + (model.M,):
         raise InputError(f"signature field of shape {signatures.signatures.shape} does not fit a "
                          f"{obs.shape.lengths} lattice under a model of M={model.M}")
-    q = _assign_field(model.rows, signatures)
+    else:
+        q = _assign_field(model.rows, signatures)
     return model._log_emission(obs, q) + _pair_score(model.A, q, model.alpha)
 
 

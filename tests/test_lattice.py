@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from lvlm import InputError, LatticeShape, NumericError, SymbolLattice, neighbors, sweep_signatures, window_bounds
+from lvlm.lattice import sweep_blocks
 
 from oracles import naive_signatures
 
@@ -159,6 +160,33 @@ def test_discrete_sweep_equals_recount(lengths, M, w):
     vals = np.random.default_rng(sum(lengths) * M + w).integers(0, M, size=lengths)
     got = sweep_signatures(SymbolLattice.discrete(vals, M=M), w).signatures
     assert np.array_equal(got, naive_signatures(vals, M, w, "discrete"))
+
+
+@pytest.mark.parametrize("lengths,w", [((40,), 2), ((7,), 9), ((17, 11), 3), ((2, 30), 1), ((7, 6, 5), 1), ((4, 9, 3), 4)])
+@pytest.mark.parametrize("nodes", [1, 5, 11, 64, 10_000])
+def test_sweep_blocks_equal_whole_sweep(lengths, w, nodes):
+    # blocks within a row, across rows, and of the whole lattice, at w past
+    # an axis too: every block is a bit-equal slice of the whole sweep
+    rng = np.random.default_rng(sum(lengths) + w)
+    for lat in (SymbolLattice.discrete(rng.integers(0, 3, size=lengths), M=3),
+                SymbolLattice.real(rng.normal(size=lengths + (2,)) * 10.0 ** rng.integers(-5, 5, size=lengths + (2,)))):
+        want = sweep_signatures(lat, w).flat()
+        blocks = list(sweep_blocks(lat, w, nodes))
+        assert [a for a, _ in blocks] == list(range(0, len(want), nodes))
+        assert np.concatenate([X for _, X in blocks]).tobytes() == want.tobytes()
+
+
+def test_sweep_blocks_where_only_a_cut_window_overflows():
+    # row 2's window, cut at the top edge of row 3's part, sums 0 - 1.2e308
+    # per column and overflows across the two columns; the lattice's window
+    # adds row 1's 6e307 first and stays finite: the blocks equal the whole
+    # sweep, and a lattice whose own windows overflow still raises
+    rows = np.array([-1.2e308, 6e307, 0.0, -1.2e308, 6e307])
+    lat = SymbolLattice.real(np.repeat(rows[:, None, None], 2, axis=1))
+    want = sweep_signatures(lat, 1).flat()
+    assert np.concatenate([X for _, X in sweep_blocks(lat, 1, 2)]).tobytes() == want.tobytes()
+    with pytest.raises(NumericError):
+        list(sweep_blocks(SymbolLattice.real(np.full((5, 2, 1), 1.2e308)), 1, 2))
 
 
 # (lengths, M, w) -> blake2b digest of the sweep's bytes, as the one-channel-

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lvlm import DiscreteModel, InputError, LatticeShape, SymbolLattice, evaluate_discrete, sweep_signatures
+from lvlm import (DiscreteModel, InputError, LatticeShape, RealModel, SymbolLattice, evaluate_discrete, evaluate_real,
+                  sweep_signatures)
 from lvlm import model
 from lvlm.model import _assign_field, _nearest_rows, _sum_rows_pairwise
 
@@ -118,6 +119,48 @@ def test_pair_score_matches_straightline(lengths, zeros):
                                    lambda t: 0.0)
         got = model._pair_score(A, states, 0.7)
         assert got == pytest.approx(want, rel=1e-12) if math.isfinite(want) else got == want
+
+
+@pytest.mark.parametrize("lengths", [(2,), (300,), (13, 17), (1, 40), (40, 1), (6, 5, 7), (3, 1, 9)])
+def test_pair_score_in_blocks_bit_equal_to_one_pass(monkeypatch, lengths):
+    # blocks of 1, 7 and 20 nodes end mid-row, take part rows of wide rows and
+    # split a first-axis pair across two blocks; terms of mixed magnitude, and
+    # zeros in A, show any other order of addition
+    rng = np.random.default_rng(sum(lengths))
+    A = rng.random((5, 5)) * 10.0 ** rng.integers(-6, 6, size=(5, 5))
+    A[1, 2] = 0.0
+    q = rng.integers(0, 5, size=lengths)
+    monkeypatch.setattr(model, "_PAIR_BLOCK_NODES", 1 << 30)
+    want = model._pair_score(A, q, 0.3)
+    for nodes in (1, 7, 20):
+        monkeypatch.setattr(model, "_PAIR_BLOCK_NODES", nodes)
+        assert np.float64(model._pair_score(A, q, 0.3)).tobytes() == np.float64(want).tobytes(), nodes
+
+
+@pytest.mark.parametrize("lengths,w", [((50,), 2), ((9, 11), 1), ((3, 40), 2), ((7, 6, 5), 1), ((4, 3), 5)])
+def test_evaluate_bit_equal_to_whole_field(monkeypatch, lengths, w):
+    # nearest-row blocks of 6 nodes, so that the field is swept in parts of
+    # a row or of a few rows; each equals the score from the whole field
+    monkeypatch.setattr(model, "_BLOCK_NODES", 6)
+    rng = np.random.default_rng(sum(lengths) + w)
+    A = rng.random((3, 3))
+    d = SymbolLattice.discrete(rng.integers(0, 4, size=lengths), M=4)
+    md = DiscreteModel(N=3, M=4, d=len(lengths), A=A, B=rng.dirichlet(np.ones(4), size=3), w_e=w)
+    r = SymbolLattice.real(rng.normal(size=lengths + (2,)))
+    mr = RealModel(N=3, M=2, d=len(lengths), A=A, mu=rng.normal(size=(3, 2)),
+                   sigma=np.tile(np.eye(2), (3, 1, 1)), w_e=w)
+    for evaluate, m, obs in ((evaluate_discrete, md, d), (evaluate_real, mr, r)):
+        whole = evaluate(m, obs, signatures=model.evaluation_field(m, obs))
+        assert np.float64(evaluate(m, obs)).tobytes() == np.float64(whole).tobytes()
+
+
+def test_evaluate_memory_below_whole_field():
+    # 512² at M = 4: the field (8 MB) is swept a block at a time, never whole
+    rng = np.random.default_rng(15)
+    obs = SymbolLattice.discrete(rng.integers(0, 4, size=(512, 512)), M=4)
+    m = DiscreteModel(N=3, M=4, d=2, A=np.full((3, 3), 1 / 3), B=rng.dirichlet(np.ones(4), size=3), w_e=2)
+    _, peak = _traced_peak(lambda: evaluate_discrete(m, obs))
+    assert peak < 512 * 512 * 4 * 8
 
 
 def test_pair_score_zero_row_occupied_is_minus_inf():
