@@ -39,13 +39,23 @@ Cases, each on seeded inputs:
 - `model_io`: `io.write_model` then `io.read_model` of the same file, for
   a real model with N = 64 states of M = 16 channels (16,384 covariance
   values, random I + G Gᵀ); its fingerprint is the written file's bytes.
+- `cli-volume/synth`: `lvlm synth` through `cli.main` with the benchmark
+  workload's flags (a 40³ lattice of 3 states, self-weight 0.9, 2-channel
+  Gaussian emissions, 20 sweeps), writing observations and states; its
+  fingerprint is that of both written files' bytes.
+  `synth/gibbs_sample/40x3-N3`: `gibbs_sample` alone on that lattice.
 
-Each source tree is timed in its own process, so that two trees can be
-compared on the same machine: `--before SRC` times that tree's `src`
-directory too, alternating which tree runs first. A case's time is the
-median over `--reps` calls within a process; the file records every
-process's value and their median, and a fingerprint of each case's output,
-which must agree across trees for results that should not change.
+Each source tree is served by a worker process of its own, which builds
+every case's inputs once and then runs one call at a time when asked.
+`--before SRC` starts a second worker on that tree's `src` directory, and
+the two are driven in lockstep, call by call, alternating which tree goes
+first, so that a slow spell of the machine falls on both trees alike. Per
+case, each worker first makes one untimed call (warming caches and lazy
+set-up, and fingerprinting the output, which must agree across trees for
+results that should not change), then `--reps` timed calls; `--runs`
+repeats this with fresh workers. The file records every call's time, each
+tree's median, and, per case, the median of the after/before ratios of the
+paired calls and how many pairs the after tree won.
 
     python scripts/bench.py --out BENCH.json [--before ../parent/src]
 """
@@ -77,6 +87,8 @@ VOLUME_SIDE, TEST_SIDE = 40, 24
 def fingerprint(value):
     if isinstance(value, Path):
         data = value.read_bytes()
+    elif isinstance(value, tuple) and value and all(isinstance(v, Path) for v in value):
+        data = b"".join(v.read_bytes() for v in value)
     elif isinstance(value, np.ndarray):
         data = np.ascontiguousarray(value).tobytes()
     elif isinstance(value, argparse.ArgumentParser):
@@ -98,9 +110,9 @@ def blocky_image(rng, side, n_states, M, block=16, p=0.7):
 def cases(tmp):
     """(name, shape, call) for every case; inputs are built before timing,
     files are written under the directory `tmp`."""
-    from lvlm import (ClassEntry, ClassifierBundle, DiscreteModel, RealModel, SymbolLattice, classify_image, cli,
-                      decode_discrete, decode_real, evaluate_discrete, evaluate_real, inertia_index, io,
-                      sweep_signatures)
+    from lvlm import (ClassEntry, ClassifierBundle, DiscreteModel, LatticeShape, RealModel, SymbolLattice,
+                      SynthConfig, classify_image, cli, decode_discrete, decode_real, evaluate_discrete,
+                      evaluate_real, gibbs_sample, inertia_index, io, sweep_signatures)
     from lvlm.model import _nearest_rows
 
     out = []
@@ -212,41 +224,100 @@ def cases(tmp):
 
     out.append(("model_io/N64-M16", {"N": n, "M": m, "values": many.A.size + many.mu.size + many.sigma.size},
                 model_io))
+
+    # the benchmark workload's synthesis: no random inputs, the seed is a flag
+    side, sweeps, self_weight = "x".join([str(VOLUME_SIDE)] * 3), 20, 0.9
+    observations, synth_states = tmp / "synth.lat", tmp / "synth_states.lat"
+    synth_argv = ["synth", "--shape", side, "--n", str(N), "--self-weight", str(self_weight),
+                  "--mu", "0.0,0.0;3.0,0.0;0.0,3.0", "--sweeps", str(sweeps), "--seed", "0",
+                  "--out", str(observations), "--states-out", str(synth_states)]
+
+    def synth():
+        with contextlib.redirect_stdout(StringIO()):
+            if cli.main(synth_argv) != 0:
+                raise RuntimeError("lvlm synth failed")
+        return observations, synth_states  # fingerprinted by their bytes
+
+    shape = {"U": VOLUME_SIDE ** 3, "N": N, "M": 2, "sweeps": sweeps}
+    out.append(("cli-volume/synth", shape, synth))
+    phi = np.full((N, N), (1 - self_weight) / (N - 1))
+    np.fill_diagonal(phi, self_weight)
+    config = SynthConfig(shape=LatticeShape(volume), N=N, potentials=phi, sweeps=sweeps, seed=0)
+    out.append((f"synth/gibbs_sample/40x3-N{N}", {"U": VOLUME_SIDE ** 3, "N": N, "sweeps": sweeps},
+                lambda: gibbs_sample(config).states))
     return out
 
 
-def measure(reps):
-    """{case: {"shape", "s", "fingerprint"}} for the lvlm on sys.path."""
-    result = {}
+def serve():
+    """Worker: build the cases of the lvlm on sys.path, write their shapes as
+    one JSON line, then answer each request line `[case, fingerprint]` of
+    standard input by calling the case once and writing its time (and, when
+    asked, its output's fingerprint) as one JSON line."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, shape, call in cases(Path(tmp)):
-            value = call()  # warm caches and lazy set-up before timing
-            times = []
-            for _ in range(reps):
-                t = time.perf_counter()
-                call()
-                times.append(time.perf_counter() - t)
-            result[name] = {"shape": shape, "s": statistics.median(times), "fingerprint": fingerprint(value)}
+        table = {name: (shape, call) for name, shape, call in cases(Path(tmp))}
+        print(json.dumps({name: shape for name, (shape, _) in table.items()}), flush=True)
+        for line in sys.stdin:
+            name, fingerprinted = json.loads(line)
+            t = time.perf_counter()
+            value = table[name][1]()
+            reply = {"s": time.perf_counter() - t}
+            if fingerprinted:
+                reply["fingerprint"] = fingerprint(value)
+            print(json.dumps(reply), flush=True)
+
+
+class Worker:
+    """A `serve` process on the source tree `src`."""
+
+    def __init__(self, src):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        self.proc = subprocess.Popen([sys.executable, __file__, "--serve"], env=env, text=True,
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self.shapes = json.loads(self.proc.stdout.readline())
+
+    def call(self, name, fingerprinted=False):
+        self.proc.stdin.write(json.dumps([name, fingerprinted]) + "\n")
+        self.proc.stdin.flush()
+        return json.loads(self.proc.stdout.readline())
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def measure(trees, runs, reps):
+    """{case: {"shape", side: {"calls_s", "fingerprint"}}}: per run, a worker
+    per tree, driven call by call in lockstep."""
+    result = {}
+    for run in range(runs):
+        workers = {side: Worker(src) for side, src in trees.items()}
+        try:
+            shapes = workers["after"].shapes
+            for name, shape in shapes.items():
+                entry = result.setdefault(name, {"shape": shape, **{side: {"calls_s": []} for side in trees}})
+                for side, worker in workers.items():
+                    entry[side].setdefault("fingerprint", worker.call(name, fingerprinted=True)["fingerprint"])
+                for rep in range(reps):
+                    order = list(workers) if (run + rep) % 2 == 0 else list(reversed(workers))
+                    for side in order:
+                        entry[side]["calls_s"].append(workers[side].call(name)["s"])
+        finally:
+            for worker in workers.values():
+                worker.close()
+        print(f"run {run + 1}/{runs} done", file=sys.stderr)
     return result
-
-
-def run_tree(src, reps):
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--measure", "--reps", str(reps)],
-                          env=env, check=True, stdout=subprocess.PIPE, text=True)
-    return json.loads(proc.stdout)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--before", help="src directory of a tree to compare against")
-    parser.add_argument("--runs", type=int, default=3, help="processes per tree")
-    parser.add_argument("--reps", type=int, default=3, help="timed calls per case and process")
-    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--runs", type=int, default=3, help="worker processes per tree, one after another")
+    parser.add_argument("--reps", type=int, default=3, help="timed calls per case and worker")
+    parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.measure:
-        json.dump(measure(args.reps), sys.stdout)
+    if args.serve:
+        serve()
         return
     if not args.out:
         parser.error("--out is required")
@@ -254,32 +325,27 @@ def main():
     trees = {"after": Path(__file__).resolve().parent.parent / "src"}
     if args.before:
         trees = {"before": Path(args.before).resolve(), **trees}
-    runs = {side: [] for side in trees}
-    for i in range(args.runs):
-        order = list(trees) if i % 2 == 0 else list(reversed(trees))
-        for side in order:
-            runs[side].append(run_tree(trees[side], args.reps))
-            print(f"run {i + 1}/{args.runs} {side} done", file=sys.stderr)
-
     report = {
         "machine": {"platform": platform.platform(), "processor": platform.processor(),
                     "cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
-        "method": f"per case, the median of {args.reps} timed calls in each of {args.runs} processes "
-                  "per tree, trees alternating which runs first; 's' is the median over processes",
-        "cases": {},
+        "method": f"per case, {args.runs} runs of a worker process per tree, each making one untimed call "
+                  f"then {args.reps} timed calls, the trees' calls alternating one by one; 's' is the median "
+                  "over all of a tree's calls, 'after_over_before' the median ratio of paired calls",
+        "cases": measure(trees, args.runs, args.reps),
     }
-    for name in runs["after"][0]:
-        entry = {"shape": runs["after"][0][name]["shape"]}
-        for side, side_runs in runs.items():
-            times = [r[name]["s"] for r in side_runs]
-            entry[side] = {"s": statistics.median(times), "runs_s": times,
-                           "fingerprint": side_runs[0][name]["fingerprint"]}
-        report["cases"][name] = entry
-    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for name, entry in report["cases"].items():
-        line = "  ".join(f"{side} {entry[side]['s']:.4f} s" for side in runs)
-        print(f"{name:28s} {line}")
+        for side in trees:
+            entry[side]["s"] = statistics.median(entry[side]["calls_s"])
+        if args.before:
+            pairs = list(zip(entry["before"]["calls_s"], entry["after"]["calls_s"]))
+            entry["after_over_before"] = statistics.median(a / b for b, a in pairs)
+            entry["after_faster"] = f"{sum(a < b for b, a in pairs)}/{len(pairs)}"
+        line = "  ".join(f"{side} {entry[side]['s']:.4f} s" for side in trees)
+        if args.before:
+            line += f"  ratio {entry['after_over_before']:.3f}  faster {entry['after_faster']}"
+        print(f"{name:32s} {line}")
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 
 import numpy as np
@@ -22,6 +23,17 @@ from .lattice import LatticeShape, StateLattice
 from .real import decode_real, learn_real, evaluate_real, RealModel
 from .synth import DiscreteEmission, RealEmission, SynthConfig, emit_observations, gibbs_sample
 from .vq import pnn_quantize
+
+
+# str.splitlines' line boundaries
+_LINE_BREAKS = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _one_line(text) -> str:
+    """`text` as one line that any stream can encode: line breaks and
+    undecodable bytes (surrogates, as in paths from argv) backslash-escaped."""
+    text = str(text).encode("utf-8", "backslashreplace").decode()
+    return _LINE_BREAKS.sub(lambda m: m[0].encode("unicode_escape").decode(), text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,7 +158,7 @@ def _cmd_synth(args):
         for tmp, (_, lat, fmt, _) in zip(temps, outputs):
             _write_lattice_any(tmp, lat, fmt)
     for path, _, _, name in outputs:
-        print(f"{name}={path}")
+        print(f"{name}={_one_line(path)}")
     return 0
 
 
@@ -158,7 +170,7 @@ def _cmd_learn(args):
     learn = learn_discrete if args.variant == "discrete" else learn_real
     model = learn(lattices, w_l, args.n, w=w, w_e=w_e, alpha=args.alpha)
     io.write_model(args.out, model)
-    print(f"model={args.out}")
+    print(f"model={_one_line(args.out)}")
     return 0
 
 
@@ -181,9 +193,9 @@ def _cmd_decode(args):
         io.write_lattice(temps[0], states)
         if args.pgm:
             io.states_to_pgm(temps[1], states)
-    print(f"states={args.out}")
+    print(f"states={_one_line(args.out)}")
     if args.pgm:
-        print(f"pgm={args.pgm}")
+        print(f"pgm={_one_line(args.pgm)}")
     return 0
 
 
@@ -237,7 +249,7 @@ def _cmd_quantize(args):
         points = np.eye(lat.M)[lat.values.ravel()]  # symbols as simplex corners
     codebook, _ = pnn_quantize(points, args.n)
     io.write_codebook(args.out, codebook)
-    print(f"codebook={args.out}")
+    print(f"codebook={_one_line(args.out)}")
     return 0
 
 
@@ -319,13 +331,13 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):  # the explicit checks report what fails
             return args.func(args)
     except InputError as e:
-        print(f"lvlm: error: {e}", file=sys.stderr)
+        print(f"lvlm: error: {_one_line(e)}", file=sys.stderr)
         return 1
     except (NumericError, np.linalg.LinAlgError) as e:
-        print(f"lvlm: numeric error: {e}", file=sys.stderr)
+        print(f"lvlm: numeric error: {_one_line(e)}", file=sys.stderr)
         return 2
     except OSError as e:
-        print(f"lvlm: error: {e}", file=sys.stderr)
+        print(f"lvlm: error: {_one_line(e)}", file=sys.stderr)
         return 1
     except MemoryError:
         print("lvlm: error: out of memory", file=sys.stderr)

@@ -10,11 +10,14 @@ twice), matrices row-major. Numbers read from files and CLI flags have one
 ASCII syntax (`_parse_values`, that of np.fromstring): floats are parsed
 by orjson, which rounds as np.fromstring does, in chunks of bounded size;
 a chunk orjson rejects, or one holding a bare `-0` (an integer 0 in JSON),
-goes to np.fromstring, so both accept the same text. Numbers written are
-formatted by orjson (`_format_rows`), in pieces of bounded size: integers
-in decimal, floats as the shortest decimal that reads back as the same
-double. Writes go through a temp file and a rename, a command's outputs
-all or none (`all_or_none`).
+goes to np.fromstring, so both accept the same text. A lattice file is
+read once: its header words are found by offset, and its body is parsed
+from a view of the file's bytes, so no copy of the body is made. Numbers
+written are formatted by orjson (`_format_rows`), in pieces of bounded
+size, each dumped flat and its separators turned into spaces and line
+breaks in one numpy pass: integers in decimal, floats as the shortest
+decimal that reads back as the same double. Writes go through a temp file
+and a rename, a command's outputs all or none (`all_or_none`).
 """
 
 from __future__ import annotations
@@ -47,14 +50,24 @@ _FORMAT_VALUES = 1 << 14
 
 def _format_rows(rows):
     """The numbers of the 2-d array `rows`, a line per row (an empty line for
-    one empty row), in pieces of about _FORMAT_VALUES numbers: integers in
-    decimal, floats as the shortest decimal that reads back as the same
-    double."""
+    an empty row), in pieces of about _FORMAT_VALUES numbers cut at whole
+    rows: integers in decimal, floats as the shortest decimal that reads back
+    as the same double. Each piece is dumped flat, and its separators made
+    spaces, every row's last a line break."""
     rows = np.ascontiguousarray(rows)
-    step = max(1, _FORMAT_VALUES // max(1, rows.shape[1]))
-    for start in range(0, len(rows), step):
-        text = orjson.dumps(rows[start:start + step], option=orjson.OPT_SERIALIZE_NUMPY)  # [[1,2],[3,4]]
-        yield text[2:-2].replace(b"],[", b"\n").replace(b",", b" ") + b"\n"
+    n, m = rows.shape
+    if not m:
+        yield b"\n" * n
+        return
+    step = max(1, _FORMAT_VALUES // m)
+    for start in range(0, n, step):
+        text = orjson.dumps(rows[start:start + step].ravel(), option=orjson.OPT_SERIALIZE_NUMPY)  # [1,2,3,4]
+        text = np.frombuffer(text, np.uint8).copy()
+        commas = np.flatnonzero(text == ord(","))
+        text[commas] = ord(" ")
+        text[commas[m - 1::m]] = ord("\n")
+        text[-1] = ord("\n")  # the closing ']'
+        yield text[1:].tobytes()
 
 
 def write_atomic(path, data):
@@ -126,17 +139,18 @@ def write_lattice(path, lat: SymbolLattice):
 _LONE_SIGN = re.compile(rb"[+-](?![0-9])")
 
 
-def _parse_values(text: bytes | str, dtype) -> np.ndarray:
+def _parse_values(text: bytes | memoryview | str, dtype) -> np.ndarray:
     """The ASCII-whitespace-separated numbers (np.int64 or np.float64) of
     `text`, exactly as np.fromstring reads them; ValueError where one is
     malformed or not ASCII, or an integer reaches 2^63 - 1 (np.fromstring
     saturates there)."""
     if isinstance(text, str):
         text = text.encode("ascii")  # UnicodeEncodeError, a ValueError
-    if not text or text.isspace():  # which np.fromstring reads as one -1 or 0
-        return np.empty(0, dtype=dtype)
     if dtype is np.float64:
-        return np.concatenate([_parse_floats(chunk) for chunk in _chunks(text)])
+        return np.concatenate([np.empty(0), *map(_parse_floats, _chunks(text))])
+    text = bytes(text)  # np.fromstring takes no memoryview
+    if not text or text.isspace():  # which np.fromstring reads as one 0
+        return np.empty(0, dtype=dtype)
     if (b"-" in text or b"+" in text) and _LONE_SIGN.search(text):
         raise ValueError("sign without digits")
     values = np.fromstring(text, dtype=np.int64, sep=" ")
@@ -149,20 +163,24 @@ def _parse_values(text: bytes | str, dtype) -> np.ndarray:
 # parse's transient memory (a Python float per value) whatever the file size
 _CHUNK_BYTES = 1 << 18
 _ASCII_WHITESPACE = b" \t\n\r\x0b\x0c"
-_ASCII_SPACE = re.compile(rb"\s")
+# a whole run of ASCII whitespace: none right before it
+_SPACE_RUN = re.compile(rb"(?<!\s)\s+")
 
 
-def _chunks(text: bytes):
-    """`text` cut at ASCII whitespace into pieces of about _CHUNK_BYTES, each
-    stripped, none empty."""
-    start = 0
+def _chunks(text: bytes | memoryview):
+    """The bytes of `text` cut at runs of ASCII whitespace into pieces of
+    about _CHUNK_BYTES, with no whitespace at either end; none empty (none at
+    all for empty or all-whitespace text, which np.fromstring reads as one
+    -1)."""
+    lead = _SPACE_RUN.match(text)
+    start = lead.end() if lead else 0
     while start < len(text):
-        cut = _ASCII_SPACE.search(text, start + _CHUNK_BYTES)
-        end = cut.start() if cut else len(text)
-        chunk = text[start:end].strip()
-        if chunk:
-            yield chunk
-        start = end + 1
+        cut = _SPACE_RUN.search(text, start + _CHUNK_BYTES)
+        if cut is None:  # the last piece, which may end in whitespace
+            yield bytes(text[start:]).rstrip()
+            return
+        yield bytes(text[start:cut.start()])
+        start = cut.end()
 
 
 # ASCII whitespace to ',', so that a run of numbers reads as a JSON array,
@@ -172,10 +190,10 @@ _AS_JSON = bytes(ch if ch in b"0123456789+-.eE" else b"#,"[ch in _ASCII_WHITESPA
 
 
 def _parse_floats(chunk: bytes) -> np.ndarray:
-    """The float64s of `chunk` (stripped, not empty): orjson's where it reads
-    the chunk as an array of JSON numbers, and np.fromstring's otherwise.
-    Both round correctly, so they give the same doubles for JSON numbers,
-    except -0, which JSON reads as the integer 0."""
+    """The float64s of `chunk` (no whitespace at either end, not empty):
+    orjson's where it reads the chunk as an array of JSON numbers, and
+    np.fromstring's otherwise. Both round correctly, so they give the same
+    doubles for JSON numbers, except -0, which JSON reads as the integer 0."""
     framed = b"[%b]" % chunk.translate(_AS_JSON)
     try:
         numbers = orjson.loads(framed)
@@ -196,13 +214,20 @@ def _parse_number(token: bytes | str, dtype):
     return number
 
 
+# a header word: a run of bytes that are not ASCII whitespace
+_WORD = re.compile(rb"\S+")
+
+
 def read_lattice(path, M: int | None = None) -> SymbolLattice:
-    head = Path(path).read_bytes().split(None, 2)  # magic, d, the rest
-    if not head or head[0] != LATTICE_MAGIC.encode():
+    data = Path(path).read_bytes()
+    words = _WORD.finditer(data)  # the header's, found one at a time
+    magic = next(words, None)
+    if magic is None or magic[0] != LATTICE_MAGIC.encode():
         raise InputError(f"{path}: not a lattice file")
     try:
-        d = max(_parse_number(head[1], np.int64), 0)  # d < 1 leaves no lengths, which LatticeShape rejects
-        fields = head[2].split(None, d + 1)  # the lengths, the dtype, the body
+        (word,) = itertools.islice(words, 1)
+        d = max(_parse_number(word[0], np.int64), 0)  # d < 1 leaves no lengths, which LatticeShape rejects
+        fields = [word[0] for word in itertools.islice(words, d + 1)]  # the lengths, the dtype
         shape = LatticeShape(tuple(_parse_number(x, np.int64) for x in fields[:d]))
         dtype = fields[d].decode()
         m = _parse_number(fields[d][4:], np.int64) if dtype.startswith("f64x") else 0
@@ -210,8 +235,9 @@ def read_lattice(path, M: int | None = None) -> SymbolLattice:
         raise InputError(f"{path}: malformed lattice header ({e})") from e
     if dtype != "u8" and m < 1:
         raise InputError(f"{path}: unknown dtype {dtype!r}")
+    body = next(words, None)  # the first value, if any
     try:
-        arr = _parse_values(fields[d + 1] if len(fields) > d + 1 else b"", np.float64 if m else np.int64)
+        arr = _parse_values(memoryview(data)[body.start():] if body else b"", np.float64 if m else np.int64)
     except ValueError as e:
         raise InputError(f"{path}: malformed {dtype} value ({e})") from e
     count = shape.node_count * max(m, 1)

@@ -496,6 +496,67 @@ def test_numeric_flags_exit_cleanly(fuzz_files, monkeypatch, capsys, argv):
     assert "Traceback" not in err
 
 
+# Whole `lvlm synth` argvs for random byte edits; {o} and {q} stand for the
+# two outputs, files in a fresh directory.
+SYNTH_ARGVS = [
+    "synth --shape 6x6 --n 2 --b 0.8,0.2;0.2,0.8 --sweeps 2 --seed 1 --out {o} --states-out {q}",
+    "synth --shape 4x4x4 --n 3 --self-weight 0.9 --mu 0,0;3,0;0,3 --sweeps 2 --out {o} --states-out {q}",
+    "synth --shape 8x8 --potentials 0.9,0.1;0.1,0.9 --b 0.7,0.3;0.3,0.7 --format pgm --out {o} --states-out {q}",
+]
+SYNTH_EDIT_BYTES = list(b"0123456789x-+;,.e=\0 ")  # and any other byte but '/'
+SYNTH_FUZZ_NODES = 4096  # an edited --shape with more nodes is rejected by the test, not sampled
+
+
+@st.composite
+def edited_synth_argv(draw):
+    """One of SYNTH_ARGVS, its arguments joined by NUL, with 1 to 4 random
+    byte edits, split at NUL again. No edit inserts '/', so that an edited
+    output path stays a file in the working directory."""
+    data = bytearray(b"\0".join(arg.encode() for arg in draw(st.sampled_from(SYNTH_ARGVS)).split()))
+    byte = st.sampled_from(SYNTH_EDIT_BYTES) | st.integers(0, 255).filter(lambda b: b != ord("/"))
+    for _ in range(draw(st.integers(1, 4))):
+        pos, edit, b = draw(st.integers(0, len(data))), draw(st.sampled_from(["replace", "insert", "delete"])), draw(byte)
+        if edit == "insert" or pos == len(data):
+            data.insert(pos, b)
+        elif edit == "replace":
+            data[pos] = b
+        else:
+            del data[pos]
+    return [os.fsdecode(arg) for arg in bytes(data).split(b"\0")]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=edited_synth_argv())
+def test_synth_argv_byte_edits_exit_cleanly_writing_all_outputs_or_none(tmp_path_factory, monkeypatch, capsys, argv):
+    out_dir = tmp_path_factory.mktemp("synth")
+    argv = [a.replace("{o}", str(out_dir / "o.lat")).replace("{q}", str(out_dir / "q.lat")) for a in argv]
+    parse_shape, sample = cli._parse_shape, cli.gibbs_sample
+
+    def small_shape(text):
+        shape = parse_shape(text)
+        if shape.node_count > SYNTH_FUZZ_NODES:
+            raise InputError(f"fuzzed shape of {shape.node_count} nodes")
+        return shape
+
+    with monkeypatch.context() as m:
+        m.chdir(out_dir)
+        m.setattr(cli, "_parse_shape", small_shape)
+        m.setattr(cli, "gibbs_sample", lambda config: sample(dataclasses.replace(config, sweeps=min(config.sweeps, 2))))
+        code, out, err = run(capsys, *argv)
+        written = sorted(out_dir.iterdir())
+        if code == 0:
+            args = cli.build_parser().parse_args(argv)
+            asked = {Path(os.path.realpath(p)) for p in (args.out, args.states_out) if p}
+            assert {p.resolve() for p in written} == asked  # every output, and nothing else
+            for path in written:
+                io.read_lattice_auto(path)
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out == "" and written == []
+        assert err.startswith("lvlm: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 SHAPE_LIMIT = np.iinfo(np.intp).max // 8  # nodes of the largest addressable int64 array
 
 

@@ -10,7 +10,7 @@ from lvlm import DiscreteModel, InputError, RealModel, StateLattice, SymbolLatti
 from lvlm import io
 from lvlm.vq import Codebook
 
-from oracles import codebook_file_bytes, lattice_file_bytes, model_file_bytes, token_values
+from oracles import codebook_file_bytes, float_text, lattice_file_bytes, model_file_bytes, token_values
 
 
 def test_lattice_u8_round_trip(tmp_path):
@@ -85,6 +85,48 @@ def test_write_lattice_in_small_pieces_matches_per_value_format(tmp_path, monkey
     p = tmp_path / "p.lat"
     io.write_lattice(p, lattice)
     assert p.read_bytes() == lattice_file_bytes(vals, real=real)
+
+
+@st.composite
+def lattices_in_pieces(draw):
+    """(values, real, piece): a 1-d real lattice of M channels, or a 2-d u8
+    lattice of rows of M symbols, M from 1 to 17, written in pieces of
+    `piece` numbers (at least a row); unless a piece holds one row, the row
+    count is not a multiple of the rows per piece."""
+    real, m, piece = draw(st.booleans()), draw(st.integers(1, 17)), draw(st.integers(1, 64))
+    step = max(1, piece // m)  # rows per piece
+    rows = step * draw(st.integers(0, 2)) + draw(st.integers(1, max(1, step - 1)))
+    if real:
+        return draw(hnp.arrays(np.float64, (rows, m), elements=finite_floats())), True, piece
+    return draw(hnp.arrays(np.int64, (rows, m), elements=st.integers(0, 255))), False, piece
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=lattices_in_pieces())
+def test_write_lattice_in_pieces_matches_oracle_bytes(tmp_path, monkeypatch, case):
+    vals, real, piece = case
+    p = tmp_path / "p.lat"
+    with monkeypatch.context() as m:
+        m.setattr(io, "_FORMAT_VALUES", piece)
+        io.write_lattice(p, SymbolLattice.real(vals) if real else SymbolLattice.discrete(vals, M=256))
+    assert p.read_bytes() == lattice_file_bytes(vals, real=real)
+
+
+@pytest.mark.parametrize("piece", [1, 3, io._FORMAT_VALUES])
+def test_one_row_fields_empty_codebook_and_bundle_priors_match_oracle_bytes(tmp_path, monkeypatch, piece):
+    monkeypatch.setattr(io, "_FORMAT_VALUES", piece)
+    model = RealModel(N=1, M=1, d=1, A=np.ones((1, 1)), mu=np.array([[-0.0]]), sigma=np.array([[[5e-324]]]),
+                      alpha=5e-324)
+    io.write_model(tmp_path / "m.lvlm", model)  # every field one row, of one number
+    assert (tmp_path / "m.lvlm").read_bytes() == model_file_bytes(model)
+    empty = Codebook(np.empty((0, 2)), np.empty(0))
+    io.write_codebook(tmp_path / "c.lvlm", empty)  # two empty rows
+    assert (tmp_path / "c.lvlm").read_bytes() == codebook_file_bytes(empty) == \
+        b"variant=codebook\nN=0\nM=2\ncentroids=\nsizes=\n"
+    priors = [0.25, 5e-324, 1e16, 1.7976931348623157e308, 3.0]
+    io.write_bundle(tmp_path / "b.txt", [(f"c{i}", prior, "m.lvlm") for i, prior in enumerate(priors)])
+    assert (tmp_path / "b.txt").read_bytes() == ("LVLM-BUNDLE\n" + "".join(
+        f"c{i} {float_text(prior)} m.lvlm\n" for i, prior in enumerate(priors))).encode()
 
 
 def test_state_lattice_written_as_u8(tmp_path):
@@ -699,6 +741,23 @@ def test_parse_values_memory_is_bounded_by_the_chunk():
     # copies of one chunk's text and its Python floats; a parse of the whole
     # body at once peaked at 11.9 MB
     assert peak < 2 * got.nbytes + 12 * io._CHUNK_BYTES
+
+
+def test_read_lattice_memory_is_the_file_and_the_values(tmp_path):
+    vals = np.random.default_rng(11).normal(size=(40, 40, 40, 2))
+    p = tmp_path / "v.lat"
+    io.write_lattice(p, SymbolLattice.real(vals))
+    tracemalloc.start()
+    try:
+        got = io.read_lattice(p).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == vals.tobytes()
+    # the file's bytes once, the values twice (the chunks' arrays and their
+    # concatenation) and a few copies of one chunk's text: no copy of the
+    # body (2.5 MB here), which splitting the header off took two of
+    assert peak < p.stat().st_size + 2 * got.nbytes + 4 * io._CHUNK_BYTES
 
 
 def test_write_lattice_memory_is_bounded_by_the_piece(tmp_path):
