@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time lvlm's window sweep, nearest-row search, decoding, evaluation,
-classification, lattice and model I/O, inertia index and command-line front
+"""Time lvlm's window sweep, nearest-row search, decoding, evaluation and its
+neighbour term, classification, lattice and model I/O, inertia index and command-line front
 end at fixed shapes.
 
 Cases, each on seeded inputs:
@@ -44,6 +44,13 @@ Cases, each on seeded inputs:
   Gaussian emissions, 20 sweeps), writing observations and states; its
   fingerprint is that of both written files' bytes.
   `synth/gibbs_sample/40x3-N3`: `gibbs_sample` alone on that lattice.
+- `cli-volume/evaluate`: `evaluate_real` of the 40³ f64x2 grid under the
+  3-state real model of `cli`. `cli-volume/classify`: `classify_image` of
+  the 24³ f64x2 grid under a bundle of 3 such models (means drawn per
+  class), each at window radius 1.
+- `pair_score`: the neighbour term of evaluation alone, `model._pair_score`
+  under the 3-state A of `image-discrete`, on the states its model decodes
+  (`256-N3`) and on the 40³ lattice of 3 states (`40x3-N3`).
 
 Each source tree is served by a worker process of its own, which builds
 every case's inputs once and then runs one call at a time when asked.
@@ -113,7 +120,7 @@ def cases(tmp):
     from lvlm import (ClassEntry, ClassifierBundle, DiscreteModel, LatticeShape, RealModel, SymbolLattice,
                       SynthConfig, classify_image, cli, decode_discrete, decode_real, evaluate_discrete,
                       evaluate_real, gibbs_sample, inertia_index, io, sweep_signatures)
-    from lvlm.model import _nearest_rows
+    from lvlm.model import _nearest_rows, _pair_score
 
     out = []
     rng = np.random.default_rng(0)
@@ -200,6 +207,8 @@ def cases(tmp):
 
     real = RealModel(N=N, M=2, d=3, A=A, mu=rng.normal(size=(N, 2)), sigma=np.tile(np.eye(2), (N, 1, 1)))
     io.write_model(tmp / "model.txt", real)
+    out.append(("cli-volume/evaluate", {"U": VOLUME_SIDE ** 3, "N": N, "M": 2, "w": real.w_e},
+                lambda m=real, lat=lattices["40x3-f64x2"]: evaluate_real(m, lat)))
     argv = ["index", "--model", str(tmp / "model.txt"), "--states", str(tmp / "40x3-u8.lat"), "--w", "1"]
 
     def index():
@@ -245,6 +254,15 @@ def cases(tmp):
     config = SynthConfig(shape=LatticeShape(volume), N=N, potentials=phi, sweeps=sweeps, seed=0)
     out.append((f"synth/gibbs_sample/40x3-N{N}", {"U": VOLUME_SIDE ** 3, "N": N, "sweeps": sweeps},
                 lambda: gibbs_sample(config).states))
+
+    rng = np.random.default_rng(4)  # its own stream, as above
+    classes = ClassifierBundle(tuple(
+        ClassEntry(f"c{c}", RealModel(N=N, M=2, d=3, A=A, mu=rng.normal(size=(N, 2)),
+                                      sigma=np.tile(np.eye(2), (N, 1, 1))), np.log(1 / N)) for c in range(N)))
+    out.append(("cli-volume/classify", {"U": TEST_SIDE ** 3, "N": N, "M": 2, "w": 1, "classes": N},
+                lambda lat=lattices["24x3-f64x2"]: classify_image(classes, lat)))
+    for name, q in [("256-N3", states.states), ("40x3-N3", lattices["40x3-u8"].values)]:
+        out.append((f"pair_score/{name}", {"U": q.size, "N": N, "d": q.ndim}, lambda q=q: _pair_score(A, q, 1.0)))
     return out
 
 

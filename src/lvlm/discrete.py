@@ -46,10 +46,19 @@ class DiscreteModel(core.LatticeModel):
         return {"B": B}
 
     def _log_emission(self, obs: SymbolLattice, q: np.ndarray) -> float:
-        b = self.B[q, obs.values]
+        """Sum over (state, symbol) pairs of their node count times log b,
+        the pairs counted from codes q_t M + o_t a block of nodes at a time;
+        -inf exactly where an observed pair has b = 0."""
+        q, o = q.ravel(), obs.values.ravel()
+        counts = np.zeros(self.B.size, dtype=np.int64)
+        for s in range(0, len(q), core._PAIR_BLOCK_NODES):
+            e = s + core._PAIR_BLOCK_NODES
+            counts += np.bincount(q[s:e] * self.M + o[s:e], minlength=len(counts))
+        seen = np.flatnonzero(counts)
+        b = self.B.ravel()[seen]
         if np.any(b <= 0):
             return float("-inf")
-        return float(np.log(b).sum())
+        return float((counts[seen] * np.log(b)).sum())
 
 
 def assign_discrete(model: DiscreteModel, x) -> int:

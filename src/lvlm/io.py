@@ -12,10 +12,11 @@ by orjson, which rounds as np.fromstring does, in chunks of bounded size;
 a chunk orjson rejects, or one holding a bare `-0` (an integer 0 in JSON),
 goes to np.fromstring, so both accept the same text. A lattice file is
 read once: its header words are found by offset, and its body is parsed
-from a view of the file's bytes, so no copy of the body is made. Numbers
-written are formatted by orjson (`_format_rows`), in pieces of bounded
-size, each dumped flat and its separators turned into spaces and line
-breaks in one numpy pass: integers in decimal, floats as the shortest
+from a view of the file's bytes, so no copy of the body is made; a float
+body is parsed chunk by chunk into one array of the value count its header
+gives. Numbers written are formatted by orjson (`_format_rows`), in pieces
+of bounded size, each dumped flat and its separators turned into spaces and
+line breaks in one numpy pass: integers in decimal, floats as the shortest
 decimal that reads back as the same double. Writes go through a temp file
 and a rename, a command's outputs all or none (`all_or_none`).
 """
@@ -168,18 +169,21 @@ _SPACE_RUN = re.compile(rb"(?<!\s)\s+")
 
 
 def _chunks(text: bytes | memoryview):
-    """The bytes of `text` cut at runs of ASCII whitespace into pieces of
-    about _CHUNK_BYTES, with no whitespace at either end; none empty (none at
-    all for empty or all-whitespace text, which np.fromstring reads as one
-    -1)."""
+    """Views of `text` cut at runs of ASCII whitespace into pieces of about
+    _CHUNK_BYTES, with no whitespace at either end; none empty (none at all
+    for empty or all-whitespace text, which np.fromstring reads as one -1)."""
+    text = memoryview(text)
     lead = _SPACE_RUN.match(text)
     start = lead.end() if lead else 0
     while start < len(text):
         cut = _SPACE_RUN.search(text, start + _CHUNK_BYTES)
         if cut is None:  # the last piece, which may end in whitespace
-            yield bytes(text[start:]).rstrip()
+            end = len(text)
+            while text[end - 1] in _ASCII_WHITESPACE:
+                end -= 1
+            yield text[start:end]
             return
-        yield bytes(text[start:cut.start()])
+        yield text[start:cut.start()]
         start = cut.end()
 
 
@@ -189,20 +193,40 @@ def _chunks(text: bytes | memoryview):
 _AS_JSON = bytes(ch if ch in b"0123456789+-.eE" else b"#,"[ch in _ASCII_WHITESPACE] for ch in range(256))
 
 
-def _parse_floats(chunk: bytes) -> np.ndarray:
+def _parse_floats(chunk: memoryview) -> np.ndarray:
     """The float64s of `chunk` (no whitespace at either end, not empty):
     orjson's where it reads the chunk as an array of JSON numbers, and
     np.fromstring's otherwise. Both round correctly, so they give the same
-    doubles for JSON numbers, except -0, which JSON reads as the integer 0."""
-    framed = b"[%b]" % chunk.translate(_AS_JSON)
+    doubles for JSON numbers, except -0, which JSON reads as the integer 0.
+    The chunk's text is copied once, into the translated array orjson reads."""
+    framed = bytearray(len(chunk) + 2)
+    framed[1:-1] = chunk
+    framed = framed.translate(_AS_JSON)
+    framed[0], framed[-1] = b"[]"
     try:
         numbers = orjson.loads(framed)
     except orjson.JSONDecodeError:  # doubled whitespace, inf, nan, .5, +1, 01, malformed text
-        return np.fromstring(chunk, dtype=np.float64, sep=" ")
+        return np.fromstring(bytes(chunk), dtype=np.float64, sep=" ")
     values = np.fromiter(numbers, dtype=np.float64, count=len(numbers))
     if (values == 0).any() and (b"-0," in framed or framed.endswith(b"-0]")):
-        return np.fromstring(chunk, dtype=np.float64, sep=" ")  # JSON reads -0 as the integer 0
+        return np.fromstring(bytes(chunk), dtype=np.float64, sep=" ")  # JSON reads -0 as the integer 0
     return values
+
+
+def _parse_floats_into(text: bytes | memoryview, count: int) -> tuple[np.ndarray, int]:
+    """(values, n): the float64s of `text` (see `_parse_values`) parsed a
+    chunk at a time into one array of `count` values, and how many numbers
+    the text holds; `values` is whole only when n == count. The array never
+    outgrows the numbers the text can hold, one per two bytes."""
+    values = np.empty(min(count, len(text) // 2 + 1))
+    n = 0
+    for chunk in _chunks(text):
+        parsed = _parse_floats(chunk)
+        dest = values[n:n + len(parsed)]
+        dest[:] = parsed[:len(dest)]
+        n += len(parsed)
+        del parsed, dest  # not held while the next chunk is parsed
+    return values, n
 
 
 def _parse_number(token: bytes | str, dtype):
@@ -236,13 +260,18 @@ def read_lattice(path, M: int | None = None) -> SymbolLattice:
     if dtype != "u8" and m < 1:
         raise InputError(f"{path}: unknown dtype {dtype!r}")
     body = next(words, None)  # the first value, if any
+    text = memoryview(data)[body.start():] if body else b""
+    count = shape.node_count * max(m, 1)
     try:
-        arr = _parse_values(memoryview(data)[body.start():] if body else b"", np.float64 if m else np.int64)
+        if m:
+            arr, got = _parse_floats_into(text, count)
+        else:
+            arr = _parse_values(text, np.int64)
+            got = arr.size
     except ValueError as e:
         raise InputError(f"{path}: malformed {dtype} value ({e})") from e
-    count = shape.node_count * max(m, 1)
-    if arr.size != count:
-        raise InputError(f"{path}: expected {count} values, got {arr.size}")
+    if got != count:
+        raise InputError(f"{path}: expected {count} values, got {got}")
     if m:
         return SymbolLattice.real(arr.reshape(shape.lengths + (m,)))
     if arr.min() < 0 or arr.max() > 255:

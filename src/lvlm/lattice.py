@@ -118,6 +118,11 @@ class SignatureField:
         return self.signatures.reshape(-1, self.M)
 
 
+# largest table indexed by a node's state and its neighbours' states that is
+# built per call: Gibbs sampling's conditionals, evaluation's neighbour codes
+TABLE_ENTRIES = 1 << 18
+
+
 def neighbors(shape: LatticeShape, t) -> list[tuple[int, ...]]:
     """Axis-adjacent coordinates of t inside the lattice (<= 2d of them)."""
     t = tuple(int(c) for c in t)

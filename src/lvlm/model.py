@@ -13,9 +13,15 @@ running minimum of d² over the states in ascending order, so ties go to the
 lowest state. Each state's d² adds its squared differences in the order of
 numpy's pairwise summation, so it is bit-equal to
 `((x - row) ** 2).sum(axis=1)`. Evaluation sweeps its field in the search's
-blocks (`lattice.sweep_blocks`) and never holds it whole, and takes its
-neighbor pairs a bounded block at a time, so its temporaries stay small and
-are reused from the heap call after call.
+blocks (`lattice.sweep_blocks`) and never holds it whole. Every node's
+neighbor term has the same form and depends only on its own state and its
+neighbors' states, so evaluation scores from exact integer counts: the
+neighbor-pair counts C give sum_ij C_ij log a_ij and log alpha * sum C, and
+each distinct (state, neighbor-state multiset) code gives deg log k once,
+times the number of nodes that have it (`_pair_score`). Those counts are
+taken a bounded block of nodes at a time, so the temporaries stay small and
+are reused from the heap call after call, and they add exactly, so the
+score does not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -66,9 +72,11 @@ class LatticeModel:
 
 _BLOCK = 1 << 18  # elements of one block's transposed signatures and squared differences together
 _BLOCK_NODES = 1 << 14  # nodes of one block at most; at M = 4 faster than one 65,536-node block
-# nodes of one block of neighbor pairs: its int64 codes and float64 terms stay
-# below glibc's least mmap threshold (128 KiB), so they reuse heap memory
-# instead of being mapped, page-faulted and unmapped again on every call
+# nodes of one block of evaluation's counting (neighbour codes, state-symbol
+# codes): its int64 codes, and the int32 padded rows the neighbour codes are
+# read from, stay below glibc's least mmap threshold (128 KiB), so they reuse
+# heap memory instead of being mapped, page-faulted and unmapped again on
+# every call
 _PAIR_BLOCK_NODES = 1 << 13
 
 
@@ -185,45 +193,87 @@ def decode(model: LatticeModel, obs: SymbolLattice, w: int):
     return X, StateLattice(obs.shape, _assign_field(model.rows, X), model.N)
 
 
+def _neighbour_blocks(q: np.ndarray, fill: np.ndarray):
+    """For blocks of first-axis rows [s, e) of q, about `_PAIR_BLOCK_NODES`
+    nodes (one row at least): (s, e, near), near the 2d views, each of
+    q[s:e]'s shape, of fill[q_r] at each node's neighbour r one step back
+    and one step on along each axis, in axis order; fill[-1] where that
+    neighbour lies off the lattice. They are read from one reused buffer:
+    the block's rows and a halo row on either side, padded on every axis."""
+    rows = min(len(q), max(1, _PAIR_BLOCK_NODES // (q.size // len(q))))
+    pad = np.full((rows + 2,) + tuple(n + 2 for n in q.shape[1:]), fill[-1], dtype=fill.dtype)
+    inner = tuple(slice(1, n + 1) for n in q.shape[1:])
+    for s in range(0, len(q), rows):
+        e = min(s + rows, len(q))
+        lo, hi = max(s - 1, 0), min(e + 1, len(q))
+        block = pad[:e - s + 2]
+        fill.take(q[lo:hi], out=block[(slice(lo - s + 1, hi - s + 1),) + inner], mode="clip")
+        if hi == e:  # no row after the last: a halo of sentinels
+            block[-1] = fill[-1]
+        near = []
+        for axis in range(q.ndim):
+            for step in (-1, 1):
+                at = [slice(1, e - s + 1), *inner]
+                at[axis] = slice(at[axis].start + step, at[axis].stop + step)
+                near.append(block[tuple(at)])
+        yield s, e, near
+
+
 def _pair_score(A: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """Sum over nodes of 1/2 * sum_r [log alpha + log a(q_t,q_r) - log k_t].
-    On a lattice of two or more nodes every node has a neighbor. Each pair's
-    a(q_t,q_r) and log a(q_t,q_r) are taken from the flat A and log A at one
-    code q_t * N + q_r per pair and orientation. The pairs are taken a block
-    of first-axis rows at a time, about `_PAIR_BLOCK_NODES` nodes (one row at
-    least); every node still gets its terms in the same order, so the sums
-    are bit-equal to those of one whole-lattice pass."""
+    """Sum over nodes of 1/2 * sum_r [log alpha + log a(q_t,q_r) - log k_t],
+    from exact integer counts: with C the neighbour-pair counts (both
+    orientations) and deg_t the neighbour count of node t, it is
+    1/2 [sum_ij C_ij log a_ij + log alpha * sum C - sum_t deg_t log k_t].
+    Each node's k_t and deg_t depend only on its state and the multiset of
+    its neighbours' states, so where N (2d+1)^N codes fit
+    `lattice.TABLE_ENTRIES` each node gets one code, q_t (2d+1)^N plus
+    (2d+1)^(q_r) per neighbour, and deg_t log k_t is taken once per code that
+    occurs, times its count; C follows from the same counts. Past that bound
+    each node's k_t is summed from its 2d neighbours and C is counted pair by
+    pair. The nodes are read a block of first-axis rows at a time
+    (`_neighbour_blocks`); counts add exactly, so the score does not depend
+    on the blocks. -inf where some k_t is 0 or some neighbouring pair has
+    a = 0. On a lattice of two or more nodes every node has a neighbor."""
     if q.size < 2:
         return 0.0
-    N = len(A)
-    flat = A.ravel()
-    with np.errstate(divide="ignore"):
-        log_flat = np.log(flat)
-    # per node: k_t, sum_r log a(q_t,q_r), and its neighbor count: two at
-    # most per axis longer than one node, of which there are fewer than 64
-    k = np.zeros(q.shape)
-    sla = np.zeros(q.shape)
-    deg = np.zeros(q.shape, dtype=np.uint8)
-    rows = max(1, _PAIR_BLOCK_NODES // (q.size // len(q)))
-    for axis, (lo, hi) in enumerate(axis_pairs(q.ndim)):
-        # pairs whose first node lies in rows [s, e) of q; along axis 0 their
-        # second nodes lie in rows [s + 1, e + 1)
-        for s in range(0, len(q) - (axis == 0), rows):
-            e = min(s + rows, len(q) - (axis == 0))
-            lo_b = (slice(s, e),) + lo[1:]
-            hi_b = (slice(s + 1, e + 1) if axis == 0 else slice(s, e),) + hi[1:]
-            qa, qb = q[lo_b], q[hi_b]
-            forward, backward = qa * N + qb, qb * N + qa
-            k[lo_b] += flat.take(forward)
-            k[hi_b] += flat.take(backward)
-            sla[lo_b] += log_flat.take(forward)
-            sla[hi_b] += log_flat.take(backward)
-            deg[lo_b] += 1
-            deg[hi_b] += 1
-    if np.any(k <= 0):
+    N, base = len(A), 2 * q.ndim + 1
+    if N * base ** N <= lattice.TABLE_ENTRIES:
+        top = base ** N
+        hist = np.zeros(N * top, dtype=np.int64)
+        digit = np.append(base ** np.arange(N, dtype=np.int32), 0)  # a missing neighbour adds 0
+        for s, e, near in _neighbour_blocks(q, digit):
+            code = q[s:e] * top
+            for v in near:
+                code += v
+            hist += np.bincount(code.ravel(), minlength=len(hist))
+        seen = np.flatnonzero(hist)
+        times = hist[seen]
+        state = seen // top
+        counts = seen[:, None] // digit[:-1] % base  # neighbours in each state
+        k = (counts * A[state]).sum(axis=1)
+        if np.any(k <= 0):
+            return float("-inf")
+        deg_log_k = (times * counts.sum(axis=1) * np.log(k)).sum()
+        C = np.zeros((N, N), dtype=np.int64)
+        np.add.at(C, state, times[:, None] * counts)
+    else:
+        flat = np.zeros((N, N + 1))  # column N: a missing neighbour adds a = 0
+        flat[:, :N] = A
+        flat = flat.ravel()
+        terms = np.empty(q.shape)  # deg_t log k_t, summed once, whatever the blocks
+        for s, e, near in _neighbour_blocks(q, np.arange(N + 1, dtype=np.int32)):
+            row = q[s:e] * (N + 1)
+            k = sum(flat.take(row + v) for v in near)
+            if np.any(k <= 0):
+                return float("-inf")
+            deg = sum(v < N for v in near)
+            np.multiply(deg, np.log(k), out=terms[s:e])
+        deg_log_k = terms.sum()
+        C = _adjacency_counts(N, q)
+    paired = C > 0
+    if np.any(A[paired] <= 0):
         return float("-inf")
-    log_k = np.log(k, out=k)
-    return float(0.5 * (sla.sum() + np.log(alpha) * deg.sum() - np.multiply(deg, log_k, out=log_k).sum()))
+    return float(0.5 * ((C[paired] * np.log(A[paired])).sum() + np.log(alpha) * C.sum() - deg_log_k))
 
 
 def evaluation_field(model: LatticeModel, obs: SymbolLattice) -> SignatureField:

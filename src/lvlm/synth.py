@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lattice
 from .errors import InputError
 from .lattice import LatticeShape, StateLattice, SymbolLattice
 
@@ -83,9 +84,6 @@ class SynthConfig:
             raise InputError("emission parameters must match N")
 
 
-_TABLE_ENTRIES = 1 << 18  # largest N x (N + 1)^(2d) conditional table built per call
-
-
 def _tail_masses(loglik: np.ndarray) -> np.ndarray:
     """Column-wise conditionals from (N, k) log-weights: row s becomes the mass
     of states s..N-1, scaled so the likeliest state weighs 1 (every weight is 0
@@ -107,11 +105,11 @@ def gibbs_sample(config: SynthConfig) -> StateLattice:
 
     Each half-sweep reads a colour and its 2d neighbours as step-2 slices of
     one flat, sentinel-padded array. When N (N + 1)^(2d) is at most
-    `_TABLE_ENTRIES`, the neighbour states form one base-(N + 1) code and the
-    conditional's tail masses come from a table built once per call over every
-    code; otherwise the log-conditionals are summed per neighbour. Both forms
-    add the same log-potentials in the same order, so they draw the same
-    states."""
+    `lattice.TABLE_ENTRIES`, the neighbour states form one base-(N + 1) code
+    and the conditional's tail masses come from a table built once per call
+    over every code; otherwise the log-conditionals are summed per neighbour.
+    Both forms add the same log-potentials in the same order, so they draw
+    the same states."""
     rng = np.random.default_rng(config.seed)
     lengths = config.shape.lengths
     N = config.N
@@ -144,7 +142,7 @@ def gibbs_sample(config: SynthConfig) -> StateLattice:
     offsets = [o for s in strides for o in (-s, s)]
     logs = [t for _ in strides for t in (behind, ahead)]
     table = None
-    if N * (N + 1) ** len(offsets) <= _TABLE_ENTRIES:
+    if N * (N + 1) ** len(offsets) <= lattice.TABLE_ENTRIES:
         # column c: the neighbour states read as base-(N + 1) digits, first offset first
         loglik = np.zeros(N)
         for t in logs:

@@ -15,6 +15,8 @@ from lvlm import (DiscreteModel, InputError, RealModel, SymbolLattice, cli, io, 
                   pnn_quantize)
 from lvlm.cli import main
 
+from oracles import straightline_evaluate_discrete
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -66,6 +68,23 @@ def test_evaluate_prints_logp_line(tmp_path, capsys):
     line = [ln for ln in out.splitlines() if ln.startswith("logp=")]
     assert len(line) == 1
     float(line[0].split("=", 1)[1])  # parses as a number
+
+
+def test_evaluate_past_the_table_bound_matches_straightline(tmp_path, capsys):
+    # 40 states on a 3-d lattice: 40 x 7^40 neighbour codes are past the
+    # table bound, so the score sums each node's k_t from its neighbours
+    rng = np.random.default_rng(40)
+    N, M = 40, 6
+    m = DiscreteModel(N=N, M=M, d=3, A=rng.uniform(0.01, 1.0, size=(N, N)),
+                      B=rng.dirichlet(np.ones(M), size=N), w_e=1)
+    obs = SymbolLattice.discrete(rng.integers(0, M, size=(5, 4, 6)), M=M)
+    model_p, obs_p = tmp_path / "m.lvlm", tmp_path / "o.lat"
+    io.write_model(model_p, m)
+    io.write_lattice(obs_p, obs)
+    code, out, err = run(capsys, "evaluate", "--model", str(model_p), "--in", str(obs_p))
+    assert code == 0, err
+    want = straightline_evaluate_discrete(io.read_model(model_p), obs.values)
+    assert math.isfinite(want) and float(out.removeprefix("logp=")) == pytest.approx(want, rel=1e-12)
 
 
 def test_index_subcommand(tmp_path, capsys):
@@ -721,6 +740,74 @@ def test_flag_combinations_write_all_outputs_or_none(combo_files, tmp_path_facto
     else:
         assert code in (1, 2) and err.startswith("lvlm: ") and len(err.splitlines()) == 1
         assert list(out_dir.iterdir()) == []
+
+
+# per state count: a --potentials matrix, a --b, a --mu and its --sigma
+SYNTH_PARAMETERS = {
+    1: ("1", "0.3,0.7", "1,2", "1,0,0,1"),
+    2: ("0.9,0.1;0.1,0.9", "0.8,0.2;0.2,0.8", "0,0;3,0", "1,0,0,1;2,0,0,2"),
+    3: ("0.5,0.3,0.2;0.2,0.5,0.3;0.3,0.2,0.5", "0.5,0.5,0;0,0.5,0.5;0.5,0,0.5", "0;1;2", "1;1;1"),
+}
+# flags that conflict with, or are out of range for, most of the rest
+SYNTH_ODD_FLAGS = [["--shape", "0x3"], ["--shape", "2x"], ["--n", "0"], ["--n", "3"], ["--self-weight", "nan"],
+                   ["--self-weight", "-0.5"], ["--potentials", "0,0;1,1"], ["--potentials", "1,0;0,1"],
+                   ["--b", "0.7,0.4;0.2,0.8"], ["--b", "1,0"], ["--mu", "0,0;3,0"], ["--sigma", "1,2,3,4;1,0,0,1"],
+                   ["--sigma-scale", "0"], ["--sigma-scale", "-1"], ["--sweeps", "0"], ["--seed", "-1"]]
+
+
+@st.composite
+def synth_flag_combination(draw):
+    """(argv, outputs) of one synth run: flags that agree on a state count,
+    half the time with one flag that conflicts with them or is out of range,
+    and the outputs it asks for, some of them the same path or in no
+    directory."""
+    n = draw(st.sampled_from(sorted(SYNTH_PARAMETERS)))
+    potentials, b, mu, sigma = SYNTH_PARAMETERS[n]
+    argv = ["synth", "--shape", draw(st.sampled_from(["5", "4x6", "3x3x3", "1x4"]))]
+    states = draw(st.sampled_from([["--n", str(n)], ["--potentials", potentials],
+                                   ["--n", str(n), "--potentials", potentials]]))
+    argv += states + (["--self-weight", "0.8"] if "--n" in states and draw(st.booleans()) else [])
+    emission = draw(st.sampled_from([[], ["--b", b], ["--mu", mu], ["--mu", mu, "--sigma", sigma],
+                                     ["--mu", mu, "--sigma-scale", "0.5"]]))
+    argv += emission
+    for flag, values in (("--sweeps", ["1", "2"]), ("--seed", ["0", "3"]), ("--format", ["lat", "pgm"])):
+        value = draw(st.none() | st.sampled_from(values))
+        argv += [] if value is None else [flag, value]
+    if draw(st.booleans()):
+        argv += draw(st.sampled_from(SYNTH_ODD_FLAGS))
+    outputs = []
+    for flag, paths in (("--out", ["{out}/o", "{out}/nodir/o"]),
+                        ("--states-out", ["{out}/q", "{out}/o", "{out}/nodir/q"])):
+        # observations are asked for mostly when there is an emission to draw them from
+        given = draw(st.booleans()) if flag == "--states-out" or not emission else draw(st.integers(0, 4)) > 0
+        if given:
+            path = draw(st.sampled_from(paths[:1]) | st.sampled_from(paths))
+            argv += [flag, path]
+            outputs.append(path)
+    return argv, outputs
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=synth_flag_combination())
+@example(case=(["synth", "--shape", "4x6", "--n", "2", "--b", "0.8,0.2;0.2,0.8", "--out", "{out}/o",
+                "--states-out", "{out}/q"], ["{out}/o", "{out}/q"]))
+@example(case=(["synth", "--shape", "4x6", "--n", "2", "--b", "0.8,0.2;0.2,0.8", "--out", "{out}/o",
+                "--states-out", "{out}/nodir/q"], ["{out}/o", "{out}/nodir/q"]))
+def test_synth_flag_combinations_write_all_outputs_or_none(tmp_path_factory, capsys, case):
+    argv, outputs = case
+    out_dir = tmp_path_factory.mktemp("synth")
+    code, out, err = run(capsys, *(a.format(out=out_dir) for a in argv))
+    written = sorted(p for p in out_dir.rglob("*") if p.is_file())
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert written == sorted({Path(p.format(out=out_dir)) for p in outputs})  # every output, and nothing else
+        for path in written:
+            io.read_lattice_auto(path)
+        assert len(out.splitlines()) == len(outputs) and not err
+    else:
+        assert out == "" and written == []
+        assert err.startswith("lvlm: ") and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_parser_built_once_and_reused(combo_files, tmp_path, capsys):

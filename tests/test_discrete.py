@@ -102,6 +102,39 @@ def test_evaluate_zero_emission_is_neg_inf():
     assert evaluate_discrete(m, obs) == float("-inf")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # -inf from the rule, not from log(0)
+@pytest.mark.parametrize("seed", range(12))
+def test_log_emission_minus_inf_exactly_where_an_observed_pair_has_b_zero(seed):
+    # zeros in B at random places: the term is -inf exactly when some node's
+    # (state, symbol) lands on one, and otherwise the per-node sum of log b
+    rng = np.random.default_rng(seed)
+    B = rng.dirichlet(np.ones(5), size=4) * (rng.random((4, 5)) < 0.9)
+    B[:, 0] += 0.01
+    B /= B.sum(axis=1, keepdims=True)
+    m = DiscreteModel(N=4, M=5, d=2, A=np.full((4, 4), 0.25), B=B)
+    q = rng.integers(0, 4, size=(6, 7))
+    obs = SymbolLattice.discrete(rng.integers(0, 5, size=(6, 7)), M=5)
+    b = B[q, obs.values]
+    got = m._log_emission(obs, q)
+    if (b == 0).any():
+        assert got == float("-inf")
+    else:
+        assert got == pytest.approx(math.fsum(np.log(b).ravel()), rel=1e-12)
+
+
+def test_evaluate_zero_emission_no_node_uses_stays_finite():
+    # symbol 3 of a 4-symbol model has b = 0 in every state, and the 3-symbol
+    # lattice never shows it: the score is finite and equals the oracle's
+    rng = np.random.default_rng(7)
+    B = rng.dirichlet(np.ones(4), size=3)
+    B[:, 3] = 0.0
+    B /= B.sum(axis=1, keepdims=True)
+    m = DiscreteModel(N=3, M=4, d=2, A=rng.uniform(0.1, 1.0, size=(3, 3)), B=B, w_e=1)
+    obs = SymbolLattice.discrete(rng.integers(0, 3, size=(8, 9)), M=3)
+    got, want = evaluate_discrete(m, obs), straightline_evaluate_discrete(m, obs.values)
+    assert math.isfinite(want) and got == pytest.approx(want, rel=1e-12)
+
+
 def test_learn_constant_lattice():
     obs = SymbolLattice.discrete(np.ones((6, 6), dtype=int), M=2)
     m = learn_discrete(obs, 1, 1)

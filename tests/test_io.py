@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import hypothesis.extra.numpy as hnp
@@ -754,10 +756,25 @@ def test_read_lattice_memory_is_the_file_and_the_values(tmp_path):
     finally:
         tracemalloc.stop()
     assert got.tobytes() == vals.tobytes()
-    # the file's bytes once, the values twice (the chunks' arrays and their
-    # concatenation) and a few copies of one chunk's text: no copy of the
+    # the file's bytes once, the values once (each chunk is parsed into its
+    # slice of them) and a few copies of one chunk's text: no copy of the
     # body (2.5 MB here), which splitting the header off took two of
-    assert peak < p.stat().st_size + 2 * got.nbytes + 4 * io._CHUNK_BYTES
+    assert peak < p.stat().st_size + got.nbytes + 4 * io._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("chunk_bytes", [16, 1 << 18])
+@pytest.mark.parametrize("dtype", ["u8", "f64x2"])
+@pytest.mark.parametrize("lengths,given", [((30,), 59), ((30,), 61), ((5, 6), 0), ((10 ** 12,), 60)])
+def test_read_lattice_wrong_value_count_names_both(tmp_path, monkeypatch, chunk_bytes, dtype, lengths, given):
+    # one value short, one over, none, and a header of far more values than
+    # the body could hold; in one chunk and in many
+    monkeypatch.setattr(io, "_CHUNK_BYTES", chunk_bytes)
+    width = 2 if dtype == "f64x2" else 1
+    p = tmp_path / "v.lat"
+    p.write_text(f"LVLM-LATTICE {len(lengths)} {' '.join(map(str, lengths))} {dtype}\n" + "1 " * given)
+    want = f"{p}: expected {math.prod(lengths) * width} values, got {given}"
+    with pytest.raises(InputError, match=f"^{re.escape(want)}$"):
+        io.read_lattice(p)
 
 
 def test_write_lattice_memory_is_bounded_by_the_piece(tmp_path):

@@ -15,7 +15,7 @@ from lvlm import (
     emit_observations,
     gibbs_sample,
     inertia_index,
-    synth,
+    lattice,
 )
 
 
@@ -199,7 +199,7 @@ ORACLE_SHAPES = [(1,), (5,), (6,), (3, 4), (4, 1), (1, 5), (2, 2), (2, 3, 1), (3
 @pytest.mark.parametrize("form", ["table", "summed"])
 def test_gibbs_equals_straightline(form, monkeypatch):
     if form == "summed":
-        monkeypatch.setattr(synth, "_TABLE_ENTRIES", 0)
+        monkeypatch.setattr(lattice, "TABLE_ENTRIES", 0)
     rng = np.random.default_rng(21)
     for lengths in ORACLE_SHAPES:
         for N in range(1, 5):
