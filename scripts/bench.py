@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time lvlm's window sweep, nearest-row search, decoding, evaluation and its
-neighbour term, classification, lattice and model I/O, inertia index and command-line front
-end at fixed shapes.
+neighbour term, classification, learning and PNN quantization, lattice and
+model I/O, inertia index and command-line front end at fixed shapes.
 
 Cases, each on seeded inputs:
 
@@ -51,6 +51,13 @@ Cases, each on seeded inputs:
 - `pair_score`: the neighbour term of evaluation alone, `model._pair_score`
   under the 3-state A of `image-discrete`, on the states its model decodes
   (`256-N3`) and on the 40³ lattice of 3 states (`40x3-N3`).
+- `image-discrete/learn`: `learn_discrete` of the `image-discrete` image,
+  window radius 2, 3 states. `cli-volume/learn`: `learn_real` of a 32³
+  f64x2 volume of 3 states in blocks of 8 (means (0, 0), (3, 0) and (0, 3),
+  unit normal noise), window radius 1, 3 states. Their fingerprints are the
+  learned model files' bytes. `pnn/32x3-real-M2`: `pnn_quantize` alone of
+  that volume's window means into 3 clusters; its fingerprint is that of
+  the codebook and the assignment.
 
 Each source tree is served by a worker process of its own, which builds
 every case's inputs once and then runs one call at a time when asked.
@@ -89,6 +96,7 @@ WIDTHS = (2, 4, 16)
 WIDE_M, WIDE_STATE_COUNTS = 16, (4, 64)
 CLASSIFY_SIDE, CLASSES = 64, 4
 VOLUME_SIDE, TEST_SIDE = 40, 24
+LEARN_SIDE, LEARN_BLOCK = 32, 8
 
 
 def fingerprint(value):
@@ -119,7 +127,8 @@ def cases(tmp):
     files are written under the directory `tmp`."""
     from lvlm import (ClassEntry, ClassifierBundle, DiscreteModel, LatticeShape, RealModel, SymbolLattice,
                       SynthConfig, classify_image, cli, decode_discrete, decode_real, evaluate_discrete,
-                      evaluate_real, gibbs_sample, inertia_index, io, sweep_signatures)
+                      evaluate_real, gibbs_sample, inertia_index, io, learn_discrete, learn_real, pnn_quantize,
+                      sweep_signatures)
     from lvlm.model import _nearest_rows, _pair_score
 
     out = []
@@ -263,6 +272,27 @@ def cases(tmp):
                 lambda lat=lattices["24x3-f64x2"]: classify_image(classes, lat)))
     for name, q in [("256-N3", states.states), ("40x3-N3", lattices["40x3-u8"].values)]:
         out.append((f"pair_score/{name}", {"U": q.size, "N": N, "d": q.ndim}, lambda q=q: _pair_score(A, q, 1.0)))
+
+    def learned(learn, lat, radius, path):
+        io.write_model(path, learn(lat, radius, N))
+        return path  # fingerprinted by its bytes
+
+    out.append(("image-discrete/learn", {"U": SIDE ** 2, "N": N, "M": M, "w": w},
+                lambda: learned(learn_discrete, image, w, tmp / "learned-discrete.lvlm")))
+    rng = np.random.default_rng(5)  # its own stream, as above
+    coarse = rng.integers(0, N, size=(LEARN_SIDE // LEARN_BLOCK,) * 3)
+    planted = np.kron(coarse, np.ones((LEARN_BLOCK,) * 3, dtype=np.int64))
+    centres = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+    learn_volume = SymbolLattice.real(centres[planted] + rng.normal(size=planted.shape + (2,)))
+    out.append(("cli-volume/learn", {"U": LEARN_SIDE ** 3, "N": N, "M": 2, "w": 1},
+                lambda: learned(learn_real, learn_volume, 1, tmp / "learned-real.lvlm")))
+    learn_means = sweep_signatures(learn_volume, 1).flat()
+
+    def pnn():
+        codebook, assignment = pnn_quantize(learn_means, N)
+        return np.concatenate([codebook.centroids.ravel(), codebook.sizes, assignment])
+
+    out.append((f"pnn/{LEARN_SIDE}x3-real-M2", {"points": len(learn_means), "N": N, "M": 2}, pnn))
     return out
 
 

@@ -5,7 +5,9 @@ the axis-aligned hypercube [t-w, t+w] clamped to the lattice; signatures are
 normalized by the actual (clamped) cell count so they stay valid at edges.
 The sweep sums every channel over these windows in one separable box sum,
 the channel a trailing axis, so no node or channel is visited in a Python
-loop. `sweep_blocks` gives the same field a block of nodes at a time.
+loop. `sweep_blocks` gives the same field a block of nodes at a time, and
+`window_counts` a discrete lattice's exact window counts, held in an integer
+type.
 """
 
 from __future__ import annotations
@@ -193,6 +195,22 @@ def _window_cells(lengths: tuple[int, ...], w: int) -> np.ndarray:
     return functools.reduce(np.multiply, np.ix_(*spans))[..., None]
 
 
+def count_type(lengths: tuple[int, ...], w: int) -> np.dtype:
+    """The narrowest unsigned type that holds a full w-window's cell count
+    on a lattice of these lengths."""
+    return np.min_scalar_type(math.prod(min(2 * w + 1, n) for n in lengths))
+
+
+def window_counts(lattice: SymbolLattice, w: int, M: int, dtype) -> np.ndarray:
+    """Exact count of each of M symbols (M at least the discrete lattice's)
+    over every node's clamped window, of shape lengths + (M,), in the
+    unsigned `dtype` (`count_type` or wider): one box sum over all symbols."""
+    if w < 0:
+        raise InputError("window radius must be >= 0")
+    onehot = (lattice.values[..., None] == np.arange(M)).astype(dtype)
+    return _box_sum(onehot, w)
+
+
 def sweep_signatures(lattice: SymbolLattice, w: int) -> SignatureField:
     """Window statistic at every node by one separable box sum over all
     channels, the channel a trailing axis.
@@ -210,13 +228,15 @@ def sweep_signatures(lattice: SymbolLattice, w: int) -> SignatureField:
     lengths = lattice.shape.lengths
     cells = _window_cells(lengths, w)
     if lattice.kind == "real":
-        out = _box_sum(np.asarray(lattice.values, dtype=np.float64), w)
-        np.divide(out, cells, out=out)
+        # a window sum that overflows is inf or nan, and raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _box_sum(np.asarray(lattice.values, dtype=np.float64), w)
+            np.divide(out, cells, out=out)
         if not np.isfinite(out).all():
             raise NumericError("window mean overflows")
         return SignatureField(lattice.shape, out)
     out = np.empty(lengths + (lattice.M,), dtype=np.float64)
-    count = np.min_scalar_type(math.prod(min(2 * w + 1, n) for n in lengths))
+    count = count_type(lengths, w)
     block = max(1, out.itemsize // count.itemsize)
     symbols = lattice.values[..., None]
     for c in range(0, lattice.M, block):
@@ -246,8 +266,7 @@ def sweep_blocks(lattice: SymbolLattice, w: int, nodes: int):
             part = SymbolLattice(LatticeShape((hi - lo,) + lengths[1:]), lattice.values[lo:hi],
                                  lattice.M, lattice.kind)
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    X = sweep_signatures(part, w).signatures[top - lo:end - lo].reshape(-1, lattice.M)
+                X = sweep_signatures(part, w).signatures[top - lo:end - lo].reshape(-1, lattice.M)
             except NumericError:
                 X, top, end = sweep_signatures(lattice, w).flat(), 0, lengths[0]
         yield a, X[a - top * per_row:b - top * per_row]

@@ -6,13 +6,17 @@ node's window signature. Evaluation scores a lattice as the sum over nodes of
 log p(o_t | q_t) + 1/2 * sum_r [log alpha + log a(q_t,q_r) - log k_t], with
 k_t = sum_r a(q_t,q_r). Learning PNN-quantizes the pooled window signatures
 into N emission rows, re-assigns every node to its nearest row, and
-row-normalizes the neighbor-pair counts into A. Decoding, evaluation, the
-scalar `assign` and learning's re-assignment share one nearest-row search. It
-transposes a bounded block of signatures into contiguous columns and keeps a
-running minimum of d² over the states in ascending order, so ties go to the
-lowest state. Each state's d² adds its squared differences in the order of
-numpy's pairwise summation, so it is bit-equal to
-`((x - row) ** 2).sum(axis=1)`. Evaluation sweeps its field in the search's
+row-normalizes the neighbor-pair counts into A. Discrete learning never
+builds the float field: it finds the distinct windows from exact integer
+window counts (`_distinct_windows`), quantizes each once, weighted by its
+node count, and assigns each once, so it learns what quantizing every node
+would. Decoding, evaluation, the scalar `assign` and learning's
+re-assignment share one nearest-row search. It copies a bounded block of
+signatures into contiguous columns, in buffers reused by every block of a
+call, and keeps a running minimum of d² over the states in ascending order,
+so ties go to the lowest state. Each state's d² adds its squared
+differences in the order of numpy's pairwise summation, so it is bit-equal
+to `((x - row) ** 2).sum(axis=1)`. Evaluation sweeps its field in the search's
 blocks (`lattice.sweep_blocks`) and never holds it whole. Every node's
 neighbor term has the same form and depends only on its own state and its
 neighbors' states, so evaluation scores from exact integer counts: the
@@ -115,30 +119,36 @@ def _nearest_step(M: int) -> int:
 def _nearest_rows(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the L2-closest of the N x M `rows` for each row of x, ties to
     the lowest index; a block of at most `_BLOCK_NODES` rows of x, and of
-    `_BLOCK` working elements, at a time."""
+    `_BLOCK` working elements, at a time. The blocks share one set of
+    working buffers, allocated once per call."""
     out = np.empty(len(x), dtype=np.int64)
-    step = _nearest_step(rows.shape[1])
+    M, step = rows.shape[1], _nearest_step(rows.shape[1])
+    m = min(step, len(x))
+    work = np.empty(M * m), np.empty(M * m), np.empty(m), np.empty(m, dtype=bool)
     for i in range(0, len(x), step):
         block = x[i:i + step]
         with np.errstate(over="ignore"):  # a d² that overflows is inf, above every finite one
-            found = _nearest_block(rows, block, out[i:i + step])
+            found = _nearest_block(rows, block, out[i:i + step], work)
         if not found:
             # at some node every state's d² overflows: search the block again,
             # scaled by the power of two that keeps d² finite
             k = vq.overflow_shift(rows, block)
-            _nearest_block(np.ldexp(rows, -k), np.ldexp(block, -k), out[i:i + step])
+            _nearest_block(np.ldexp(rows, -k), np.ldexp(block, -k), out[i:i + step], work)
     return out
 
 
-def _nearest_block(rows: np.ndarray, x: np.ndarray, q: np.ndarray) -> bool:
+def _nearest_block(rows: np.ndarray, x: np.ndarray, q: np.ndarray, work) -> bool:
     """Write the nearest-row index of each row of x into q: the columns of x
-    made contiguous, then a running minimum of d² over the states in
+    copied contiguous, then a running minimum of d² over the states in
     ascending order, taken over only where a state's d² is strictly smaller.
-    Returns False when some node's least d² overflows."""
-    cols = np.ascontiguousarray(x.T)
-    sq = np.empty(cols.shape)
-    best = np.full(len(x), np.inf)
-    closer = np.empty(len(x), dtype=bool)
+    `work` holds buffers of at least the block's columns and squared
+    differences, its minimum and a mask. Returns False when some node's
+    least d² overflows."""
+    M, m = rows.shape[1], len(x)
+    cols, sq = (buf[:M * m].reshape(M, m) for buf in work[:2])
+    best, closer = work[2][:m], work[3][:m]
+    np.copyto(cols, x.T)
+    best.fill(np.inf)
     q[:] = 0
     for n, r in enumerate(rows):
         np.square(np.subtract(cols, r[:, None], out=sq), out=sq)
@@ -316,6 +326,40 @@ def _normalize_adjacency(counts: np.ndarray, occupied: np.ndarray) -> np.ndarray
     return np.divide(counts, rowsum, out=np.full(counts.shape, 1.0 / len(counts)), where=rowsum > 0)
 
 
+def _distinct_windows(lattices, M: int, w: int):
+    """The distinct windows of the pooled discrete `lattices`, found from
+    their exact symbol counts (`lattice.window_counts`): (points, weights,
+    inverse), where points are the signatures of the distinct count vectors
+    in order of first occurrence, weights how many nodes have each, and
+    inverse each pooled node's row of points. Each node's count bytes are
+    packed into 64-bit words and sorted as integers once; only the first node
+    of each distinct vector is divided by its cell count, the sum of its
+    counts, so every point is bit-equal to that node's row of the float
+    sweep. Count vectors that differ can still have equal signatures (an
+    edge window of 6 in 15 cells, an inner one of 10 in 25); `vq.pnn_quantize`
+    merges those."""
+    dtype = np.result_type(*(lattice.count_type(lat.shape.lengths, w) for lat in lattices))
+    counts = np.concatenate([lattice.window_counts(lat, w, M, dtype).reshape(-1, M) for lat in lattices])
+    n, width = len(counts), counts.itemsize * M
+    packed = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
+    packed[:, :width] = counts.view(np.uint8).reshape(n, width)
+    keys = packed.view(np.uint64)
+    # any order of the words groups equal vectors; the sort need not be stable
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
+    ranked = keys[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts)  # each distinct vector's lowest node
+    by_first = np.argsort(first)
+    label = np.empty(len(first), dtype=np.int64)
+    label[by_first] = np.arange(len(first))
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.repeat(label, np.diff(starts, append=n))
+    distinct = counts[first[by_first]]
+    return distinct / distinct.sum(axis=1, keepdims=True), np.bincount(inverse), inverse
+
+
 def learn(cls: type[LatticeModel], obs, w_l: int, n_states: int, *, w=None, w_e=None, alpha=1.0):
     """Learn a `cls` model from one or more lattices (never counting neighbor
     pairs across lattice boundaries); w and w_e default to w_l."""
@@ -333,23 +377,31 @@ def learn(cls: type[LatticeModel], obs, w_l: int, n_states: int, *, w=None, w_e=
     if total < n_states:
         raise InputError(f"need at least {n_states} nodes, got {total}")
 
-    fields = [_signatures(lat, M, w_l) for lat in lattices]
-    points = np.concatenate([f.flat() for f in fields])
-    codebook, _ = vq.pnn_quantize(points, n_states)
-    rows = cls._rows_from_codebook(codebook.centroids)
+    if cls.kind == "discrete":
+        points, weights, inverse = _distinct_windows(lattices, M, w_l)
+    else:
+        flats = [_signatures(lat, M, w_l).flat() for lat in lattices]
+        points, weights, inverse = flats[0] if len(flats) == 1 else np.concatenate(flats), None, None
+    if len(points) < n_states:  # fewer distinct windows than states: the check below raises
+        centroids = points
+    else:
+        centroids = vq.pnn_quantize(points, n_states, weights=weights)[0].centroids
+    rows = cls._rows_from_codebook(centroids)
     distinct = len(np.unique(rows, axis=0))
     if distinct < n_states:
         raise NumericError(f"only {distinct} distinct emission rows for {n_states} states: "
                            "too few distinct window signatures")
 
+    q = _nearest_rows(rows, points)
+    if inverse is not None:
+        q = q[inverse]
+    ends = np.cumsum([lat.shape.node_count for lat in lattices])
+    states = [part.reshape(lat.shape.lengths) for lat, part in zip(lattices, np.split(q, ends[:-1]))]
     counts = np.zeros((n_states, n_states))
+    for part in states:
+        counts += _adjacency_counts(n_states, part)
     occupied = np.zeros(n_states, dtype=bool)
-    states = []
-    for f in fields:
-        q = _assign_field(rows, f)
-        occupied[np.unique(q)] = True
-        counts += _adjacency_counts(n_states, q)
-        states.append(q)
+    occupied[q] = True
     A = _normalize_adjacency(counts, occupied)
     return cls(
         N=n_states, M=M, d=d, A=A, **cls._fit(rows, lattices, states),

@@ -3,11 +3,13 @@
 Greedy agglomeration: repeatedly merge the pair whose merge raises total
 squared distortion the least, until N clusters remain. Identical points merge
 first, at zero cost, so merging starts from the weighted unique points, each
-centroid exactly its point. Then one loop merges round by round. Every live
-cluster keeps its cheapest known partner; by the reducibility of the merge
-cost that partner stays the cheapest while other clusters merge, so a round
-re-prices only the stale clusters: those that merged, those whose partner
-merged, and those whose partner is not known to be the cheapest of all.
+centroid exactly its point; a caller that already holds distinct points
+passes their multiplicities as weights, which merge the same way. Then one
+loop merges round by round. Every live cluster keeps its cheapest known
+partner; by the reducibility of the merge cost that partner stays the
+cheapest while other clusters merge, so a round re-prices only the stale
+clusters: those that merged, those whose partner merged, and those whose
+partner is not known to be the cheapest of all.
 
 - Above `exact_threshold` live clusters, a round builds one k-d tree over
   the live centroids and merges every pair that picked each other, which is
@@ -21,8 +23,11 @@ merged, and those whose partner is not known to be the cheapest of all.
   long query. That routing is exact, since a short query that settles
   names the same partner at the same cost as the long one, and the long one
   settles whatever the short one does.
-- A query runs threaded only from `THREADED_QUERY_MIN` query points up;
-  below that, starting threads costs more than they save.
+- A query is split into in-order parts of at least `QUERY_PART_MIN` rows,
+  one per CPU the process may run on at most. The caller runs the first
+  part and a thread pool, made once per `pnn_quantize` call, the others;
+  the k-d query releases the GIL. A row's neighbors do not depend on the
+  rows queried with it, so the split changes no output.
 - At or below `exact_threshold`, a round scans the stale clusters against
   every live one, with d² from the centroids, and merges only the cheapest
   pair, least in (cost, lower id, higher id): the exact greedy step. Crossing
@@ -33,6 +38,9 @@ merged, and those whose partner is not known to be the cheapest of all.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +51,7 @@ from .errors import InputError
 EXACT_THRESHOLD = 64
 TREE_CANDIDATES = 12
 SHORT_CANDIDATES = 5
-THREADED_QUERY_MIN = 8192  # measured: threads cost more than they save below this
+QUERY_PART_MIN = 128  # rows of one query part at least; measured: smaller parts gain nothing
 _SCAN_BLOCK = 1 << 18  # elements of one _scan block's (rows, centroids, M) differences
 
 
@@ -80,9 +88,19 @@ def overflow_shift(*arrays) -> int:
     return max(0, int(np.frexp(top)[1]) - 480)
 
 
-def _nearest(tree, x, k):
-    """k-d tree query of the rows of `x`, threaded only from `THREADED_QUERY_MIN` rows up."""
-    return tree.query(x, k=k, workers=-1 if len(x) >= THREADED_QUERY_MIN else 1)
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _query_bounds(n: int, cpus: int) -> list[int]:
+    """Bounds of the in-order parts a query of n rows is split into: one per
+    CPU, but no more than hold `QUERY_PART_MIN` rows each, and at least one."""
+    parts = max(1, min(cpus, n // QUERY_PART_MIN))
+    return [n * i // parts for i in range(parts + 1)]
 
 
 def merge_cost(size_a, centroid_a, size_b, centroid_b) -> float:
@@ -94,8 +112,9 @@ def merge_cost(size_a, centroid_a, size_b, centroid_b) -> float:
 
 
 class _Agglomerator:
-    def __init__(self, centroid, size):
+    def __init__(self, centroid, size, pool, cpus):
         k = len(centroid)
+        self.pool, self.cpus = pool, cpus  # the thread pool of the query parts past the first
         self.centroid = centroid
         self.size = size
         self.alive = np.ones(k, dtype=bool)
@@ -118,6 +137,16 @@ class _Agglomerator:
         self.parent[b] = a
         self.history.extend(zip(a.tolist(), b.tolist(), cost.tolist()))
 
+    def _nearest(self, tree, x, k):
+        """k-d query of the rows of x, split by `_query_bounds`: the caller
+        queries the first part, the pool the others."""
+        bounds = _query_bounds(len(x), self.cpus)
+        rest = [self.pool.submit(tree.query, x[a:b], k) for a, b in zip(bounds[1:-1], bounds[2:])]
+        found = [tree.query(x[:bounds[1]], k)] + [f.result() for f in rest]
+        if len(found) == 1:
+            return found[0]
+        return np.concatenate([d for d, _ in found]), np.concatenate([i for _, i in found])
+
     def _query(self, tree, ids, q, k, s_min):
         """Cheapest partner of each cluster in `q` among its k-1 nearest others.
 
@@ -127,7 +156,7 @@ class _Agglomerator:
         cost more; the bound is strict so that no cluster outside the query
         can tie with a lower id.
         """
-        dist, cid = _nearest(tree, self.centroid[q], k)
+        dist, cid = self._nearest(tree, self.centroid[q], k)
         cid = ids[cid]
         s = self.size[q]
         cost = s[:, None] * self.size[cid] / (s[:, None] + self.size[cid]) * dist ** 2
@@ -211,19 +240,22 @@ class _Agglomerator:
             merged[a] = merged[b] = False
 
 
-def pnn_quantize(points, n_clusters, *, exact_threshold=EXACT_THRESHOLD, return_history=False):
+def pnn_quantize(points, n_clusters, *, weights=None, exact_threshold=EXACT_THRESHOLD, return_history=False):
     """Quantize points into `n_clusters` clusters by greedy PNN merging.
 
-    Returns (Codebook, per-point cluster index); ties during merge selection
-    break toward the lowest cluster-identifier pair, so output is
-    deterministic given input order. The zero-cost merges come first (one
-    column sort finds the repeated rows): each repeat of a row merges into
-    the row's first occurrence, in (first index, repeat index) order, until
-    `n_clusters` remain. Above `exact_threshold` live clusters the merge
-    sequence is the batched mutual-nearest-neighbor approximation; at or
-    below it, the exact greedy sequence. `return_history` adds the merges as
-    (kept point, merged point, cost) triples; a cost past the largest float
-    reads inf.
+    `weights` gives each point's multiplicity, at least 1 (default 1): a
+    point of weight k is a cluster of k equal points, which is never split,
+    so a caller that holds only the distinct points of a larger set gets
+    the quantization of that set. Returns (Codebook, per-point cluster
+    index); ties during merge selection break toward the lowest
+    cluster-identifier pair, so output is deterministic given input order.
+    The zero-cost merges come first (one column sort finds the repeated
+    rows): each repeat of a row merges into the row's first occurrence, in
+    (first index, repeat index) order, until `n_clusters` remain. Above
+    `exact_threshold` live clusters the merge sequence is the batched
+    mutual-nearest-neighbor approximation; at or below it, the exact greedy
+    sequence. `return_history` adds the merges as (kept point, merged point,
+    cost) triples; a cost past the largest float reads inf.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] < 1:
@@ -233,6 +265,11 @@ def pnn_quantize(points, n_clusters, *, exact_threshold=EXACT_THRESHOLD, return_
     n = len(points)
     if n < n_clusters:
         raise InputError(f"need at least {n_clusters} points, got {n}")
+    if weights is None:
+        weights = np.ones(n)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,) or not (np.isfinite(weights) & (weights >= 1)).all():
+        raise InputError(f"weights must be {n} finite values >= 1")
     # a stable column sort puts equal rows next to each other in ascending id,
     # so each run of equal rows starts at the row's first occurrence
     order = np.lexsort(points.T)
@@ -252,8 +289,10 @@ def pnn_quantize(points, n_clusters, *, exact_threshold=EXACT_THRESHOLD, return_
     # merges are priced on points scaled by a power of two, so that the costs
     # of huge finite points do not overflow
     shift = overflow_shift(points)
-    agg = _Agglomerator(np.ldexp(points[rep], -shift), np.bincount(start).astype(np.float64))
-    agg.run(n_clusters, exact_threshold)
+    cpus = _cpu_count()
+    with ThreadPoolExecutor(cpus - 1) if cpus > 1 else nullcontext() as pool:
+        agg = _Agglomerator(np.ldexp(points[rep], -shift), np.bincount(start, weights), pool, cpus)
+        agg.run(n_clusters, exact_threshold)
 
     # resolve merge chains by pointer jumping; the roots are the survivors
     root = agg.parent

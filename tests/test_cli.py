@@ -158,6 +158,16 @@ def test_learn_too_few_distinct_signatures_exits_2(tmp_path, capsys):
     assert err.startswith("lvlm: numeric error: only 1 distinct") and len(err.strip().splitlines()) == 1
 
 
+def test_learn_fewer_distinct_windows_than_states_exits_2(tmp_path, capsys):
+    # 3 distinct window counts (corner, edge, inner) for 4 states, one signature
+    io.write_lattice(tmp_path / "c.lat", SymbolLattice.discrete(np.zeros((6, 6), dtype=int), M=2))
+    code, _, err = run(capsys, "learn", "--variant", "discrete", "--n", "4", "--w", "1",
+                       "--in", str(tmp_path / "c.lat"), "--out", str(tmp_path / "m.lvlm"))
+    assert code == 2 and not (tmp_path / "m.lvlm").exists()
+    assert err == ("lvlm: numeric error: only 1 distinct emission rows for 4 states: "
+                   "too few distinct window signatures\n")
+
+
 def test_learn_overflowing_covariance_exits_2(tmp_path, capsys):
     # finite values whose squared residuals overflow
     vals = 1e160 * (1 + np.random.default_rng(0).normal(size=(8, 8, 2)))

@@ -176,6 +176,7 @@ def test_sweep_blocks_equal_whole_sweep(lengths, w, nodes):
         assert np.concatenate([X for _, X in blocks]).tobytes() == want.tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_blocks_where_only_a_cut_window_overflows():
     # row 2's window, cut at the top edge of row 3's part, sums 0 - 1.2e308
     # per column and overflows across the two columns; the lattice's window

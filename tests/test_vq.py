@@ -1,10 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, ward
 
 from scipy.spatial import cKDTree
 
-from lvlm import Codebook, InputError, SymbolLattice, learn_real, merge_cost, pnn_quantize, sweep_signatures, vq
+from lvlm import Codebook, InputError, SymbolLattice, merge_cost, pnn_quantize, sweep_signatures, vq
 
 from oracles import coalesce_rounds_oracle, greedy_pnn, total_distortion
 
@@ -285,29 +287,47 @@ def test_coalesce_distortion_close_to_exact_at_scale(kind, seed, Ns):
 
 
 def _record_queries(monkeypatch):
-    """Patch the k-d tree in `vq` to record (query points, workers, k) per query."""
+    """Patch the k-d tree in `vq` to record (query points, thread, k) per query."""
     calls = []
 
     class RecordingTree(cKDTree):
         def query(self, x, k=1, *args, **kwargs):
-            calls.append((len(x), kwargs.get("workers", 1), k))
-            return super().query(x, k, *args, **kwargs)
+            assert not args and not kwargs  # one thread per query part, scipy's own threads unused
+            calls.append((len(x), threading.get_ident(), k))
+            return super().query(x, k)
 
     monkeypatch.setattr(vq, "cKDTree", RecordingTree)
     return calls
 
 
-def test_small_learn_makes_no_threaded_query(monkeypatch):
-    calls = _record_queries(monkeypatch)
-    learn_real(SymbolLattice.real(np.random.default_rng(0).normal(size=(64, 64, 2))), 2, 4)
-    assert calls and all(workers == 1 for _, workers, _ in calls)
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_query_bounds_split_rule(cpus):
+    # in-order parts covering every row, one per CPU at most, each of at
+    # least QUERY_PART_MIN rows when there is more than one, sizes within 1
+    part = vq.QUERY_PART_MIN
+    for n in [0, 1, part - 1, part, 2 * part - 1, 2 * part, 3 * part + 5, 100 * part + 7]:
+        bounds = vq._query_bounds(n, cpus)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == n and (sizes >= 0).all()
+        assert len(sizes) == max(1, min(cpus, n // part))
+        assert len(sizes) == 1 or (sizes.min() >= part and sizes.max() - sizes.min() <= 1)
 
 
-def test_large_coalesce_threads_only_large_queries(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_queries_split_across_one_pool_per_call(monkeypatch, cpus):
+    # every query is split by `_query_bounds`; the caller queries the first
+    # part, and the other parts run on the cpus - 1 threads of one pool
     calls = _record_queries(monkeypatch)
-    pnn_quantize(np.random.default_rng(0).normal(size=(32768, 2)), 4)
-    assert calls[0][:2] == (32768, -1)
-    assert all(workers == (-1 if size >= vq.THREADED_QUERY_MIN else 1) for size, workers, _ in calls)
+    split, bounds = [], vq._query_bounds
+    monkeypatch.setattr(vq, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(vq, "_query_bounds", lambda n, c: split.append(bounds(n, c)) or split[-1])
+    pnn_quantize(np.random.default_rng(0).normal(size=(6000, 2)), 4)
+    caller = threading.get_ident()
+    assert max(len(s) - 1 for s in split) == cpus
+    assert sorted(size for size, _, _ in calls) == sorted(b - a for s in split for a, b in zip(s, s[1:]))
+    assert sorted(size for size, thread, _ in calls if thread == caller) == sorted(s[1] for s in split)
+    pool_threads = {thread for _, thread, _ in calls} - {caller}
+    assert 0 < len(pool_threads) <= cpus - 1 if cpus > 1 else not pool_threads
 
 
 def _blocky_signatures(seed, side, block=8, M=4, w=2):
@@ -369,3 +389,55 @@ def test_pnn_huge_points_as_their_power_of_two_scaling(exact_threshold):
     assert np.array_equal(asg, small_asg)
     assert np.array_equal(cb.centroids, np.ldexp(small_cb.centroids, 700))
     assert np.array_equal(cb.sizes, small_cb.sizes)
+
+
+@pytest.mark.parametrize("kind, seed", [("normal", seed) for seed in range(3)] + [("image", seed) for seed in range(3)])
+def test_pool_changes_no_output(monkeypatch, kind, seed):
+    # queries split into parts of 8 rows over 4 CPUs, against one CPU: a
+    # row's neighbors do not depend on the rows queried with it, so merges,
+    # costs, assignment and codebook are the same, ties included
+    if kind == "image":
+        pts, N = _blocky_signatures(seed, 48, block=4, M=5, w=1), 3
+    else:
+        rng = np.random.default_rng(seed)
+        pts, N = rng.normal(size=(int(rng.integers(500, 3000)), int(rng.integers(1, 5)))), 5
+    monkeypatch.setattr(vq, "QUERY_PART_MIN", 8)
+    results = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(vq, "_cpu_count", lambda cpus=cpus: cpus)
+        results.append(pnn_quantize(pts, N, return_history=True))
+    (cb1, asg1, hist1), (cb4, asg4, hist4) = results
+    assert hist1 == hist4 and np.array_equal(asg1, asg4)
+    assert cb1.centroids.tobytes() == cb4.centroids.tobytes() and np.array_equal(cb1.sizes, cb4.sizes)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weighted_points_quantize_like_their_repeats(seed):
+    # each distinct row once, weighted by its count, in first-occurrence
+    # order: the same codebook as all the rows, and each row's cluster is
+    # its distinct row's; equal weighted rows merge too
+    pts = _blocky_signatures(seed, 32, block=4, M=4, w=1) if seed % 2 else _repeated_rows(seed, 300)
+    _, first, inverse, counts = np.unique(pts, axis=0, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    by_first = np.argsort(first)
+    label = np.argsort(by_first)[inverse.ravel()]
+    rows, weights = pts[first[by_first]], counts[by_first]
+    # split each weight between a row and its copy placed last
+    weights[0] = max(1, weights[0] - 1)
+    rows, weights = np.vstack([rows, rows[:1]]), np.append(weights, counts[by_first][0] - weights[0])
+    if weights[-1] < 1:
+        rows, weights = rows[:-1], weights[:-1]
+    N = 1 + seed
+    cb, asg = pnn_quantize(pts, N)
+    weighted_cb, weighted_asg = pnn_quantize(rows, N, weights=weights)
+    assert weighted_cb.centroids.tobytes() == cb.centroids.tobytes()
+    assert np.array_equal(weighted_cb.sizes, cb.sizes)
+    assert np.array_equal(weighted_asg[label], asg)
+
+
+@pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 1.0, 1.0]], [1.0, 0.5, 2.0],
+                                     [1.0, 0.0, 1.0], [1.0, -3.0, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0]],
+                         ids=["short", "long", "2-d", "half", "zero", "negative", "nan", "inf"])
+def test_pnn_rejects_bad_weights(weights):
+    with pytest.raises(InputError, match="weights"):
+        pnn_quantize(np.array([[0.0], [1.0], [5.0]]), 2, weights=weights)
