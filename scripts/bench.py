@@ -16,8 +16,8 @@ Cases, each on seeded inputs:
   models whose emission rows are shifted by 0 to 3 symbols.
 - `sweep`: `sweep_signatures` alone, on a 256² image of 4 symbols at radius
   2, a 128² image of 256 symbols at radius 1, a 40³ grid of 2-channel
-  standard normal vectors at radius 1, and a 40³ lattice of 3 states at
-  radius 1.
+  standard normal vectors at radius 1, a 40³ lattice of 3 states at radius
+  1, and a 64² image of 256 symbols at radius 1.
 - `real-256`: a 256² grid of 2-channel standard normal vectors, window
   radius 1, with N = 4, 64 and 256 states whose means are distinct window
   signatures of the grid (identity covariances, uniform A): `decode_real`
@@ -31,7 +31,9 @@ Cases, each on seeded inputs:
 - `cli-volume`: lattice files of the benchmark workload's shapes: a 40³ grid
   of 2-channel standard normal vectors (f64x2), a 40³ lattice of 3 states
   (u8) and a 24³ f64x2 grid: `io.read_lattice` of each, and
-  `io.write_lattice` of the two 40³ lattices.
+  `io.write_lattice` of the two 40³ lattices. `inertia/40x3-N3`:
+  `inertia_index` of the 40³ lattice of 3 states at radius 1, the library
+  call behind `lvlm index`.
 - `cli`: `lvlm index --model --states --w 1` through `cli.main` on a 3-state
   real model and the 40³ state lattice (its fingerprint is the standard
   output), and `cli.build_parser()` alone (its fingerprint is the help
@@ -57,7 +59,9 @@ Cases, each on seeded inputs:
   unit normal noise), window radius 1, 3 states. Their fingerprints are the
   learned model files' bytes. `pnn/32x3-real-M2`: `pnn_quantize` alone of
   that volume's window means into 3 clusters; its fingerprint is that of
-  the codebook and the assignment.
+  the codebook and the assignment. `pnn/256-M4-distinct`: `pnn_quantize`
+  alone of the `image-discrete` image's distinct windows at radius 2, each
+  weighted by its node count, into 3 clusters, as `learn_discrete` does.
 
 Each source tree is served by a worker process of its own, which builds
 every case's inputs once and then runs one call at a time when asked.
@@ -71,7 +75,7 @@ repeats this with fresh workers. The file records every call's time, each
 tree's median, and, per case, the median of the after/before ratios of the
 paired calls and how many pairs the after tree won.
 
-    python scripts/bench.py --out BENCH.json [--before ../parent/src]
+    python scripts/bench.py --out BENCH.json [--before ../parent/src] [--cases REGEX]
 """
 
 import argparse
@@ -80,6 +84,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -127,9 +132,9 @@ def cases(tmp):
     files are written under the directory `tmp`."""
     from lvlm import (ClassEntry, ClassifierBundle, DiscreteModel, LatticeShape, RealModel, SymbolLattice,
                       SynthConfig, classify_image, cli, decode_discrete, decode_real, evaluate_discrete,
-                      evaluate_real, gibbs_sample, inertia_index, io, learn_discrete, learn_real, pnn_quantize,
-                      sweep_signatures)
-    from lvlm.model import _nearest_rows, _pair_score
+                      StateLattice, evaluate_real, gibbs_sample, inertia_index, io, learn_discrete, learn_real,
+                      pnn_quantize, sweep_signatures)
+    from lvlm.model import _distinct_windows, _nearest_rows, _pair_score
 
     out = []
     rng = np.random.default_rng(0)
@@ -194,6 +199,7 @@ def cases(tmp):
         ("sweep/128-M256", SymbolLattice.discrete(rng.integers(0, 256, size=(128, 128)), M=256), 1),
         ("sweep/40x3-real-M2", SymbolLattice.real(rng.normal(size=(40, 40, 40, 2))), 1),
         ("sweep/40x3-states-N3", SymbolLattice.discrete(rng.integers(0, 3, size=(40, 40, 40)), M=3), 1),
+        ("sweep/64-M256", SymbolLattice.discrete(rng.integers(0, 256, size=(64, 64)), M=256), 1),
     ]:
         out.append((name, {"U": lat.shape.node_count, "M": lat.M, "w": r, "kind": lat.kind},
                     lambda lat=lat, r=r: sweep_signatures(lat, r).signatures))
@@ -226,6 +232,8 @@ def cases(tmp):
         return code, stdout.getvalue()
 
     out.append(("cli/index", {"U": VOLUME_SIDE ** 3, "N": N, "w": 1}, index))
+    volume_states = StateLattice.from_array(lattices["40x3-u8"].values, N=N)
+    out.append((f"inertia/40x3-N{N}", {"U": VOLUME_SIDE ** 3, "N": N, "w": 1}, lambda: inertia_index(volume_states, 1)))
     out.append(("cli/build_parser", {}, cli.build_parser))
 
     rng = np.random.default_rng(3)  # its own stream, as above
@@ -293,6 +301,14 @@ def cases(tmp):
         return np.concatenate([codebook.centroids.ravel(), codebook.sizes, assignment])
 
     out.append((f"pnn/{LEARN_SIDE}x3-real-M2", {"points": len(learn_means), "N": N, "M": 2}, pnn))
+    distinct, weights, _ = _distinct_windows([image], M, w)
+
+    def pnn_distinct():
+        codebook, assignment = pnn_quantize(distinct, N, weights=weights)
+        return np.concatenate([codebook.centroids.ravel(), codebook.sizes, assignment])
+
+    out.append((f"pnn/{SIDE}-M{M}-distinct", {"points": len(distinct), "U": SIDE ** 2, "N": N, "M": M, "w": w},
+                pnn_distinct))
     return out
 
 
@@ -333,15 +349,18 @@ class Worker:
         self.proc.wait()
 
 
-def measure(trees, runs, reps):
+def measure(trees, runs, reps, pattern):
     """{case: {"shape", side: {"calls_s", "fingerprint"}}}: per run, a worker
-    per tree, driven call by call in lockstep."""
+    per tree, driven call by call in lockstep, over the cases whose names
+    `pattern` matches."""
     result = {}
     for run in range(runs):
         workers = {side: Worker(src) for side, src in trees.items()}
         try:
             shapes = workers["after"].shapes
             for name, shape in shapes.items():
+                if not pattern.search(name):
+                    continue
                 entry = result.setdefault(name, {"shape": shape, **{side: {"calls_s": []} for side in trees}})
                 for side, worker in workers.items():
                     entry[side].setdefault("fingerprint", worker.call(name, fingerprinted=True)["fingerprint"])
@@ -362,6 +381,7 @@ def main():
     parser.add_argument("--before", help="src directory of a tree to compare against")
     parser.add_argument("--runs", type=int, default=3, help="worker processes per tree, one after another")
     parser.add_argument("--reps", type=int, default=3, help="timed calls per case and worker")
+    parser.add_argument("--cases", default="", help="run only the cases whose names match this regular expression")
     parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.serve:
@@ -380,7 +400,7 @@ def main():
         "method": f"per case, {args.runs} runs of a worker process per tree, each making one untimed call "
                   f"then {args.reps} timed calls, the trees' calls alternating one by one; 's' is the median "
                   "over all of a tree's calls, 'after_over_before' the median ratio of paired calls",
-        "cases": measure(trees, args.runs, args.reps),
+        "cases": measure(trees, args.runs, args.reps, re.compile(args.cases)),
     }
     for name, entry in report["cases"].items():
         for side in trees:

@@ -5,6 +5,12 @@ state, 0 when never. Inertia = mean over nodes of sqrt(sum_j p_j^2) with p_j
 the state-j frequency in the node's clamped w-window: 1 for a constant
 window, 1/sqrt(N) when all N states are equally frequent.
 
+Inertia divides the window counts a slab of rows at a time
+(`lattice.window_counts`) and sums a slab's squared frequencies channel by
+channel in numpy's pairwise order (`model._sum_rows_pairwise`), so it equals
+`sqrt(square(sweep_signatures(states, w).signatures).sum(axis=-1)).mean()`
+bit for bit.
+
 Advisory applicability thresholds: associativity >= 0.5, inertia >= 0.9.
 """
 
@@ -15,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .lattice import StateLattice, sweep_signatures
+from .lattice import StateLattice, _window_cells, count_type, window_counts
+from .model import _sum_rows_pairwise
 
 ASSOCIATIVITY_THRESHOLD = 0.5
 INERTIA_THRESHOLD = 0.9
@@ -64,10 +71,15 @@ def inertia_index(states: StateLattice, w: int, *, interior_only: bool = False) 
     """
     if w < 0:
         raise InputError("window radius must be >= 0")
-    freqs = sweep_signatures(states, w).signatures
-    vals = np.sqrt(np.square(freqs, out=freqs).sum(axis=-1))
+    lengths = states.shape.lengths
+    cells = _window_cells(lengths, w)
+    vals = np.empty(lengths)
+    for top, end, counts in window_counts(states, w, states.M, count_type(lengths, w)):
+        freqs = np.divide(counts, cells[top:end])
+        np.square(freqs, out=freqs)
+        np.sqrt(_sum_rows_pairwise(freqs.reshape(-1, states.M).T), out=vals[top:end].reshape(-1))
     if interior_only:
-        sl = tuple(slice(w, n - w) for n in states.shape.lengths)
+        sl = tuple(slice(w, n - w) for n in lengths)
         vals = vals[sl]
         if vals.size == 0:
             raise InputError("no interior nodes at this window radius")

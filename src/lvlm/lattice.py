@@ -5,16 +5,16 @@ the axis-aligned hypercube [t-w, t+w] clamped to the lattice; signatures are
 normalized by the actual (clamped) cell count so they stay valid at edges.
 The sweep sums every channel over these windows in one separable box sum,
 the channel a trailing axis, so no node or channel is visited in a Python
-loop. `sweep_blocks` gives the same field a block of nodes at a time, and
-`window_counts` a discrete lattice's exact window counts, held in an integer
-type.
+loop. `window_counts` gives a discrete lattice's exact window counts a slab
+of first-axis rows at a time, the kernel of its sweep and of the inertia
+index; `sweep_blocks` the field a block of nodes at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -164,9 +164,9 @@ def window_bounds(shape: LatticeShape, t, w: int):
     return lo, hi, cells
 
 
-def _box_sum(planes: np.ndarray, w: int) -> np.ndarray:
-    """Sum of `planes` over the clamped box [t-w, t+w] at every node t, for
-    each channel of the trailing axis at once.
+def _box_sum(planes: np.ndarray, w: int, rows=slice(None)) -> np.ndarray:
+    """Sum of `planes` over the clamped box [t-w, t+w] at every node t in the
+    `rows` of the first axis, for each channel of the trailing axis at once.
 
     One lattice axis at a time, the shifted slices for offsets -r..+r are
     added to zeros in ascending order, so each node adds its window's cells
@@ -181,16 +181,16 @@ def _box_sum(planes: np.ndarray, w: int) -> np.ndarray:
             dst[axis] = slice(max(0, -k), n - max(0, k))
             src[axis] = slice(max(0, k), n - max(0, -k))
             acc[tuple(dst)] += planes[tuple(src)]
-        planes = acc
+        planes = acc if axis else acc[rows]
     return planes
 
 
 def _window_cells(lengths: tuple[int, ...], w: int) -> np.ndarray:
-    """Cell count of every node's clamped window, with a trailing unit axis:
-    the product of the per-axis clamped window lengths."""
+    """Cell count of every node's clamped window, as a float64 with a trailing
+    unit axis: the product of the per-axis clamped window lengths."""
     spans = []
     for n in lengths:
-        t, r = np.arange(n), min(w, n - 1)
+        t, r = np.arange(n, dtype=np.float64), min(w, n - 1)
         spans.append(np.minimum(t + r, n - 1) - np.maximum(t - r, 0) + 1)
     return functools.reduce(np.multiply, np.ix_(*spans))[..., None]
 
@@ -201,14 +201,21 @@ def count_type(lengths: tuple[int, ...], w: int) -> np.dtype:
     return np.min_scalar_type(math.prod(min(2 * w + 1, n) for n in lengths))
 
 
-def window_counts(lattice: SymbolLattice, w: int, M: int, dtype) -> np.ndarray:
-    """Exact count of each of M symbols (M at least the discrete lattice's)
-    over every node's clamped window, of shape lengths + (M,), in the
-    unsigned `dtype` (`count_type` or wider): one box sum over all symbols."""
+def window_counts(lattice: SymbolLattice, w: int, M: int, dtype):
+    """Exact counts of M symbols (M at least the discrete lattice's) over the
+    clamped windows of a slab of first-axis rows at a time, in the unsigned
+    `dtype` (`count_type` or wider): yields (top, end, counts of rows [top,
+    end)), a slab's counts no more bytes than one float64 lattice channel, from
+    a one-hot of the rows its windows reach, 1 scattered at node * M + symbol."""
     if w < 0:
         raise InputError("window radius must be >= 0")
-    onehot = (lattice.values[..., None] == np.arange(M)).astype(dtype)
-    return _box_sum(onehot, w)
+    lengths = lattice.shape.lengths
+    step = max(1, 8 * lengths[0] // (M * np.dtype(dtype).itemsize))
+    for top in range(0, lengths[0], step):
+        lo, end, hi = max(0, top - w), min(top + step, lengths[0]), min(top + step + w, lengths[0])
+        onehot = np.zeros((hi - lo,) + lengths[1:] + (M,), dtype=dtype)
+        onehot.ravel()[np.arange(0, onehot.size, M) + lattice.values[lo:hi].ravel()] = 1
+        yield top, end, _box_sum(onehot, w, slice(top - lo, end - lo))
 
 
 def sweep_signatures(lattice: SymbolLattice, w: int) -> SignatureField:
@@ -216,11 +223,9 @@ def sweep_signatures(lattice: SymbolLattice, w: int) -> SignatureField:
     channels, the channel a trailing axis.
 
     Discrete: empirical symbol distribution over the clamped window, from
-    one-hot symbol counts in the narrowest unsigned type that holds a full
-    window's count (exact, so bit-identical to a per-node recount). The
-    one-hot is built for a block of symbols at a time, a block's counts
-    taking no more bytes per node than one float64 output channel, so the
-    working memory beside the output is a few output channels at any M.
+    `window_counts` in the narrowest unsigned type that holds a full
+    window's count (so bit-identical to a per-node recount), a slab of rows
+    at a time, so the memory beside the output is an output channel or two.
     Real: sample mean of the window vectors.
     """
     if w < 0:
@@ -236,12 +241,8 @@ def sweep_signatures(lattice: SymbolLattice, w: int) -> SignatureField:
             raise NumericError("window mean overflows")
         return SignatureField(lattice.shape, out)
     out = np.empty(lengths + (lattice.M,), dtype=np.float64)
-    count = count_type(lengths, w)
-    block = max(1, out.itemsize // count.itemsize)
-    symbols = lattice.values[..., None]
-    for c in range(0, lattice.M, block):
-        onehot = (symbols == np.arange(c, min(c + block, lattice.M))).astype(count)
-        np.divide(_box_sum(onehot, w), cells, out=out[..., c:c + block])
+    for top, end, counts in window_counts(lattice, w, lattice.M, count_type(lengths, w)):
+        np.divide(counts, cells[top:end], out=out[top:end])
     return SignatureField(lattice.shape, out)
 
 
@@ -263,8 +264,7 @@ def sweep_blocks(lattice: SymbolLattice, w: int, nodes: int):
         if b > end * per_row:
             top, end = a // per_row, -(-b // per_row)
             lo, hi = max(0, top - w), min(lengths[0], end + w)
-            part = SymbolLattice(LatticeShape((hi - lo,) + lengths[1:]), lattice.values[lo:hi],
-                                 lattice.M, lattice.kind)
+            part = replace(lattice, shape=LatticeShape((hi - lo,) + lengths[1:]), values=lattice.values[lo:hi])
             try:
                 X = sweep_signatures(part, w).signatures[top - lo:end - lo].reshape(-1, lattice.M)
             except NumericError:

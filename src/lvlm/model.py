@@ -85,12 +85,12 @@ _PAIR_BLOCK_NODES = 1 << 13
 
 
 def _sum_rows_pairwise(a: np.ndarray) -> np.ndarray:
-    """Sum the rows of the C-contiguous 2-D `a` into a[0], in place, adding in
-    the order numpy's pairwise summation adds a length-len(a) vector: one by
-    one below 8 terms; up to 128, eight running sums over the full groups of
-    8 combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by
-    one; above 128, the two halves split at a multiple of 8. So each column of
-    the result is bit-equal to that column's `.sum()`."""
+    """Sum the rows of the 2-D `a` (of any strides) into a[0], in place, adding
+    in the order numpy's pairwise summation adds a length-len(a) vector: one
+    by one below 8 terms; up to 128, eight running sums over the full groups
+    of 8 combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one
+    by one; above 128, the two halves split at a multiple of 8. So each
+    column of the result is bit-equal to that column's `.sum()`."""
     n = len(a)
     if n > 128:
         half = n // 2 - (n // 2) % 8
@@ -339,7 +339,8 @@ def _distinct_windows(lattices, M: int, w: int):
     edge window of 6 in 15 cells, an inner one of 10 in 25); `vq.pnn_quantize`
     merges those."""
     dtype = np.result_type(*(lattice.count_type(lat.shape.lengths, w) for lat in lattices))
-    counts = np.concatenate([lattice.window_counts(lat, w, M, dtype).reshape(-1, M) for lat in lattices])
+    counts = np.concatenate([slab.reshape(-1, M) for lat in lattices
+                             for _, _, slab in lattice.window_counts(lat, w, M, dtype)])
     n, width = len(counts), counts.itemsize * M
     packed = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
     packed[:, :width] = counts.view(np.uint8).reshape(n, width)
@@ -347,8 +348,10 @@ def _distinct_windows(lattices, M: int, w: int):
     # any order of the words groups equal vectors; the sort need not be stable
     order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
     ranked = keys[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    new = np.zeros(n, dtype=bool)
+    for column in ranked.T:
+        new[1:] |= column[1:] != column[:-1]
+    new[0] = True
     starts = np.flatnonzero(new)
     first = np.minimum.reduceat(order, starts)  # each distinct vector's lowest node
     by_first = np.argsort(first)

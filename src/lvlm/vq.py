@@ -274,8 +274,10 @@ def pnn_quantize(points, n_clusters, *, weights=None, exact_threshold=EXACT_THRE
     # so each run of equal rows starts at the row's first occurrence
     order = np.lexsort(points.T)
     ranked = points[order]
-    run_start = np.ones(n, dtype=bool)
-    run_start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    run_start = np.zeros(n, dtype=bool)
+    for column in ranked.T:
+        run_start[1:] |= column[1:] != column[:-1]
+    run_start[0] = True
     first_of = np.empty(n, dtype=np.int64)
     first_of[order] = order[run_start][np.cumsum(run_start) - 1]
     repeats = np.flatnonzero(first_of != np.arange(n))

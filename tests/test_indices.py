@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from lvlm import InputError, StateLattice, associativity_index, inertia_index
+from lvlm import InputError, StateLattice, associativity_index, inertia_index, sweep_signatures
 
 from oracles import naive_signatures
 
@@ -86,3 +86,21 @@ def test_inertia_relabel_invariant(seed):
     a = inertia_index(StateLattice.from_array(arr, N=3), 1)
     b = inertia_index(StateLattice.from_array(perm[arr], N=3), 1)
     assert a == pytest.approx(b, abs=1e-12)
+
+
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([1, 2, 3, 7, 8, 9, 17, 130]), w=st.integers(0, 3),
+       lengths=st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple), interior=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_inertia_bit_equal_to_whole_field(seed, n, w, lengths, interior):
+    # channel passes in numpy's pairwise order (past 128 terms at N = 130), a
+    # slab of rows at a time: the same float as summing the squared field's
+    # trailing axis
+    states = StateLattice.from_array(np.random.default_rng(seed).integers(0, n, lengths), N=n)
+    vals = np.sqrt(np.square(sweep_signatures(states, w).signatures).sum(axis=-1))
+    if interior:
+        vals = vals[tuple(slice(w, k - w) for k in lengths)]
+        if vals.size == 0:
+            with pytest.raises(InputError):
+                inertia_index(states, w, interior_only=True)
+            return
+    assert inertia_index(states, w, interior_only=interior) == float(vals.mean())

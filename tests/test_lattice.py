@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from lvlm import InputError, LatticeShape, NumericError, SymbolLattice, neighbors, sweep_signatures, window_bounds
-from lvlm.lattice import sweep_blocks
+from lvlm.lattice import count_type, sweep_blocks, window_counts
 
 from oracles import naive_signatures
 
@@ -133,8 +133,8 @@ def test_real_equal_windows_give_equal_signatures(lengths, w, m, seed):
 
 
 def test_sweep_memory_wide_alphabet():
-    # one-hot counts built a block of symbols at a time, each block taking the
-    # bytes of one output channel: the peak stays near the output itself even
+    # window counts taken a slab of rows at a time, each slab's counts taking
+    # the bytes of one output channel: the peak stays near the output itself even
     # at PGM alphabet size, and a corner crop equals the per-node recount
     vals = np.random.default_rng(11).integers(0, 256, size=(128, 128))
     lat = SymbolLattice.discrete(vals, M=256)
@@ -154,12 +154,40 @@ def test_sweep_memory_wide_alphabet():
     ((17, 11), 4, 3), ((5, 30), 6, 7),          # w past one axis only
     ((20, 20), 3, 8),                           # 17² = 289 cells: uint16 counts
     ((7, 6, 5), 3, 1), ((4, 9, 3), 2, 4),       # 3-D, w past two axes
-    ((9, 9), 256, 2),                           # several blocks of symbols
+    ((9, 9), 256, 2),                           # slabs of one row
+    # slab edges: slabs of 17 rows, the last one short; of 23, 23 and 4 rows
+    ((20, 6), 9, 2), ((50, 4), 17, 3),
+    ((9, 9), 256, 3), ((6, 8), 255, 9),         # one-row slabs, w past the slab and past both axes
+    ((1, 30), 7, 2), ((1, 40), 256, 3),         # one row
+    ((40,), 300, 3), ((33,), 9, 40),            # 1-D; w past the axis and past its slab of 29
+    ((20, 20), 9, 8), ((17, 17), 300, 8),       # uint16 counts, slabs of 8 rows and of 1
+    ((12, 5), 1, 2), ((16, 3), 7, 1), ((16, 3), 8, 1),
 ])
 def test_discrete_sweep_equals_recount(lengths, M, w):
     vals = np.random.default_rng(sum(lengths) * M + w).integers(0, M, size=lengths)
     got = sweep_signatures(SymbolLattice.discrete(vals, M=M), w).signatures
     assert np.array_equal(got, naive_signatures(vals, M, w, "discrete"))
+
+
+@pytest.mark.parametrize("lengths,M,w,wider", [
+    ((20, 6), 9, 2, False), ((9, 9), 256, 3, False), ((33,), 9, 40, False),
+    ((20, 20), 9, 8, False), ((7, 6, 5), 3, 1, False), ((4, 9, 3), 300, 4, False),
+    ((50, 4), 17, 3, True),                     # uint16 counts where uint8 would do, as learning pools them
+])
+def test_window_counts_equal_brute_force(lengths, M, w, wider):
+    vals = np.random.default_rng(sum(lengths) * M + w).integers(0, M, size=lengths)
+    dtype = np.dtype(np.uint16) if wider else count_type(lengths, w)
+    shape = LatticeShape(lengths)
+    want = np.empty(lengths + (M,), dtype=np.int64)
+    for t in np.ndindex(*lengths):
+        lo, hi, _ = window_bounds(shape, t, w)
+        want[t] = np.bincount(vals[tuple(slice(l, h + 1) for l, h in zip(lo, hi))].ravel(), minlength=M)
+    slabs = list(window_counts(SymbolLattice.discrete(vals, M=M), w, M, dtype))
+    assert [top for top, _, _ in slabs] == [0] + [end for _, end, _ in slabs[:-1]] and slabs[-1][1] == lengths[0]
+    for top, end, counts in slabs:
+        assert counts.dtype == dtype and np.array_equal(counts, want[top:end])
+        # a slab's counts take at most one float64 channel, unless it is a single row
+        assert end - top == 1 or counts.nbytes <= 8 * shape.node_count
 
 
 @pytest.mark.parametrize("lengths,w", [((40,), 2), ((7,), 9), ((17, 11), 3), ((2, 30), 1), ((7, 6, 5), 1), ((4, 9, 3), 4)])
