@@ -62,6 +62,9 @@ Cases, each on seeded inputs:
   the codebook and the assignment. `pnn/256-M4-distinct`: `pnn_quantize`
   alone of the `image-discrete` image's distinct windows at radius 2, each
   weighted by its node count, into 3 clusters, as `learn_discrete` does.
+  `pnn/512-real-M2-N4`: `pnn_quantize` alone of the radius-2 window means
+  of a 512² grid of 2-channel standard normal vectors into 4 clusters, the
+  largest input of the learning-complexity acceptance test.
 
 Each source tree is served by a worker process of its own, which builds
 every case's inputs once and then runs one call at a time when asked.
@@ -102,6 +105,7 @@ WIDE_M, WIDE_STATE_COUNTS = 16, (4, 64)
 CLASSIFY_SIDE, CLASSES = 64, 4
 VOLUME_SIDE, TEST_SIDE = 40, 24
 LEARN_SIDE, LEARN_BLOCK = 32, 8
+COMPLEXITY_SIDE, COMPLEXITY_N = 512, 4
 
 
 def fingerprint(value):
@@ -296,19 +300,20 @@ def cases(tmp):
                 lambda: learned(learn_real, learn_volume, 1, tmp / "learned-real.lvlm")))
     learn_means = sweep_signatures(learn_volume, 1).flat()
 
-    def pnn():
-        codebook, assignment = pnn_quantize(learn_means, N)
+    def quantized(points, n, weights=None):
+        codebook, assignment = pnn_quantize(points, n, weights=weights)
         return np.concatenate([codebook.centroids.ravel(), codebook.sizes, assignment])
 
-    out.append((f"pnn/{LEARN_SIDE}x3-real-M2", {"points": len(learn_means), "N": N, "M": 2}, pnn))
+    out.append((f"pnn/{LEARN_SIDE}x3-real-M2", {"points": len(learn_means), "N": N, "M": 2},
+                lambda: quantized(learn_means, N)))
     distinct, weights, _ = _distinct_windows([image], M, w)
-
-    def pnn_distinct():
-        codebook, assignment = pnn_quantize(distinct, N, weights=weights)
-        return np.concatenate([codebook.centroids.ravel(), codebook.sizes, assignment])
-
     out.append((f"pnn/{SIDE}-M{M}-distinct", {"points": len(distinct), "U": SIDE ** 2, "N": N, "M": M, "w": w},
-                pnn_distinct))
+                lambda: quantized(distinct, N, weights)))
+    rng = np.random.default_rng(6)  # its own stream, as above
+    complexity_means = sweep_signatures(SymbolLattice.real(rng.normal(size=(COMPLEXITY_SIDE,) * 2 + (2,))), 2).flat()
+    out.append((f"pnn/{COMPLEXITY_SIDE}-real-M2-N{COMPLEXITY_N}",
+                {"points": len(complexity_means), "N": COMPLEXITY_N, "M": 2, "w": 2},
+                lambda: quantized(complexity_means, COMPLEXITY_N)))
     return out
 
 

@@ -16,24 +16,25 @@ partner is not known to be the cheapest of all.
   near-linearithmic. A query prices partners from its own distances, ties to
   the lowest cluster id; a partner is settled, the cheapest of all live
   clusters, when a smallest live cluster just beyond the last neighbor would
-  cost more. Each stale cluster is queried once where it can be: one that
-  its last query settled (in the first round, every one) gets the short
+  cost more. Each stale cluster is queried once where it can be: one whose
+  last query was short (in the first round, every one) gets the short
   `SHORT_CANDIDATES` query and, only if that does not settle it, the long
-  `TREE_CANDIDATES` one; one that was left unsettled goes straight to the
+  `TREE_CANDIDATES` one; one whose last query was long goes straight to the
   long query. That routing is exact, since a short query that settles
   names the same partner at the same cost as the long one, and the long one
   settles whatever the short one does.
 - A query is split into in-order parts of at least `QUERY_PART_MIN` rows,
-  one per CPU the process may run on at most. The caller runs the first
-  part and a thread pool, made once per `pnn_quantize` call, the others;
-  the k-d query releases the GIL. A row's neighbors do not depend on the
-  rows queried with it, so the split changes no output.
-- At or below `exact_threshold`, a round scans the stale clusters against
-  every live one, with d² from the centroids, and merges only the cheapest
-  pair, least in (cost, lower id, higher id): the exact greedy step. Crossing
-  the threshold marks every cluster stale. The query's distances round, so
-  coalesce ties go to the lowest id only where those distances are exact;
-  exact-round ties are exact.
+  one per CPU the process may run on at most. Each part is queried and
+  priced on a thread of its own and writes only its own rows: the caller
+  runs the first part and a thread pool, made once per `pnn_quantize` call,
+  the others; the k-d query releases the GIL. A row's neighbors and price
+  do not depend on the rows queried with it, so the split changes no output.
+- At or below `exact_threshold`, the live clusters' costs, with d² from the
+  centroids, go in one matrix (n clusters hold n² costs), and a round merges
+  only the cheapest pair, least in (cost, lower id, higher id): the exact
+  greedy step. No partner carries over from the coalesce rounds. The
+  query's distances round, so coalesce ties go to the lowest id only where
+  those distances are exact; exact-round ties are exact.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ EXACT_THRESHOLD = 64
 TREE_CANDIDATES = 12
 SHORT_CANDIDATES = 5
 QUERY_PART_MIN = 128  # rows of one query part at least; measured: smaller parts gain nothing
-_SCAN_BLOCK = 1 << 18  # elements of one _scan block's (rows, centroids, M) differences
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,15 @@ class _Agglomerator:
         self.size = size
         self.alive = np.ones(k, dtype=bool)
         self.parent = np.arange(k)
-        self.history: list[tuple[int, int, float]] = []
+        self.history: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # each round's (a, b, cost)
         # kept between rounds: each cluster's cheapest known partner, that
-        # merge's cost, and whether it is the cheapest of all live clusters
-        # (true before any query, so that the first round starts short)
+        # merge's cost, whether it is the cheapest of all live clusters, and
+        # whether its last query was the long one (none is before any query,
+        # so that the first round starts short)
         self.partner = np.zeros(k, dtype=np.int64)
         self.best = np.zeros(k)
-        self.settled = np.ones(k, dtype=bool)
+        self.settled = np.zeros(k, dtype=bool)
+        self.long = np.zeros(k, dtype=bool)
 
     def merge(self, a, b, cost):
         """Merge clusters b[i] into a[i] (a[i] < b[i]); centroids become size-weighted means."""
@@ -135,19 +137,9 @@ class _Agglomerator:
         self.size[a] = total
         self.alive[b] = False
         self.parent[b] = a
-        self.history.extend(zip(a.tolist(), b.tolist(), cost.tolist()))
+        self.history.append((a, b, cost))
 
-    def _nearest(self, tree, x, k):
-        """k-d query of the rows of x, split by `_query_bounds`: the caller
-        queries the first part, the pool the others."""
-        bounds = _query_bounds(len(x), self.cpus)
-        rest = [self.pool.submit(tree.query, x[a:b], k) for a, b in zip(bounds[1:-1], bounds[2:])]
-        found = [tree.query(x[:bounds[1]], k)] + [f.result() for f in rest]
-        if len(found) == 1:
-            return found[0]
-        return np.concatenate([d for d, _ in found]), np.concatenate([i for _, i in found])
-
-    def _query(self, tree, ids, q, k, s_min):
+    def _price(self, tree, ids, q, k, s_min):
         """Cheapest partner of each cluster in `q` among its k-1 nearest others.
 
         Costs come from the query's own distances; ties go to the lowest
@@ -156,20 +148,32 @@ class _Agglomerator:
         cost more; the bound is strict so that no cluster outside the query
         can tie with a lower id.
         """
-        dist, cid = self._nearest(tree, self.centroid[q], k)
+        dist, cid = tree.query(self.centroid[q], k)
         cid = ids[cid]
-        s = self.size[q]
-        cost = s[:, None] * self.size[cid] / (s[:, None] + self.size[cid]) * dist ** 2
+        s, size = self.size[q], self.size[cid]
+        cost = s[:, None] * size
+        cost /= s[:, None] + size
+        cost *= np.square(dist, out=dist)
         cost[cid == q[:, None]] = np.inf
         best = cost.min(axis=1)
         self.partner[q] = np.where(cost == best[:, None], cid, len(self.alive)).min(axis=1)
         self.best[q] = best
-        self.settled[q] = (k == len(ids)) | (s * s_min / (s + s_min) * dist[:, -1] ** 2 > best)
+        self.settled[q] = (k == len(ids)) | (s * s_min / (s + s_min) * dist[:, -1] > best)
+
+    def _query(self, tree, ids, q, k, s_min):
+        """`_price` the rows of `q` in the parts of `_query_bounds`, each on
+        its own thread: the caller the first part, the pool the others. Each
+        part writes only its own rows."""
+        bounds = _query_bounds(len(q), self.cpus)
+        rest = [self.pool.submit(self._price, tree, ids, q[a:b], k, s_min) for a, b in zip(bounds[1:-1], bounds[2:])]
+        self._price(tree, ids, q[:bounds[1]], k, s_min)
+        for part in rest:
+            part.result()
 
     def _requery(self, ids, q, s_min):
-        """One query for each cluster in `q`: the long one for clusters left
-        unsettled by their last query; for the rest the short one, then the
-        long one where the short one does not settle.
+        """One query for each cluster in `q`: the long one for clusters whose
+        last query was long; for the rest the short one, then the long one
+        where the short one does not settle.
 
         Routing loses nothing: where the short query settles, its partner is
         cheaper than anything beyond its last neighbor, so the long query
@@ -177,59 +181,62 @@ class _Agglomerator:
         whatever the short one does, its last neighbor being no nearer.
         """
         tree = cKDTree(self.centroid[ids])
-        short = q[self.settled[q]]
+        short = q[~self.long[q]]
         if short.size:
             self._query(tree, ids, short, min(SHORT_CANDIDATES + 1, len(ids)), s_min)
-        retry = q[~self.settled[q]]
+            self.long[short] = ~self.settled[short]
+        retry = q[self.long[q]]
         if retry.size:
             self._query(tree, ids, retry, min(TREE_CANDIDATES + 1, len(ids)), s_min)
 
-    def _scan(self, ids, q):
-        """Cheapest partner of each cluster in `q` among all of `ids`, d² from
-        the centroids, ties to the lowest id; a block of at most `_SCAN_BLOCK`
-        difference elements at a time. An exact round prices at most
-        `exact_threshold` stale clusters, where one block costs less than a
-        loop over the live ones."""
-        s, c = self.size[ids], self.centroid[ids]
-        step = max(1, _SCAN_BLOCK // c.size)
-        for i in range(0, len(q), step):
-            r = q[i:i + step, None]
-            d2 = ((c - self.centroid[r]) ** 2).sum(axis=2)
-            cost = s * self.size[r] / (s + self.size[r]) * d2
-            cost[r == ids] = np.inf
-            best = cost.min(axis=1)
-            self.partner[r[:, 0]] = np.where(cost == best[:, None], ids, len(self.alive)).min(axis=1)
-            self.best[r[:, 0]] = best
-        self.settled[q] = True
+    def _exact(self, ids, n_target):
+        """Merge the cheapest pair of the live clusters `ids`, least in (cost,
+        lower id, higher id), until `n_target` remain: the exact greedy step.
+        Costs come from d² of the centroids, in a matrix over `ids`. A merge
+        re-prices the kept cluster's row and column, and only the clusters
+        that merged or whose partner merged take a new partner, ties to the
+        lowest id; a merged-away cluster's centroid, so its cost, is infinite."""
+        c, s = self.centroid[ids], self.size[ids]
+        cost = s * s[:, None] / (s + s[:, None]) * ((c - c[:, None]) ** 2).sum(axis=2)
+        np.fill_diagonal(cost, np.inf)
+        partner, best = cost.argmin(axis=1), cost.min(axis=1)
+        history = []
+        for _ in range(len(ids) - n_target):
+            i = int(best.argmin())
+            lo, hi = sorted((i, int(partner[i])))
+            history.append((lo, hi, best[i]))
+            total = s[lo] + s[hi]
+            c[lo] = (s[lo] * c[lo] + s[hi] * c[hi]) / total
+            s[lo], c[hi] = total, np.inf
+            cost[lo] = cost[:, lo] = s * s[lo] / (s + s[lo]) * ((c - c[lo]) ** 2).sum(axis=1)
+            cost[lo, lo] = cost[hi] = cost[:, hi] = np.inf
+            partner[lo] = hi  # the kept cluster takes a new partner too
+            stale = np.flatnonzero((partner == lo) | (partner == hi))
+            partner[stale], best[stale] = cost[stale].argmin(axis=1), cost[stale].min(axis=1)
+        self.centroid[ids], self.size[ids] = c, s
+        kept, gone, costs = map(np.array, zip(*history))
+        self.alive[ids[gone]], self.parent[ids[gone]] = False, ids[kept]
+        self.history.append((ids[kept], ids[gone], costs))
 
     def run(self, n_target, exact_threshold):
         """Merge round by round until `n_target` clusters remain: mutual pairs
         from k-d queries above `exact_threshold` live clusters (but not past
-        it), the cheapest pair from exact scans at or below it. A round with
+        it), then the cheapest pair by `_exact` at or below it. A round with
         no mutual pair merges its cheapest pair too.
         """
         ids = np.flatnonzero(self.alive)  # live clusters, ascending
         stale = ids
         merged = np.zeros(len(self.alive), dtype=bool)
-        exact = False
-        while len(ids) > n_target:
-            if not exact and len(ids) <= exact_threshold:
-                # the query's distances round: no partner carries over into exact rounds
-                exact, stale = True, ids
-            if exact:
-                self._scan(ids, stale)
-            else:
-                self._requery(ids, stale, self.size[ids].min())
+        stop = max(n_target, exact_threshold)
+        while len(ids) > stop:
+            self._requery(ids, stale, self.size[ids].min())
             partner, cost = self.partner[ids], self.best[ids]
-            a = ids[:0]
-            if not exact:
-                mutual = (self.partner[partner] == ids) & (ids < partner)
-                a, b, c = ids[mutual], partner[mutual], cost[mutual]
-                room = len(ids) - max(n_target, exact_threshold)
-                if a.size > room:
-                    keep = np.argsort(c, kind="stable")[:room]
-                    a, b, c = a[keep], b[keep], c[keep]
-            if a.size == 0:  # exact round, or no mutual pair: the pair least in (cost, owner id)
+            mutual = (self.partner[partner] == ids) & (ids < partner)
+            a, b, c = ids[mutual], partner[mutual], cost[mutual]
+            if a.size > len(ids) - stop:
+                keep = np.argsort(c, kind="stable")[:len(ids) - stop]
+                a, b, c = a[keep], b[keep], c[keep]
+            if a.size == 0:  # no mutual pair: the pair least in (cost, owner id)
                 i = int(np.argmin(cost))
                 lo, hi = sorted((ids[i], partner[i]))
                 a, b, c = np.array([lo]), np.array([hi]), cost[i:i + 1]
@@ -238,6 +245,8 @@ class _Agglomerator:
             ids = ids[self.alive[ids]]
             stale = ids[merged[ids] | merged[self.partner[ids]] | ~self.settled[ids]]
             merged[a] = merged[b] = False
+        if len(ids) > n_target:  # the query's distances round: no partner carries over
+            self._exact(ids, n_target)
 
 
 def pnn_quantize(points, n_clusters, *, weights=None, exact_threshold=EXACT_THRESHOLD, return_history=False):
@@ -303,8 +312,8 @@ def pnn_quantize(points, n_clusters, *, weights=None, exact_threshold=EXACT_THRE
     codebook = Codebook(np.ldexp(agg.centroid[agg.alive], shift), agg.size[agg.alive])
     assignment = (np.cumsum(agg.alive) - 1)[root[start]]
     if return_history:
-        ids = rep.tolist()
         history = list(zip(first_of[repeats].tolist(), repeats.tolist(), [0.0] * len(repeats)))
-        history += [(ids[a], ids[b], float(np.ldexp(c, 2 * shift))) for a, b, c in agg.history]
+        for a, b, c in agg.history:
+            history += zip(rep[a].tolist(), rep[b].tolist(), np.ldexp(c, 2 * shift).tolist())
         return codebook, assignment, history
     return codebook, assignment
