@@ -65,6 +65,12 @@ Cases, each on seeded inputs:
   `pnn/512-real-M2-N4`: `pnn_quantize` alone of the radius-2 window means
   of a 512² grid of 2-channel standard normal vectors into 4 clusters, the
   largest input of the learning-complexity acceptance test.
+- `evaluate`: `evaluate_discrete` under 3-state models whose emission rows
+  are drawn from a flat Dirichlet: a 512² image of 4 symbols in blocks of 3
+  states at radius 2 (`512-M4-w2`), a 32³ lattice of 4 uniform random
+  symbols at radius 1 (`32x3-M4-w1`), and a 128² image of 8 uniform random
+  symbols at radius 1 (`128-M8-w1`), whose window codes would pass the
+  table bound, so it evaluates from the swept field.
 
 Each source tree is served by a worker process of its own, which builds
 every case's inputs once and then runs one call at a time when asked.
@@ -314,6 +320,16 @@ def cases(tmp):
     out.append((f"pnn/{COMPLEXITY_SIDE}-real-M2-N{COMPLEXITY_N}",
                 {"points": len(complexity_means), "N": COMPLEXITY_N, "M": 2, "w": 2},
                 lambda: quantized(complexity_means, COMPLEXITY_N)))
+    rng = np.random.default_rng(7)  # its own stream, as above
+    for name, values, m, r in [
+        ("512-M4-w2", blocky_image(rng, 2 * SIDE, N, M), M, 2),
+        ("32x3-M4-w1", rng.integers(0, M, size=(LEARN_SIDE,) * 3), M, 1),
+        ("128-M8-w1", rng.integers(0, 8, size=(SIDE // 2,) * 2), 8, 1),
+    ]:
+        lat = SymbolLattice.discrete(values, M=m)
+        scored = DiscreteModel(N=N, M=m, d=values.ndim, A=A, B=rng.dirichlet(np.ones(m), size=N), w=r, w_e=r, w_l=r)
+        out.append((f"evaluate/{name}", {"U": values.size, "N": N, "M": m, "w": r},
+                    lambda m=scored, lat=lat: evaluate_discrete(m, lat)))
     return out
 
 

@@ -7,7 +7,9 @@ The sweep sums every channel over these windows in one separable box sum,
 the channel a trailing axis, so no node or channel is visited in a Python
 loop. `window_counts` gives a discrete lattice's exact window counts a slab
 of first-axis rows at a time, the kernel of its sweep and of the inertia
-index; `sweep_blocks` the field a block of nodes at a time.
+index; `WindowCode` one integer code per node from those counts, equal exactly
+where the count vectors are, so a caller can work once per distinct window;
+`sweep_blocks` the field a block of nodes at a time.
 """
 
 from __future__ import annotations
@@ -120,8 +122,10 @@ class SignatureField:
         return self.signatures.reshape(-1, self.M)
 
 
-# largest table indexed by a node's state and its neighbours' states that is
-# built per call: Gibbs sampling's conditionals, evaluation's neighbour codes
+# largest table built per call that is indexed by a code of a node's
+# neighbourhood: Gibbs sampling's conditionals and evaluation's neighbour
+# codes (a node's state and its neighbours' states), and window codes (a
+# node's exact window counts)
 TABLE_ENTRIES = 1 << 18
 
 
@@ -185,13 +189,28 @@ def _box_sum(planes: np.ndarray, w: int, rows=slice(None)) -> np.ndarray:
     return planes
 
 
+def _window_spans(lengths: tuple[int, ...], w: int) -> list[np.ndarray]:
+    """Per axis, the clamped window length at each coordinate."""
+    spans = []
+    for n in lengths:
+        t, r = np.arange(n), min(w, n - 1)
+        spans.append(np.minimum(t + r, n - 1) - np.maximum(t - r, 0) + 1)
+    return spans
+
+
+def _span_products(lengths: tuple[int, ...], w: int) -> np.ndarray:
+    """The cell count of a window of every combination of per-axis window
+    lengths. Along an axis of n nodes a clamped window is min(w, n - 1) + 1
+    long at either end and min(2w + 1, n) at its longest, and takes every
+    length between, since it moves by at most one from a node to the next."""
+    return functools.reduce(np.multiply, np.ix_(*(np.arange(min(w, n - 1) + 1, min(2 * w + 1, n) + 1)
+                                                  for n in lengths)))
+
+
 def _window_cells(lengths: tuple[int, ...], w: int) -> np.ndarray:
     """Cell count of every node's clamped window, as a float64 with a trailing
     unit axis: the product of the per-axis clamped window lengths."""
-    spans = []
-    for n in lengths:
-        t, r = np.arange(n, dtype=np.float64), min(w, n - 1)
-        spans.append(np.minimum(t + r, n - 1) - np.maximum(t - r, 0) + 1)
+    spans = [s.astype(np.float64) for s in _window_spans(lengths, w)]
     return functools.reduce(np.multiply, np.ix_(*spans))[..., None]
 
 
@@ -216,6 +235,78 @@ def window_counts(lattice: SymbolLattice, w: int, M: int, dtype):
         onehot = np.zeros((hi - lo,) + lengths[1:] + (M,), dtype=dtype)
         onehot.ravel()[np.arange(0, onehot.size, M) + lattice.values[lo:hi].ravel()] = 1
         yield top, end, _box_sum(onehot, w, slice(top - lo, end - lo))
+
+
+@dataclass(frozen=True)
+class WindowCode:
+    """One code per node of a discrete lattice for its exact w-window
+    counts of M symbols: the rank of the window's cell count among `sizes`,
+    then the counts of symbols 0 .. M-2 as digits in base sizes[-1] + 1 (a
+    count is at most the full window's cell count, the largest size). The
+    last count is the cell count less the others, so equal codes mean equal
+    count vectors and so equal signatures. A table indexed by code has
+    `entries` entries; `fitting` gives a code only where that is at most
+    `TABLE_ENTRIES`."""
+
+    w: int
+    M: int
+    sizes: np.ndarray = field(repr=False)  # the distinct cell counts of the windows coded, ascending
+
+    @classmethod
+    def fitting(cls, shapes, w: int, M: int) -> "WindowCode | None":
+        """The code of the w-windows of lattices of these shapes over M
+        symbols, or None where its table would pass `TABLE_ENTRIES`."""
+        if w < 0:
+            raise InputError("window radius must be >= 0")
+        full = max(math.prod(min(2 * w + 1, n) for n in shape.lengths) for shape in shapes)
+        # past the bound with one size already (each digit at least doubles it)
+        if (full + 1) ** min(M - 1, TABLE_ENTRIES.bit_length()) > TABLE_ENTRIES:
+            return None
+        sizes = np.unique(np.concatenate([_span_products(shape.lengths, w).ravel() for shape in shapes]))
+        code = cls(w, M, sizes)
+        return code if code.entries <= TABLE_ENTRIES else None
+
+    @property
+    def entries(self) -> int:
+        return len(self.sizes) * (int(self.sizes[-1]) + 1) ** (self.M - 1)
+
+    def codes(self, lattice: SymbolLattice, signatures: np.ndarray | None = None) -> np.ndarray:
+        """The code of every node of `lattice` (of one of the shapes the code
+        was made for), flat, as the index type, from one `window_counts`
+        pass (so a table is indexed without a cast); that pass also
+        writes the lattice's signatures into `signatures` when given, an
+        array of its lengths and M channels, bit-equal to
+        `sweep_signatures`'s."""
+        lengths, base = lattice.shape.lengths, int(self.sizes[-1]) + 1
+        spans = _window_spans(lengths, self.w)
+        # the rank at each combination of per-axis window lengths, spread
+        # over every axis but the first
+        rank = np.searchsorted(self.sizes, _span_products(lengths, self.w))
+        for axis in range(1, len(spans)):
+            rank = rank.take(spans[axis] - spans[axis][0], axis=axis)
+        first = spans[0] - spans[0][0]
+        cells = _window_cells(lengths, self.w) if signatures is not None else None
+        out = np.empty(lengths, dtype=np.intp)
+        for top, end, counts in window_counts(lattice, self.w, self.M, count_type(lengths, self.w)):
+            code = rank.take(first[top:end], axis=0, out=out[top:end])
+            for m in range(self.M - 1):
+                code *= base
+                code += counts[..., m]
+            if cells is not None:
+                np.divide(counts, cells[top:end], out=signatures[top:end])
+        return out.ravel()
+
+    def rows(self, codes: np.ndarray) -> np.ndarray:
+        """The signature of each code: its counts over its cell count, in
+        float64, bit-equal to the row of `sweep_signatures` of a node that
+        has it."""
+        base = int(self.sizes[-1]) + 1
+        counts, rest = np.empty((self.M, len(codes)), dtype=np.int64), codes
+        for m in range(self.M - 2, -1, -1):
+            rest, counts[m] = np.divmod(rest, base)
+        cells = self.sizes[rest]
+        np.subtract(cells, counts[:-1].sum(axis=0), out=counts[-1])
+        return (counts / cells).T
 
 
 def sweep_signatures(lattice: SymbolLattice, w: int) -> SignatureField:

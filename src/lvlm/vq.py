@@ -52,7 +52,10 @@ from .errors import InputError
 EXACT_THRESHOLD = 64
 TREE_CANDIDATES = 12
 SHORT_CANDIDATES = 5
-QUERY_PART_MIN = 128  # rows of one query part at least; measured: smaller parts gain nothing
+# rows of one query part at least. Measured on 2 cores: smaller parts gain
+# nothing, and neither does a query of 256-511 rows split in two parts;
+# one of 512 rows split in two runs 20-27 % faster
+QUERY_PART_MIN = 128
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@ import math
 import tracemalloc
 from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from lvlm import (DiscreteModel, InputError, LatticeShape, RealModel, SymbolLattice, evaluate_discrete, evaluate_real,
-                  sweep_signatures)
+from lvlm import (DiscreteModel, InputError, LatticeShape, RealModel, SymbolLattice, decode_discrete, evaluate_discrete,
+                  evaluate_real, sweep_signatures)
 from lvlm import lattice, model
+from lvlm.lattice import sweep_blocks
 from lvlm.model import _assign_field, _nearest_rows, _sum_rows_pairwise
 
 from oracles import _straightline_pairs, nearest_row, straightline_evaluate_discrete
@@ -267,3 +270,102 @@ def test_evaluate_rejects_mismatched_signatures():
                   sweep_signatures(SymbolLattice.discrete(obs.values[:, :4], M=3), 1)):     # nodes
         with pytest.raises(InputError):
             evaluate_discrete(m, obs, signatures=wrong)
+
+
+@st.composite
+def coded_cases(draw):
+    """A discrete model and lattice: 1-3 axes of 1-6, a radius from 0 to past
+    the axis lengths, up to 5 symbols (the lattice's no more than the
+    model's), and a last emission row equal to the first, so ties occur."""
+    lengths = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    M, w, N = draw(st.integers(1, 5)), draw(st.integers(0, 8)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    obs = SymbolLattice.discrete(rng.integers(0, draw(st.integers(1, M)), size=lengths), M=None)
+    B = rng.dirichlet(np.ones(M), size=N)
+    B[-1] = B[0]
+    m = DiscreteModel(N=N, M=M, d=len(lengths), A=rng.random((N, N)), B=B, w=w, w_e=w)
+    return m, obs
+
+
+@given(coded_cases())
+@settings(max_examples=300, deadline=None)
+def test_discrete_decode_and_evaluate_bit_equal_to_field_path(case):
+    # from window codes where they fit (most cases), else from the field
+    m, obs = case
+    X = sweep_signatures(SymbolLattice(obs.shape, obs.values, m.M, "discrete"), m.w)
+    q = _assign_field(m.B, X)
+    got_X, got_q = decode_discrete(m, obs)
+    assert got_X.signatures.tobytes() == X.signatures.tobytes()
+    assert got_q.states.dtype == np.int64 and got_q.states.tobytes() == q.tobytes()
+    want = evaluate_discrete(m, obs, signatures=X)
+    assert np.float64(evaluate_discrete(m, obs)).tobytes() == np.float64(want).tobytes()
+
+
+def test_discrete_past_the_code_bound_takes_the_field_path(monkeypatch):
+    # 2-D, M = 8, w = 1: 3 window sizes x 10^7 codes pass the table bound
+    rng = np.random.default_rng(17)
+    obs = SymbolLattice.discrete(rng.integers(0, 8, size=(9, 11)), M=8)
+    m = DiscreteModel(N=3, M=8, d=2, A=rng.random((3, 3)), B=rng.dirichlet(np.ones(8), size=3))
+    assert lattice.WindowCode.fitting([obs.shape], 1, 8) is None
+    swept = []
+    monkeypatch.setattr(lattice, "sweep_blocks", lambda *a: swept.append(a) or sweep_blocks(*a))
+    X = sweep_signatures(obs, 1)
+    assert evaluate_discrete(m, obs) == evaluate_discrete(m, obs, signatures=X) and swept
+    got_X, got_q = decode_discrete(m, obs)
+    assert got_X.signatures.tobytes() == X.signatures.tobytes()
+    assert got_q.states.tobytes() == _assign_field(m.B, X).tobytes()
+
+
+def test_discrete_evaluate_searches_each_distinct_window_once(monkeypatch):
+    # 256², M = 4, w = 2: the search sees one row per distinct count vector
+    rng = np.random.default_rng(18)
+    values = np.kron(rng.integers(0, 3, size=(16, 16)), np.ones((16, 16), dtype=np.int64))
+    values = np.where(rng.random(values.shape) < 0.7, values, rng.integers(0, 4, size=values.shape))
+    obs = SymbolLattice.discrete(values, M=4)
+    m = DiscreteModel(N=3, M=4, d=2, A=np.full((3, 3), 1 / 3), B=rng.dirichlet(np.ones(4), size=3), w_e=2)
+    counts = np.concatenate([c.reshape(-1, 4) for _, _, c in lattice.window_counts(obs, 2, 4, np.uint8)])
+    seen = []
+    monkeypatch.setattr(model, "_nearest_rows", lambda rows, x: seen.append(x) or _nearest_rows(rows, x))
+    score = evaluate_discrete(m, obs)
+    assert [len(x) for x in seen] == [len(np.unique(counts, axis=0))]
+    assert len(seen[0]) < obs.shape.node_count / 10
+    field = sweep_signatures(obs, 2).flat()
+    assert np.array_equal(np.unique(seen[0], axis=0), np.unique(field, axis=0))
+    monkeypatch.setattr(model, "_nearest_rows", _nearest_rows)
+    assert score == evaluate_discrete(m, obs, signatures=sweep_signatures(obs, 2))
+
+
+def test_discrete_evaluate_many_states_scores_wide_codes():
+    # N = 100 states of M = 4: a state-symbol code q M + o passes 255, which a
+    # state table narrower than int64 would wrap
+    rng = np.random.default_rng(19)
+    obs = SymbolLattice.discrete(rng.integers(0, 4, size=(40, 40)), M=4)
+    m = DiscreteModel(N=100, M=4, d=2, A=rng.uniform(0.1, 1.0, size=(100, 100)),
+                      B=rng.dirichlet(np.ones(4), size=100))
+    X = sweep_signatures(obs, 1)
+    assert _assign_field(m.B, X).max() * 4 >= 256
+    want = evaluate_discrete(m, obs, signatures=X)
+    assert math.isfinite(want) and np.float64(evaluate_discrete(m, obs)).tobytes() == np.float64(want).tobytes()
+    assert decode_discrete(m, obs)[1].states.tobytes() == _assign_field(m.B, X).tobytes()
+
+
+@pytest.mark.parametrize("shapes,M,w", [
+    ([(6, 5)], 2, 1), ([(9, 11), (4, 4)], 4, 2), ([(5,), (12,), (1,)], 3, 3), ([(3, 4, 5), (2, 2, 2)], 4, 1),
+    ([(1, 1)], 1, 0), ([(7, 3)], 5, 9), ([(9, 11), (6, 7)], 8, 1)])  # the last past the bound
+def test_distinct_windows_from_codes_bytes_equal_to_packed_sort(monkeypatch, shapes, M, w):
+    rng = np.random.default_rng(M * 10 + w)
+    lattices = [SymbolLattice.discrete(rng.integers(0, M, size=s), M=M) for s in shapes]
+    fits = lattice.WindowCode.fitting([lat.shape for lat in lattices], w, M) is not None
+    assert fits == (M < 8)
+    got = model._distinct_windows(lattices, M, w)
+    monkeypatch.setattr(lattice, "TABLE_ENTRIES", 0)
+    want = model._distinct_windows(lattices, M, w)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_distinct_windows_reject_a_negative_radius():
+    obs = SymbolLattice.discrete(np.zeros((4, 4), dtype=int), M=2)
+    with pytest.raises(InputError, match="window radius"):
+        model._distinct_windows([obs], 2, -3)
