@@ -70,7 +70,9 @@ Cases, each on seeded inputs:
   states at radius 2 (`512-M4-w2`), a 32³ lattice of 4 uniform random
   symbols at radius 1 (`32x3-M4-w1`), and a 128² image of 8 uniform random
   symbols at radius 1 (`128-M8-w1`), whose window codes would pass the
-  table bound, so it evaluates from the swept field.
+  table bound, so it evaluates from the swept field; and a 64² image like
+  the first (`64-M4-w2`, also `decode/64-M4-w2`), whose codes' table is
+  larger than its signature field, so it too takes the field path.
 
 Each source tree is served by a worker process of its own, which builds
 every case's inputs once and then runs one call at a time when asked.
@@ -325,11 +327,14 @@ def cases(tmp):
         ("512-M4-w2", blocky_image(rng, 2 * SIDE, N, M), M, 2),
         ("32x3-M4-w1", rng.integers(0, M, size=(LEARN_SIDE,) * 3), M, 1),
         ("128-M8-w1", rng.integers(0, 8, size=(SIDE // 2,) * 2), 8, 1),
+        ("64-M4-w2", blocky_image(rng, SIDE // 4, N, M), M, 2),
     ]:
         lat = SymbolLattice.discrete(values, M=m)
         scored = DiscreteModel(N=N, M=m, d=values.ndim, A=A, B=rng.dirichlet(np.ones(m), size=N), w=r, w_e=r, w_l=r)
-        out.append((f"evaluate/{name}", {"U": values.size, "N": N, "M": m, "w": r},
-                    lambda m=scored, lat=lat: evaluate_discrete(m, lat)))
+        shape = {"U": values.size, "N": N, "M": m, "w": r}
+        if name == "64-M4-w2":
+            out.append((f"decode/{name}", shape, lambda m=scored, lat=lat: decode_discrete(m, lat)[1].states))
+        out.append((f"evaluate/{name}", shape, lambda m=scored, lat=lat: evaluate_discrete(m, lat)))
     return out
 
 

@@ -37,11 +37,6 @@ def _one_line(text) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    # flags must be spelled out: a truncated one (say `--h` of a mangled
-    # `--shape`) would otherwise stand for another flag, `--help` among them
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
 

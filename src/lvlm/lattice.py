@@ -246,33 +246,36 @@ class WindowCode:
     last count is the cell count less the others, so equal codes mean equal
     count vectors and so equal signatures. A table indexed by code has
     `entries` entries; `fitting` gives a code only where that is at most
-    `TABLE_ENTRIES`."""
+    `TABLE_ENTRIES` and at most the lattice's signature field's values."""
 
     w: int
     M: int
     sizes: np.ndarray = field(repr=False)  # the distinct cell counts of the windows coded, ascending
 
     @classmethod
-    def fitting(cls, shapes, w: int, M: int) -> "WindowCode | None":
-        """The code of the w-windows of lattices of these shapes over M
-        symbols, or None where its table would pass `TABLE_ENTRIES`."""
+    def fitting(cls, shape: LatticeShape, w: int, M: int) -> "WindowCode | None":
+        """The code of the w-windows of a lattice of this shape over M
+        symbols, or None where its table would pass `TABLE_ENTRIES` or the
+        node_count * M values of the lattice's signature field: a table
+        larger than the field costs more to mark and scan than the search
+        it spares."""
         if w < 0:
             raise InputError("window radius must be >= 0")
-        full = max(math.prod(min(2 * w + 1, n) for n in shape.lengths) for shape in shapes)
+        bound = min(TABLE_ENTRIES, shape.node_count * M)
+        full = math.prod(min(2 * w + 1, n) for n in shape.lengths)
         # past the bound with one size already (each digit at least doubles it)
-        if (full + 1) ** min(M - 1, TABLE_ENTRIES.bit_length()) > TABLE_ENTRIES:
+        if (full + 1) ** min(M - 1, bound.bit_length()) > bound:
             return None
-        sizes = np.unique(np.concatenate([_span_products(shape.lengths, w).ravel() for shape in shapes]))
-        code = cls(w, M, sizes)
-        return code if code.entries <= TABLE_ENTRIES else None
+        code = cls(w, M, np.unique(_span_products(shape.lengths, w)))
+        return code if code.entries <= bound else None
 
     @property
     def entries(self) -> int:
         return len(self.sizes) * (int(self.sizes[-1]) + 1) ** (self.M - 1)
 
     def codes(self, lattice: SymbolLattice, signatures: np.ndarray | None = None) -> np.ndarray:
-        """The code of every node of `lattice` (of one of the shapes the code
-        was made for), flat, as the index type, from one `window_counts`
+        """The code of every node of `lattice` (of the shape the code was
+        made for), flat, as the index type, from one `window_counts`
         pass (so a table is indexed without a cast); that pass also
         writes the lattice's signatures into `signatures` when given, an
         array of its lengths and M channels, bit-equal to

@@ -8,20 +8,21 @@ k_t = sum_r a(q_t,q_r). Learning PNN-quantizes the pooled window signatures
 into N emission rows, re-assigns every node to its nearest row, and
 row-normalizes the neighbor-pair counts into A. Discrete learning never
 builds the float field: it finds the distinct windows from exact integer
-window counts (`_distinct_windows`, by their window codes where those fit),
-quantizes each once, weighted by its node count, and assigns each once, so
-it learns what quantizing every node would. Decoding, evaluation, the scalar
-`assign` and learning's re-assignment share one nearest-row search. It copies
-a bounded block of signatures into contiguous columns, in buffers reused by
-every block of a call, and keeps a running minimum of d² over the states in
-ascending order, so ties go to the lowest state. Each state's d² adds its
-squared differences in the order of numpy's pairwise summation, so it is
-bit-equal to `((x - row) ** 2).sum(axis=1)`. The model is the same at every
-node, so a discrete node's state depends only on its exact window counts:
-where their codes fit (`lattice.WindowCode`), discrete decoding and evaluation
-search once per distinct code and read each node's state from a table indexed
-by code; decoding also divides the same counts into its field. Past that
-bound, and for real lattices, evaluation sweeps its field in the search's
+window counts (`_distinct_windows`), quantizes each once, weighted by its
+node count, and assigns each once, so it learns what quantizing every node
+would. Decoding, evaluation, the scalar `assign` and learning's
+re-assignment share one nearest-row search. It copies a bounded block of
+signatures into contiguous columns, in buffers reused by every block of a
+call, and keeps a running minimum of d² over the states in ascending order,
+so ties go to the lowest state. Each state's d² adds its squared
+differences in the order of numpy's pairwise summation, so it is bit-equal
+to `((x - row) ** 2).sum(axis=1)`. The model is the same at every node, so a
+discrete node's state depends only on its exact window counts: where the
+table of their codes (`lattice.WindowCode`) is no larger than the signature
+field or `lattice.TABLE_ENTRIES`, discrete decoding and evaluation search
+once per distinct code and read each node's state from a table indexed by
+code; decoding also divides the same counts into its field. Elsewhere, and
+for real lattices, evaluation sweeps its field in the search's
 blocks (`lattice.sweep_blocks`) and never holds it whole. Every node's
 neighbor term has the same form and depends only on its own state and its
 neighbors' states, so evaluation scores from exact integer counts: the
@@ -178,9 +179,9 @@ def _assign_field(rows: np.ndarray, X: SignatureField) -> np.ndarray:
 
 
 def _window_code(obs: SymbolLattice, M: int, w: int):
-    """The window code of a discrete obs over M symbols at radius w, where it
-    fits its table; else None."""
-    return lattice.WindowCode.fitting([obs.shape], w, M) if obs.kind == "discrete" else None
+    """The window code of a discrete obs over M symbols at radius w, where
+    its table fits (`lattice.WindowCode.fitting`); else None."""
+    return lattice.WindowCode.fitting(obs.shape, w, M) if obs.kind == "discrete" else None
 
 
 def _code_states(rows: np.ndarray, code, codes: np.ndarray) -> np.ndarray:
@@ -363,27 +364,13 @@ def _distinct_windows(lattices, M: int, w: int):
     their exact symbol counts (`lattice.window_counts`): (points, weights,
     inverse), where points are the signatures of the distinct count vectors
     in order of first occurrence, weights how many nodes have each, and
-    inverse each pooled node's row of points. Where their window codes fit
-    (`lattice.WindowCode`), each node's code marks its first occurrence in a
-    table indexed by code, and each distinct code gives its signature. Past
-    that bound each node's count bytes are packed into 64-bit words and
-    sorted as integers once; only the first node of each distinct vector is
-    divided by its cell count, the sum of its counts. Either way every point
-    is bit-equal to that node's row of the float sweep. Count vectors that
-    differ can still have equal signatures (an
+    inverse each pooled node's row of points. Each node's count bytes are
+    packed into 64-bit words and sorted as integers once; only the first node
+    of each distinct vector is divided by its cell count, the sum of its
+    counts, so every point is bit-equal to that node's row of the float
+    sweep. Count vectors that differ can still have equal signatures (an
     edge window of 6 in 15 cells, an inner one of 10 in 25); `vq.pnn_quantize`
     merges those."""
-    code = lattice.WindowCode.fitting([lat.shape for lat in lattices], w, M)
-    if code is not None:
-        codes = np.concatenate([code.codes(lat) for lat in lattices])
-        n = len(codes)
-        first = np.full(code.entries, n)
-        np.minimum.at(first, codes, np.arange(n))
-        distinct = codes[np.sort(first[first < n])]  # in order of first occurrence
-        label = np.empty(code.entries, dtype=np.int64)
-        label[distinct] = np.arange(len(distinct))
-        inverse = label[codes]
-        return code.rows(distinct), np.bincount(inverse), inverse
     dtype = np.result_type(*(lattice.count_type(lat.shape.lengths, w) for lat in lattices))
     counts = np.concatenate([slab.reshape(-1, M) for lat in lattices
                              for _, _, slab in lattice.window_counts(lat, w, M, dtype)])

@@ -34,14 +34,6 @@ def test_unknown_flag_exits_1(capsys):
     assert code == 1 and err
 
 
-@pytest.mark.parametrize("argv", [("synth", "--h", "ape", "6x6", "--n", "2"), ("synth", "--shap", "6x6", "--n", "2")])
-def test_truncated_flag_exits_1(capsys, argv):
-    # no flag stands for another by a prefix of its name, `--help` included:
-    # both exited 0 before, the first by printing help, the second by sampling
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == "" and err.startswith("lvlm: ") and len(err.splitlines()) == 1
-
-
 def test_synth_learn_decode_round_trip(tmp_path, capsys):
     obs_p, states_p, model_p, q_p = (str(tmp_path / n) for n in ("o.lat", "s.lat", "m.lvlm", "q.lat"))
     code, out, _ = run(capsys, "synth", "--shape", "24x24", "--n", "2",

@@ -291,7 +291,9 @@ def coded_cases(draw):
 @given(coded_cases())
 @settings(max_examples=300, deadline=None)
 def test_discrete_decode_and_evaluate_bit_equal_to_field_path(case):
-    # from window codes where they fit (most cases), else from the field
+    # from window codes where they fit, else from the field; and the codes
+    # themselves wherever their table fits TABLE_ENTRIES, though these small
+    # lattices' fields are mostly smaller than it
     m, obs = case
     X = sweep_signatures(SymbolLattice(obs.shape, obs.values, m.M, "discrete"), m.w)
     q = _assign_field(m.B, X)
@@ -300,17 +302,26 @@ def test_discrete_decode_and_evaluate_bit_equal_to_field_path(case):
     assert got_q.states.dtype == np.int64 and got_q.states.tobytes() == q.tobytes()
     want = evaluate_discrete(m, obs, signatures=X)
     assert np.float64(evaluate_discrete(m, obs)).tobytes() == np.float64(want).tobytes()
+    code = lattice.WindowCode(m.w, m.M, np.unique(lattice._span_products(obs.shape.lengths, m.w)))
+    if code.entries <= lattice.TABLE_ENTRIES:
+        coded_X = np.empty_like(X.signatures)
+        coded_q = model._code_states(m.B, code, code.codes(obs, coded_X))
+        assert coded_X.tobytes() == X.signatures.tobytes()
+        assert coded_q.dtype == np.int64 and coded_q.tobytes() == q.tobytes()
 
 
-def test_discrete_past_the_code_bound_takes_the_field_path(monkeypatch):
-    # 2-D, M = 8, w = 1: 3 window sizes x 10^7 codes pass the table bound
+@pytest.mark.parametrize("lengths,M,w", [
+    ((9, 11), 8, 1),    # 3 window sizes x 9^7 codes pass TABLE_ENTRIES
+    ((64, 64), 4, 2),   # 105,456 codes pass the field's 64 * 64 * 4 values
+])
+def test_discrete_past_the_code_bound_takes_the_field_path(monkeypatch, lengths, M, w):
     rng = np.random.default_rng(17)
-    obs = SymbolLattice.discrete(rng.integers(0, 8, size=(9, 11)), M=8)
-    m = DiscreteModel(N=3, M=8, d=2, A=rng.random((3, 3)), B=rng.dirichlet(np.ones(8), size=3))
-    assert lattice.WindowCode.fitting([obs.shape], 1, 8) is None
+    obs = SymbolLattice.discrete(rng.integers(0, M, size=lengths), M=M)
+    m = DiscreteModel(N=3, M=M, d=2, A=rng.random((3, 3)), B=rng.dirichlet(np.ones(M), size=3), w=w, w_e=w)
+    assert lattice.WindowCode.fitting(obs.shape, w, M) is None
     swept = []
     monkeypatch.setattr(lattice, "sweep_blocks", lambda *a: swept.append(a) or sweep_blocks(*a))
-    X = sweep_signatures(obs, 1)
+    X = sweep_signatures(obs, w)
     assert evaluate_discrete(m, obs) == evaluate_discrete(m, obs, signatures=X) and swept
     got_X, got_q = decode_discrete(m, obs)
     assert got_X.signatures.tobytes() == X.signatures.tobytes()
@@ -323,6 +334,7 @@ def test_discrete_evaluate_searches_each_distinct_window_once(monkeypatch):
     values = np.kron(rng.integers(0, 3, size=(16, 16)), np.ones((16, 16), dtype=np.int64))
     values = np.where(rng.random(values.shape) < 0.7, values, rng.integers(0, 4, size=values.shape))
     obs = SymbolLattice.discrete(values, M=4)
+    assert lattice.WindowCode.fitting(obs.shape, 2, 4).entries == 105_456
     m = DiscreteModel(N=3, M=4, d=2, A=np.full((3, 3), 1 / 3), B=rng.dirichlet(np.ones(4), size=3), w_e=2)
     counts = np.concatenate([c.reshape(-1, 4) for _, _, c in lattice.window_counts(obs, 2, 4, np.uint8)])
     seen = []
@@ -344,28 +356,15 @@ def test_discrete_evaluate_many_states_scores_wide_codes():
     m = DiscreteModel(N=100, M=4, d=2, A=rng.uniform(0.1, 1.0, size=(100, 100)),
                       B=rng.dirichlet(np.ones(4), size=100))
     X = sweep_signatures(obs, 1)
+    assert lattice.WindowCode.fitting(obs.shape, 1, 4) is not None
     assert _assign_field(m.B, X).max() * 4 >= 256
     want = evaluate_discrete(m, obs, signatures=X)
     assert math.isfinite(want) and np.float64(evaluate_discrete(m, obs)).tobytes() == np.float64(want).tobytes()
     assert decode_discrete(m, obs)[1].states.tobytes() == _assign_field(m.B, X).tobytes()
 
 
-@pytest.mark.parametrize("shapes,M,w", [
-    ([(6, 5)], 2, 1), ([(9, 11), (4, 4)], 4, 2), ([(5,), (12,), (1,)], 3, 3), ([(3, 4, 5), (2, 2, 2)], 4, 1),
-    ([(1, 1)], 1, 0), ([(7, 3)], 5, 9), ([(9, 11), (6, 7)], 8, 1)])  # the last past the bound
-def test_distinct_windows_from_codes_bytes_equal_to_packed_sort(monkeypatch, shapes, M, w):
-    rng = np.random.default_rng(M * 10 + w)
-    lattices = [SymbolLattice.discrete(rng.integers(0, M, size=s), M=M) for s in shapes]
-    fits = lattice.WindowCode.fitting([lat.shape for lat in lattices], w, M) is not None
-    assert fits == (M < 8)
-    got = model._distinct_windows(lattices, M, w)
-    monkeypatch.setattr(lattice, "TABLE_ENTRIES", 0)
-    want = model._distinct_windows(lattices, M, w)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def test_distinct_windows_reject_a_negative_radius():
+def test_decode_rejects_a_negative_radius():
     obs = SymbolLattice.discrete(np.zeros((4, 4), dtype=int), M=2)
+    m = DiscreteModel(N=1, M=2, d=2, A=np.ones((1, 1)), B=np.full((1, 2), 0.5))
     with pytest.raises(InputError, match="window radius"):
-        model._distinct_windows([obs], 2, -3)
+        model.decode(m, obs, -3)
