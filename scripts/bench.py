@@ -46,6 +46,12 @@ Cases, each on seeded inputs:
   Gaussian emissions, 20 sweeps), writing observations and states; its
   fingerprint is that of both written files' bytes.
   `synth/gibbs_sample/40x3-N3`: `gibbs_sample` alone on that lattice.
+  `emit/40x3-real-N3`: `emit_observations` alone of the states it samples,
+  under those flags' Gaussian emissions (identity covariances).
+  `emit/128-discrete-N3`: `emit_observations` alone of the states
+  `gibbs_sample` draws under the same potentials on a 128² lattice, the
+  `image-discrete` workload's synthesis shape, with the 3 x 4 emission rows
+  of the `image-discrete` cases.
 - `cli-volume/evaluate`: `evaluate_real` of the 40³ f64x2 grid under the
   3-state real model of `cli`. `cli-volume/classify`: `classify_image` of
   the 24³ f64x2 grid under a bundle of 3 such models (means drawn per
@@ -83,14 +89,16 @@ case, each worker first makes one untimed call (warming caches and lazy
 set-up, and fingerprinting the output, which must agree across trees for
 results that should not change), then `--reps` timed calls; `--runs`
 repeats this with fresh workers. The file records every call's time, each
-tree's median, and, per case, the median of the after/before ratios of the
-paired calls and how many pairs the after tree won.
+tree's median, and, per case, the median and the first and third quartiles
+of the after/before ratios of the paired calls and how many pairs the after
+tree won.
 
     python scripts/bench.py --out BENCH.json [--before ../parent/src] [--cases REGEX]
 """
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -112,6 +120,7 @@ WIDTHS = (2, 4, 16)
 WIDE_M, WIDE_STATE_COUNTS = 16, (4, 64)
 CLASSIFY_SIDE, CLASSES = 64, 4
 VOLUME_SIDE, TEST_SIDE = 40, 24
+SYNTH_SIDE = 128
 LEARN_SIDE, LEARN_BLOCK = 32, 8
 COMPLEXITY_SIDE, COMPLEXITY_N = 512, 4
 
@@ -142,10 +151,10 @@ def blocky_image(rng, side, n_states, M, block=16, p=0.7):
 def cases(tmp):
     """(name, shape, call) for every case; inputs are built before timing,
     files are written under the directory `tmp`."""
-    from lvlm import (ClassEntry, ClassifierBundle, DiscreteModel, LatticeShape, RealModel, SymbolLattice,
-                      SynthConfig, classify_image, cli, decode_discrete, decode_real, evaluate_discrete,
-                      StateLattice, evaluate_real, gibbs_sample, inertia_index, io, learn_discrete, learn_real,
-                      pnn_quantize, sweep_signatures)
+    from lvlm import (ClassEntry, ClassifierBundle, DiscreteEmission, DiscreteModel, LatticeShape, RealEmission,
+                      RealModel, SymbolLattice, SynthConfig, classify_image, cli, decode_discrete, decode_real,
+                      emit_observations, evaluate_discrete, StateLattice, evaluate_real, gibbs_sample, inertia_index,
+                      io, learn_discrete, learn_real, pnn_quantize, sweep_signatures)
     from lvlm.model import _distinct_windows, _nearest_rows, _pair_score
 
     out = []
@@ -283,6 +292,14 @@ def cases(tmp):
     config = SynthConfig(shape=LatticeShape(volume), N=N, potentials=phi, sweeps=sweeps, seed=0)
     out.append((f"synth/gibbs_sample/40x3-N{N}", {"U": VOLUME_SIDE ** 3, "N": N, "sweeps": sweeps},
                 lambda: gibbs_sample(config).states))
+    sampled = gibbs_sample(config)
+    gaussian = RealEmission(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]), np.tile(np.eye(2), (N, 1, 1)))
+    out.append((f"emit/40x3-real-N{N}", {"U": VOLUME_SIDE ** 3, "N": N, "M": 2},
+                lambda: emit_observations(sampled, gaussian, seed=1).values))
+    plane = gibbs_sample(dataclasses.replace(config, shape=LatticeShape((SYNTH_SIDE,) * 2)))
+    categorical = DiscreteEmission(B)
+    out.append((f"emit/{SYNTH_SIDE}-discrete-N{N}", {"U": SYNTH_SIDE ** 2, "N": N, "M": M},
+                lambda: emit_observations(plane, categorical, seed=1).values))
 
     rng = np.random.default_rng(4)  # its own stream, as above
     classes = ClassifierBundle(tuple(
@@ -425,7 +442,8 @@ def main():
                     "numpy": np.__version__},
         "method": f"per case, {args.runs} runs of a worker process per tree, each making one untimed call "
                   f"then {args.reps} timed calls, the trees' calls alternating one by one; 's' is the median "
-                  "over all of a tree's calls, 'after_over_before' the median ratio of paired calls",
+                  "over all of a tree's calls, 'after_over_before' the median ratio of paired calls "
+                  "and 'after_over_before_quartiles' its first and third quartiles",
         "cases": measure(trees, args.runs, args.reps, re.compile(args.cases)),
     }
     for name, entry in report["cases"].items():
@@ -433,11 +451,14 @@ def main():
             entry[side]["s"] = statistics.median(entry[side]["calls_s"])
         if args.before:
             pairs = list(zip(entry["before"]["calls_s"], entry["after"]["calls_s"]))
-            entry["after_over_before"] = statistics.median(a / b for b, a in pairs)
+            ratios = [a / b for b, a in pairs]
+            entry["after_over_before"] = statistics.median(ratios)
+            entry["after_over_before_quartiles"] = np.quantile(ratios, [0.25, 0.75]).tolist()
             entry["after_faster"] = f"{sum(a < b for b, a in pairs)}/{len(pairs)}"
         line = "  ".join(f"{side} {entry[side]['s']:.4f} s" for side in trees)
         if args.before:
-            line += f"  ratio {entry['after_over_before']:.3f}  faster {entry['after_faster']}"
+            q1, q3 = entry["after_over_before_quartiles"]
+            line += f"  ratio {entry['after_over_before']:.3f} [{q1:.3f}, {q3:.3f}]  faster {entry['after_faster']}"
         print(f"{name:32s} {line}")
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 

@@ -327,7 +327,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:  # a help request; _Parser.error raises InputError instead
+            return e.code
         with np.errstate(all="ignore"):  # the explicit checks report what fails
             return args.func(args)
     except InputError as e:

@@ -81,7 +81,8 @@ class RealModel(core.LatticeModel):
         # scaled by 2^-k, and its quadratic term scaled back by 2^2k
         shift = np.zeros(len(occupied), dtype=np.int64)
         for i in np.flatnonzero(~np.isfinite(S).all(axis=(1, 2))):
-            shift[i], S[i] = _scaled_scatter(self.mu[occupied[i]], o[q.ravel() == occupied[i]])
+            rows = o.take(np.flatnonzero(q.ravel() == occupied[i]), axis=0)
+            shift[i], S[i] = _scaled_scatter(self.mu[occupied[i]], rows)
         # tr(Sigma^-1 S) = tr(L^-1 S L^-T)
         quad = np.ldexp(((Linv @ S) * Linv).sum(axis=(1, 2)), 2 * shift)
         logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
@@ -91,11 +92,12 @@ class RealModel(core.LatticeModel):
 def _scatter(mu: np.ndarray, o: np.ndarray, q: np.ndarray):
     """Per state j of the N x M `mu`: the count of nodes q assigns to j, and
     the sum over them of the residual outer products (o_t - mu(j))(o_t - mu(j))^T
-    (o: U x M observations, q: U states)."""
+    (o: U x M observations, q: U states). Each state's rows are taken by
+    index, in ascending node order, as a boolean mask would select them."""
     N, M = mu.shape
     count, S = np.zeros(N), np.zeros((N, M, M))
     for j in range(N):
-        resid = o[q == j] - mu[j]
+        resid = o.take(np.flatnonzero(q == j), axis=0) - mu[j]
         count[j] = len(resid)
         S[j] = resid.T @ resid
     return count, S

@@ -177,24 +177,26 @@ def emit_observations(states: StateLattice, emission, seed: int = 0) -> SymbolLa
     if emission.N != states.N:
         raise InputError("emission parameters must match the state count")
     rng = np.random.default_rng(seed)
+    q, lengths = states.states.reshape(-1), states.shape.lengths
     if isinstance(emission, DiscreteEmission):
         cdf = np.cumsum(emission.B, axis=1)
-        u = rng.random(size=states.shape.lengths)
-        symbols = np.empty(u.shape, dtype=np.int64)
+        u = rng.random(size=q.size)
+        symbols = np.empty(q.size, dtype=np.int64)
         # symbol: how many of the state's cdf entries lie below u, at most its
-        # last of positive probability (a row may sum to just under 1)
+        # last of positive probability (a row may sum to just under 1); each
+        # state's nodes are taken by index, in ascending order
         for j in range(emission.N):
-            mask = states.states == j
-            symbols[mask] = np.minimum(np.searchsorted(cdf[j], u[mask], side="left"),
-                                       np.flatnonzero(emission.B[j])[-1])
-        return SymbolLattice.discrete(symbols, M=emission.B.shape[1])
+            at = np.flatnonzero(q == j)
+            symbols[at] = np.minimum(np.searchsorted(cdf[j], u.take(at), side="left"),
+                                     np.flatnonzero(emission.B[j])[-1])
+        return SymbolLattice.discrete(symbols.reshape(lengths), M=emission.B.shape[1])
     if isinstance(emission, RealEmission):
         M = emission.mu.shape[1]
-        z = rng.standard_normal(size=states.shape.lengths + (M,))
+        z = rng.standard_normal(size=(q.size, M))
         out = np.empty_like(z)
         for j in range(emission.N):
             L = np.linalg.cholesky(emission.sigma[j])
-            mask = states.states == j
-            out[mask] = emission.mu[j] + z[mask] @ L.T
-        return SymbolLattice.real(out)
+            at = np.flatnonzero(q == j)
+            out[at] = emission.mu[j] + z.take(at, axis=0) @ L.T
+        return SymbolLattice.real(out.reshape(lengths + (M,)))
     raise InputError(f"unknown emission type {type(emission).__name__}")

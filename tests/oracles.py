@@ -447,3 +447,58 @@ def _straightline_adjacency(labelled, N):
         for k in range(N):
             A[j][k] = counts[j][k] / total if total > 0 else 1.0 / N
     return A
+
+
+def masked_scatter(mu, o, q):
+    """Per-state node counts and residual scatters, each state's rows of the
+    U x M `o` selected by a boolean mask over the U states `q`: the arithmetic
+    `real._scatter` must reproduce byte for byte."""
+    N, M = mu.shape
+    count, S = np.zeros(N), np.zeros((N, M, M))
+    for j in range(N):
+        resid = o[q == j] - mu[j]
+        count[j] = len(resid)
+        S[j] = resid.T @ resid
+    return count, S
+
+
+def masked_log_emission_real(model, o, q):
+    """The Gaussian emission term of U x M observations `o` under U states
+    `q`, each state's rows selected by a boolean mask; a state whose scatter
+    overflows is scattered again on its masked rows by `real._scaled_scatter`."""
+    from lvlm.real import _scaled_scatter
+
+    count, S = masked_scatter(model.mu, o, q)
+    occupied = np.flatnonzero(count)
+    L = np.linalg.cholesky(model.sigma[occupied])
+    count, S, Linv = count[occupied], S[occupied], np.linalg.inv(L)
+    shift = np.zeros(len(occupied), dtype=np.int64)
+    for i in np.flatnonzero(~np.isfinite(S).all(axis=(1, 2))):
+        shift[i], S[i] = _scaled_scatter(model.mu[occupied[i]], o[q == occupied[i]])
+    quad = np.ldexp(((Linv @ S) * Linv).sum(axis=(1, 2)), 2 * shift)
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    return float(-0.5 * (count * (model.M * np.log(2 * np.pi) + logdet) + quad).sum())
+
+
+def masked_emit_observations(states, emission, seed):
+    """`synth.emit_observations` with each state's nodes selected by a boolean
+    mask over the state lattice: the draws every index gather must match."""
+    from lvlm.lattice import SymbolLattice
+
+    rng = np.random.default_rng(seed)
+    if hasattr(emission, "B"):
+        cdf = np.cumsum(emission.B, axis=1)
+        u = rng.random(size=states.shape.lengths)
+        symbols = np.empty(u.shape, dtype=np.int64)
+        for j in range(emission.N):
+            mask = states.states == j
+            symbols[mask] = np.minimum(np.searchsorted(cdf[j], u[mask], side="left"),
+                                       np.flatnonzero(emission.B[j])[-1])
+        return SymbolLattice.discrete(symbols, M=emission.B.shape[1])
+    z = rng.standard_normal(size=states.shape.lengths + (emission.mu.shape[1],))
+    out = np.empty_like(z)
+    for j in range(emission.N):
+        L = np.linalg.cholesky(emission.sigma[j])
+        mask = states.states == j
+        out[mask] = emission.mu[j] + z[mask] @ L.T
+    return SymbolLattice.real(out)

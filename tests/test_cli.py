@@ -525,6 +525,14 @@ def test_numeric_flags_exit_cleanly(fuzz_files, monkeypatch, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["-h", "--h"])
+def test_help_request_exits_0_printing_usage_writing_nothing(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "synth", flag)
+    assert code == 0 and out.startswith("usage: ") and "--shape" in out and err == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # Whole `lvlm synth` argvs for random byte edits; {o} and {q} stand for the
 # two outputs, files in a fresh directory.
 SYNTH_ARGVS = [
@@ -557,6 +565,7 @@ def edited_synth_argv(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=edited_synth_argv())
+@example(argv="synth --h 6x6 --n 2 --b 0.8,0.2;0.2,0.8 --out {o} --states-out {q}".split())  # --h abbreviates --help
 def test_synth_argv_byte_edits_exit_cleanly_writing_all_outputs_or_none(tmp_path_factory, monkeypatch, capsys, argv):
     out_dir = tmp_path_factory.mktemp("synth")
     argv = [a.replace("{o}", str(out_dir / "o.lat")).replace("{q}", str(out_dir / "q.lat")) for a in argv]
@@ -575,11 +584,16 @@ def test_synth_argv_byte_edits_exit_cleanly_writing_all_outputs_or_none(tmp_path
         code, out, err = run(capsys, *argv)
         written = sorted(out_dir.iterdir())
         if code == 0:
-            args = cli.build_parser().parse_args(argv)
-            asked = {Path(os.path.realpath(p)) for p in (args.out, args.states_out) if p}
-            assert {p.resolve() for p in written} == asked  # every output, and nothing else
-            for path in written:
-                io.read_lattice_auto(path)
+            try:
+                args = cli.build_parser().parse_args(argv)
+            except SystemExit:  # a help request (-h, or an abbreviation such as --h): usage, no outputs
+                capsys.readouterr()  # the usage printed again just now
+                assert out.startswith("usage: ") and written == []
+            else:
+                asked = {Path(os.path.realpath(p)) for p in (args.out, args.states_out) if p}
+                assert {p.resolve() for p in written} == asked  # every output, and nothing else
+                for path in written:
+                    io.read_lattice_auto(path)
     assert code in (0, 1, 2)
     if code != 0:
         assert out == "" and written == []

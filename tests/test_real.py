@@ -16,7 +16,9 @@ from lvlm import (
     learn_real,
 )
 
-from oracles import naive_signatures, straightline_evaluate_real
+from lvlm.model import _pair_score
+from lvlm.real import _scatter
+from oracles import masked_log_emission_real, masked_scatter, naive_signatures, straightline_evaluate_real
 
 
 def toy_model(N=2, M=2, d=1, **kw):
@@ -214,6 +216,55 @@ def test_evaluate_overflowing_scatter_rescaled_to_finite_score():
     # node's quadratic term is 2e20: the score is finite, about -4e20
     m = toy_model(N=1, mu=np.zeros((1, 2)), sigma=1e300 * np.eye(2)[None], A=np.ones((1, 1)), w_e=0)
     vals = np.full((4, 2), 1e160)
+    q = np.zeros(4, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         got = evaluate_real(m, SymbolLattice.real(vals))
+        want = masked_log_emission_real(m, vals, q) + _pair_score(m.A, q, m.alpha)
     assert got == pytest.approx(-4e20, rel=1e-12)
+    assert got == want  # the state's rows gathered by index and by mask scatter alike
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def gaussian_states(draw):
+    """(model, observations, states): a 1- to 3-D lattice labelled with N in
+    1..300 states (often more than its nodes, leaving most unoccupied) over M
+    in 1..16 channels, under non-identity covariances. The nodes of about a
+    third of the states lie near 1e160, so that their scatter overflows, and
+    those states' covariances are scaled by 1e300."""
+    ndim = draw(st.integers(1, 3))
+    lengths = tuple(draw(st.integers(1, (48, 8, 4)[ndim - 1])) for _ in range(ndim))
+    N, M = draw(st.integers(1, 300)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = rng.integers(0, N, size=lengths)
+    big = rng.random(N) < 1 / 3
+    o = rng.normal(size=lengths + (M,)) * np.where(big[q], 1e160, 1.0)[..., None]
+    g = rng.normal(scale=0.25, size=(N, M, M))
+    sigma = np.eye(M) + g @ g.transpose(0, 2, 1)
+    sigma = (sigma + sigma.transpose(0, 2, 1)) / 2 * np.where(big, 1e300, 1.0)[:, None, None]
+    model = toy_model(N=N, M=M, d=ndim, mu=rng.normal(size=(N, M)), sigma=sigma)
+    return model, SymbolLattice.real(o), q
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=gaussian_states())
+def test_scatter_bit_equal_to_masked_rows(case):
+    model, obs, q = case
+    o = obs.values.reshape(-1, model.M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _scatter(model.mu, o, q.ravel()), masked_scatter(model.mu, o, q.ravel())
+    assert all(same_bytes(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=gaussian_states())
+def test_log_emission_bit_equal_to_masked_rows(case):
+    model, obs, q = case
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got = model._log_emission(obs, q)
+        want = masked_log_emission_real(model, obs.values.reshape(-1, model.M), q.ravel())
+    assert same_bytes(got, want)

@@ -1,8 +1,10 @@
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
-from oracles import gibbs_chain, gibbs_joint, straightline_gibbs
+from hypothesis import given, settings
+from oracles import gibbs_chain, gibbs_joint, masked_emit_observations, straightline_gibbs
 from scipy.stats import chi2
 
 from lvlm import (
@@ -101,6 +103,28 @@ def test_emit_discrete_memory_wide_alphabet():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * obs.values.nbytes
+
+
+@settings(max_examples=150, deadline=None)
+@given(ndim=st.integers(1, 3), data=st.data(), N=st.integers(1, 300), M=st.integers(1, 16),
+       data_seed=st.integers(0, 2 ** 32 - 1), discrete=st.booleans())
+def test_emit_bit_equal_to_masked_nodes(ndim, data, N, M, data_seed, discrete):
+    # N often exceeds the node count, leaving most states unoccupied
+    lengths = tuple(data.draw(st.integers(1, (48, 8, 4)[ndim - 1])) for _ in range(ndim))
+    rng = np.random.default_rng(data_seed)
+    states = StateLattice.from_array(rng.integers(0, N, size=lengths), N=N)
+    if discrete:  # rows with zero entries, the last of them possibly trailing
+        B = rng.dirichlet(np.ones(M), size=N) * (rng.random((N, M)) < 0.7)
+        B[B.sum(axis=1) == 0, 0] = 1.0
+        emission = DiscreteEmission(B / B.sum(axis=1, keepdims=True))
+    else:
+        g = rng.normal(scale=0.25, size=(N, M, M))
+        sigma = np.eye(M) + g @ g.transpose(0, 2, 1)
+        emission = RealEmission(rng.normal(size=(N, M)), (sigma + sigma.transpose(0, 2, 1)) / 2)
+    got = emit_observations(states, emission, seed=data_seed)
+    want = masked_emit_observations(states, emission, data_seed)
+    assert (got.kind, got.M, got.values.dtype) == (want.kind, want.M, want.values.dtype)
+    assert got.values.shape == want.values.shape and got.values.tobytes() == want.values.tobytes()
 
 
 def test_emit_real_tiny_noise_recovers_means():
