@@ -45,7 +45,12 @@ Cases, each on seeded inputs:
   workload's flags (a 40³ lattice of 3 states, self-weight 0.9, 2-channel
   Gaussian emissions, 20 sweeps), writing observations and states; its
   fingerprint is that of both written files' bytes.
-  `synth/gibbs_sample/40x3-N3`: `gibbs_sample` alone on that lattice.
+  `synth/gibbs_sample/40x3-N3`: `gibbs_sample` alone on that lattice, and
+  `synth/gibbs_sample/40x3-N16` on it with 16 states of the same
+  self-weight, whose neighbour codes are too many to tabulate, so that each
+  half-sweep sums the log-potentials per neighbour.
+  `synth/gibbs_sample/128-N3`: `gibbs_sample` alone under the 3-state
+  potentials on a 128² lattice, the `image-discrete` workload's synthesis.
   `emit/40x3-real-N3`: `emit_observations` alone of the states it samples,
   under those flags' Gaussian emissions (identity covariances).
   `emit/128-discrete-N3`: `emit_observations` alone of the states
@@ -121,6 +126,7 @@ WIDE_M, WIDE_STATE_COUNTS = 16, (4, 64)
 CLASSIFY_SIDE, CLASSES = 64, 4
 VOLUME_SIDE, TEST_SIDE = 40, 24
 SYNTH_SIDE = 128
+SUMMED_N = 16  # 16 x 17^6 neighbour codes of a 3-D lattice pass TABLE_ENTRIES
 LEARN_SIDE, LEARN_BLOCK = 32, 8
 COMPLEXITY_SIDE, COMPLEXITY_N = 512, 4
 
@@ -287,16 +293,25 @@ def cases(tmp):
 
     shape = {"U": VOLUME_SIDE ** 3, "N": N, "M": 2, "sweeps": sweeps}
     out.append(("cli-volume/synth", shape, synth))
-    phi = np.full((N, N), (1 - self_weight) / (N - 1))
-    np.fill_diagonal(phi, self_weight)
-    config = SynthConfig(shape=LatticeShape(volume), N=N, potentials=phi, sweeps=sweeps, seed=0)
+    def sticky(n):  # the potentials `lvlm synth --n n --self-weight self_weight` builds
+        phi = np.full((n, n), (1 - self_weight) / (n - 1))
+        np.fill_diagonal(phi, self_weight)
+        return phi
+
+    config = SynthConfig(shape=LatticeShape(volume), N=N, potentials=sticky(N), sweeps=sweeps, seed=0)
     out.append((f"synth/gibbs_sample/40x3-N{N}", {"U": VOLUME_SIDE ** 3, "N": N, "sweeps": sweeps},
                 lambda: gibbs_sample(config).states))
+    summed_config = dataclasses.replace(config, N=SUMMED_N, potentials=sticky(SUMMED_N))
+    out.append((f"synth/gibbs_sample/40x3-N{SUMMED_N}", {"U": VOLUME_SIDE ** 3, "N": SUMMED_N, "sweeps": sweeps},
+                lambda: gibbs_sample(summed_config).states))
+    plane_config = dataclasses.replace(config, shape=LatticeShape((SYNTH_SIDE,) * 2))
+    out.append((f"synth/gibbs_sample/{SYNTH_SIDE}-N{N}", {"U": SYNTH_SIDE ** 2, "N": N, "sweeps": sweeps},
+                lambda: gibbs_sample(plane_config).states))
     sampled = gibbs_sample(config)
     gaussian = RealEmission(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]), np.tile(np.eye(2), (N, 1, 1)))
     out.append((f"emit/40x3-real-N{N}", {"U": VOLUME_SIDE ** 3, "N": N, "M": 2},
                 lambda: emit_observations(sampled, gaussian, seed=1).values))
-    plane = gibbs_sample(dataclasses.replace(config, shape=LatticeShape((SYNTH_SIDE,) * 2)))
+    plane = gibbs_sample(plane_config)
     categorical = DiscreteEmission(B)
     out.append((f"emit/{SYNTH_SIDE}-discrete-N{N}", {"U": SYNTH_SIDE ** 2, "N": N, "M": M},
                 lambda: emit_observations(plane, categorical, seed=1).values))

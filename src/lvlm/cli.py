@@ -37,6 +37,13 @@ def _one_line(text) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises `InputError` on a bad command line, and takes long options only
+    whole: a prefix such as `--shap` or `--h` is an unknown option, not
+    `--shape` or `--help`. Subparsers are made of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
 
@@ -114,6 +121,8 @@ def _cmd_synth(args):
         n = args.n
         if n is None:
             raise InputError("synth needs --n or --potentials")
+        if args.self_weight is not None and not 0.0 <= args.self_weight <= 1.0:
+            raise InputError(f"--self-weight must be a finite number in [0, 1], not {args.self_weight}")
         self_weight = 0.95 if args.self_weight is None else args.self_weight
         off = (1.0 - self_weight) / max(1, n - 1) if n > 1 else 0.0
         phi = np.full((n, n), off)
@@ -264,7 +273,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--shape", required=True, help="e.g. 64x64 or 128 or 8x8x8")
     sp.add_argument("--n", type=_u8_count, help="state count")
     sp.add_argument("--self-weight", type=_float, dest="self_weight",
-                    help="diagonal of the --n state potential (default 0.95)")
+                    help="diagonal of the --n state potential, in [0, 1] (default 0.95)")
     sp.add_argument("--potentials", help="full N x N matrix, rows ';'-separated: entry (i, j) is the "
                     "potential of a node in state i and the next node along an axis in state j")
     sp.add_argument("--b", help="discrete emission matrix N x M")

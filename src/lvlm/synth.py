@@ -5,11 +5,14 @@ reproducible byte-for-byte for a given seed and numpy version. A "sweep" is
 one red pass plus one black pass of checkerboard Gibbs updates (nodes of one
 parity are conditionally independent given the other parity). The field is
 homogeneous, so a node's conditional depends only on its 2d neighbours'
-states. The lattice is stored flat, padded with a sentinel state of potential
-1 so that every stride is odd: a colour and each of its neighbours are then
-step-2 slices of one array. For small N the conditional's tail masses are
-tabulated once per call for every neighbour code; each node draws its new
-state from one uniform variate by inverse CDF.
+states. The lattice is padded with a sentinel state of potential 1 so that
+every flat stride is odd, and its flat array is held as two contiguous
+arrays, the even and the odd indices: a colour is one run of one of them and
+each of its neighbours a run of the other. A half-sweep writes its colour as
+one run and then resets the sentinel slots of that run. Each node draws its
+new state from one uniform variate by inverse CDF; for small N the draw
+compares the variate with thresholds tabulated once per call for every
+neighbour code.
 """
 
 from __future__ import annotations
@@ -96,6 +99,22 @@ def _tail_masses(loglik: np.ndarray) -> np.ndarray:
     return p
 
 
+def _thresholds(p: np.ndarray) -> np.ndarray:
+    """From tail masses p as `_tail_masses` makes them, row s - 1 of the result
+    holds per column the least double t with fl(t * p[0]) >= p[s], or 0 where
+    p[s] is 0. fl(u * p[0]) does not decrease with u, so for every u >= 0,
+    p[s] > fl(u * p[0]) exactly when u < t: the draws compare u with t and
+    need no product."""
+    total, tail = p[0], p[1:]
+    t = np.divide(tail, total, out=np.zeros_like(tail), where=tail > 0)
+    # the rounded quotient lies within an ulp or two of the least t
+    while (low := t * total < tail).any():
+        t[low] = np.nextafter(t[low], 1.0)
+    while (high := (tail > 0) & (np.nextafter(t, 0.0) * total >= tail)).any():
+        t[high] = np.nextafter(t[high], 0.0)
+    return t
+
+
 def gibbs_sample(config: SynthConfig) -> StateLattice:
     """Sample a state lattice from the joint prod phi(q_i, q_j) over the
     axis-adjacent pairs, j the node after i along the axis: uniform random
@@ -103,13 +122,16 @@ def gibbs_sample(config: SynthConfig) -> StateLattice:
     to prod phi(s, q_r) over the next neighbors r times prod phi(q_l, s) over
     the previous neighbors l.
 
-    Each half-sweep reads a colour and its 2d neighbours as step-2 slices of
-    one flat, sentinel-padded array. When N (N + 1)^(2d) is at most
-    `lattice.TABLE_ENTRIES`, the neighbour states form one base-(N + 1) code
-    and the conditional's tail masses come from a table built once per call
-    over every code; otherwise the log-conditionals are summed per neighbour.
-    Both forms add the same log-potentials in the same order, so they draw
-    the same states."""
+    The lattice is padded with sentinels so that every stride is odd, and its
+    flat array is held as two contiguous arrays, the even and the odd flat
+    indices. A colour's slots then lie in one of them and each of its 2d
+    neighbours' in the other, all contiguous. A half-sweep writes the colour's
+    new states in one run and resets the sentinel slots of that run, found once
+    per call. When N (N + 1)^(2d) is at most `lattice.TABLE_ENTRIES`, the
+    neighbour states form one base-(N + 1) code, and a table built once per
+    call gives each code's N - 1 thresholds on the uniform variate; otherwise
+    the log-conditionals are summed per neighbour. Both forms add the same
+    log-potentials in the same order, so they draw the same states."""
     rng = np.random.default_rng(config.seed)
     lengths = config.shape.lengths
     N = config.N
@@ -127,19 +149,26 @@ def gibbs_sample(config: SynthConfig) -> StateLattice:
     padded[inner] = states.reshape(body)
     flat = padded.reshape(-1)
     strides = [s // flat.itemsize for s in padded.strides]
+    offsets = [o for s in strides for o in (-s, s)]
+    # flat index i is slot i // 2 of halves[i % 2]; an odd offset o moves slot
+    # i // 2 of one half to slot (i + o) // 2 of the other
+    halves = [flat[0::2].copy(), flat[1::2].copy()]
     is_node = np.zeros(padded.shape, dtype=bool)
     is_node[inner] = True
-    # colour c (coordinate sum of parity c) is every other flat index from row 1 on
-    colours = [slice(strides[0] + c, strides[0] * (body[0] + 1), 2) for c in (0, 1)]
-    nodes = [is_node.reshape(-1)[colour] for colour in colours]
-    counts = [int(node.sum()) for node in nodes]
+    colours = []
+    for c in (0, 1):
+        # colour c (coordinate sum of parity c) is every other flat index from row 1 on
+        start = strides[0] + c
+        node = is_node.reshape(-1)[start:strides[0] * (body[0] + 1):2]
+        own, other = halves[start % 2], halves[1 - start % 2]
+        near = [other[(start + o) // 2:][:len(node)] for o in offsets]  # views, read as they change
+        colours.append((node, int(node.sum()), np.flatnonzero(~node), own[start // 2:][:len(node)], near))
     # state-major: row s of `ahead` holds log phi(s, .) for the +stride
     # neighbor, row s of `behind` log phi(., s) for the -stride neighbor
     ahead, behind = np.zeros((N, N + 1)), np.zeros((N, N + 1))
     with np.errstate(divide="ignore"):
         ahead[:, :N] = np.log(config.potentials)
         behind[:, :N] = np.log(config.potentials.T)
-    offsets = [o for s in strides for o in (-s, s)]
     logs = [t for _ in strides for t in (behind, ahead)]
     table = None
     if N * (N + 1) ** len(offsets) <= lattice.TABLE_ENTRIES:
@@ -147,28 +176,31 @@ def gibbs_sample(config: SynthConfig) -> StateLattice:
         loglik = np.zeros(N)
         for t in logs:
             loglik = loglik[..., None] + t.reshape((N,) + (1,) * (loglik.ndim - 1) + (N + 1,))
-        table = _tail_masses(loglik.reshape(N, -1))
+        table = _thresholds(_tail_masses(loglik.reshape(N, -1)))
+        code_type = np.min_scalar_type(table.shape[1] - 1)
     for _ in range(config.sweeps):
-        for colour, node, count in zip(colours, nodes, counts):
-            near = [flat[colour.start + o:colour.stop + o:2] for o in offsets]
+        for node, count, gaps, target, near in colours:
+            u = np.zeros(len(node))
+            u[node] = rng.random(count)
             if table is None:
                 loglik = np.zeros((N, len(node)))
                 for t, q in zip(logs, near):
                     loglik += t.take(q, axis=1)
                 p = _tail_masses(loglik)
+                u *= p[0]
+                above = p[1:]
             else:
-                code = near[0].astype(np.min_scalar_type(table.shape[1] - 1))
+                code = near[0].astype(code_type)
                 for q in near[1:]:
                     code *= N + 1
                     code += q
-                p = table.take(code, axis=1)
-            # P(draw >= s) = tail[s] / tail[0]; with all weights 0 the draw is state 0
-            u = np.zeros(len(node))
-            u[node] = rng.random(count)
-            u *= p[0]
-            flat[colour] = (p[1:] > u).sum(axis=0, dtype=flat.dtype)
-            for axis, n in enumerate(body[1:], 1):  # the slice overwrote sentinels too
-                padded[(slice(None),) * axis + (slice(n, None),)] = N
+                above = table.take(code, axis=1)
+            # P(draw >= s) = tail[s] / tail[0], so the draw counts the s >= 1 with
+            # tail[s] > u tail[0], that is with u below threshold s; with all
+            # weights 0 it is state 0
+            (above > u).sum(axis=0, dtype=target.dtype, out=target)
+            target[gaps] = N  # the run overwrote this colour's sentinels too
+    flat[0::2], flat[1::2] = halves
     return StateLattice(config.shape, padded[inner].astype(np.int64).reshape(lengths), N)
 
 

@@ -525,12 +525,49 @@ def test_numeric_flags_exit_cleanly(fuzz_files, monkeypatch, capsys, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["-h", "--h"])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
 def test_help_request_exits_0_printing_usage_writing_nothing(tmp_path, monkeypatch, capsys, flag):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, "synth", flag)
     assert code == 0 and out.startswith("usage: ") and "--shape" in out and err == ""
     assert list(tmp_path.iterdir()) == []
+
+
+# long options are taken only whole: a prefix of one is an unknown option
+ABBREVIATED_ARGVS = {
+    "help": "synth --h",
+    "shape": "synth --shap 6x6 --n 2 --states-out q.lat",
+    "self-weight": "synth --shape 6x6 --n 2 --self 0.9 --states-out q.lat",
+    "variant": "learn --var discrete --n 2 --in o.lat --out m.lvlm",
+}
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED_ARGVS.values(), ids=ABBREVIATED_ARGVS.keys())
+def test_abbreviated_long_option_exits_1_writing_nothing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err.startswith("lvlm: error:") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", ["1", "3"])
+@pytest.mark.parametrize("weight", ["nan", "-7", "1.5", "inf", "-0.0001", "1.0000001"])
+def test_synth_self_weight_outside_unit_interval_exits_1(tmp_path, capsys, n, weight):
+    code, out, err = run(capsys, "synth", "--shape", "4x4", "--n", n, "--self-weight", weight,
+                         "--states-out", str(tmp_path / "q.lat"))
+    assert code == 1 and out == ""
+    assert err.startswith("lvlm: error:") and "--self-weight" in err and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", ["1", "3"])
+@pytest.mark.parametrize("weight", ["0", "0.5", "1"])
+def test_synth_self_weight_in_unit_interval_samples(tmp_path, capsys, n, weight):
+    code, _, err = run(capsys, "synth", "--shape", "4x4", "--n", n, "--self-weight", weight,
+                       "--sweeps", "2", "--states-out", str(tmp_path / "q.lat"))
+    assert code == 0, err
+    assert io.read_lattice(tmp_path / "q.lat").values.max() < int(n)
 
 
 # Whole `lvlm synth` argvs for random byte edits; {o} and {q} stand for the
@@ -565,7 +602,7 @@ def edited_synth_argv(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=edited_synth_argv())
-@example(argv="synth --h 6x6 --n 2 --b 0.8,0.2;0.2,0.8 --out {o} --states-out {q}".split())  # --h abbreviates --help
+@example(argv="synth --h 6x6 --n 2 --b 0.8,0.2;0.2,0.8 --out {o} --states-out {q}".split())  # --h is no --help
 def test_synth_argv_byte_edits_exit_cleanly_writing_all_outputs_or_none(tmp_path_factory, monkeypatch, capsys, argv):
     out_dir = tmp_path_factory.mktemp("synth")
     argv = [a.replace("{o}", str(out_dir / "o.lat")).replace("{q}", str(out_dir / "q.lat")) for a in argv]
@@ -586,7 +623,7 @@ def test_synth_argv_byte_edits_exit_cleanly_writing_all_outputs_or_none(tmp_path
         if code == 0:
             try:
                 args = cli.build_parser().parse_args(argv)
-            except SystemExit:  # a help request (-h, or an abbreviation such as --h): usage, no outputs
+            except SystemExit:  # a help request (-h or --help): usage, no outputs
                 capsys.readouterr()  # the usage printed again just now
                 assert out.startswith("usage: ") and written == []
             else:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -19,6 +20,7 @@ from lvlm import (
     inertia_index,
     lattice,
 )
+from lvlm.synth import _tail_masses, _thresholds
 
 
 def config(n=2, self_weight=0.95, shape=(32, 32), sweeps=30, seed=0):
@@ -235,6 +237,77 @@ def test_gibbs_equals_straightline(form, monkeypatch):
             got = gibbs_sample(cfg).states
             want = straightline_gibbs(cfg)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lengths, N)
+
+
+def oracle_potentials(rng, N, zero_conditionals):
+    """Non-symmetric potentials with zeros, every row keeping a positive entry;
+    with `zero_conditionals`, phi = I, under which a node whose neighbours
+    disagree has potential 0 in every state."""
+    if zero_conditionals:
+        return np.eye(N)
+    phi = rng.random((N, N)) * (rng.random((N, N)) < 0.7)
+    phi[np.arange(N), rng.integers(0, N, size=N)] += 0.05
+    return phi
+
+
+# past ORACLE_SHAPES: odd and even axes of many nodes, a long chain, and 3-D
+# and 4-D shapes in which sentinels end every short row
+LARGE_ORACLE_SHAPES = [(33, 17), (9, 8, 7), (101,), (3, 4, 2, 5)]
+
+
+@pytest.mark.parametrize("form", ["table", "summed"])
+@pytest.mark.parametrize("lengths", LARGE_ORACLE_SHAPES, ids=str)
+def test_gibbs_equals_straightline_at_scale(form, lengths, monkeypatch):
+    if form == "summed":
+        monkeypatch.setattr(lattice, "TABLE_ENTRIES", 0)
+    rng = np.random.default_rng(len(lengths))
+    for N in range(1, 6):
+        for zero_conditionals in (False, True):
+            cfg = SynthConfig(shape=LatticeShape(lengths), N=N, potentials=oracle_potentials(rng, N, zero_conditionals),
+                              sweeps=2, seed=int(rng.integers(1000)))
+            got = gibbs_sample(cfg).states
+            assert got.tobytes() == straightline_gibbs(cfg).tobytes(), (lengths, N, zero_conditionals)
+
+
+@st.composite
+def gibbs_shapes(draw, nodes=1024):
+    """1-D to 4-D shapes of at most `nodes` nodes."""
+    lengths = []
+    for _ in range(draw(st.integers(1, 4))):
+        lengths.append(draw(st.integers(1, nodes // math.prod(lengths))))
+    return tuple(lengths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=gibbs_shapes(), N=st.integers(1, 5), sweeps=st.integers(1, 2), seed=st.integers(0, 1000),
+       data_seed=st.integers(0, 2 ** 32 - 1), zero_conditionals=st.booleans(), summed=st.booleans())
+def test_gibbs_equals_straightline_hypothesis(lengths, N, sweeps, seed, data_seed, zero_conditionals, summed):
+    phi = oracle_potentials(np.random.default_rng(data_seed), N, zero_conditionals)
+    cfg = SynthConfig(shape=LatticeShape(lengths), N=N, potentials=phi, sweeps=sweeps, seed=seed)
+    with pytest.MonkeyPatch.context() as m:
+        if summed:
+            m.setattr(lattice, "TABLE_ENTRIES", 0)
+        got = gibbs_sample(cfg).states
+    assert got.tobytes() == straightline_gibbs(cfg).tobytes()
+
+
+def test_gibbs_thresholds_are_least_doubles():
+    # t is the least double with fl(t p0) >= p_s (0 where p_s = 0), so a draw
+    # u < t exactly when p_s > fl(u p0); the rounded quotient p_s / p0 is often
+    # an ulp off, which a sampled u would almost never reveal
+    rng = np.random.default_rng(4)
+    loglik = rng.normal(scale=3.0, size=(5, 20000))
+    loglik[rng.random(loglik.shape) < 0.2] = -np.inf
+    loglik[:, :10] = -np.inf  # every weight 0
+    p = _tail_masses(loglik)
+    t = _thresholds(p)
+    total, tail = p[0], p[1:]
+    assert (t[tail == 0] == 0).all() and (t >= 0).all()
+    assert (t * total >= tail).all()
+    assert (np.nextafter(t, 0.0) * total < tail)[tail > 0].all()
+    assert (t != tail / np.maximum(total, 1.0))[tail > 0].any()
+    for u in (t, np.nextafter(t, 0.0), np.broadcast_to(rng.random(t.shape[1]), t.shape)):
+        assert np.array_equal(u < t, tail > u * total)
 
 
 def test_gibbs_wide_state_count_sums_per_neighbour():
