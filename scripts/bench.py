@@ -30,14 +30,18 @@ Cases, each on seeded inputs:
   entries of standard deviation 1/4): `decode_real` and `evaluate_real`.
 - `cli-volume`: lattice files of the benchmark workload's shapes: a 40³ grid
   of 2-channel standard normal vectors (f64x2), a 40³ lattice of 3 states
-  (u8) and a 24³ f64x2 grid: `io.read_lattice` of each, and
-  `io.write_lattice` of the two 40³ lattices. `inertia/40x3-N3`:
-  `inertia_index` of the 40³ lattice of 3 states at radius 1, the library
-  call behind `lvlm index`.
+  (u8, one digit a value), a 24³ f64x2 grid, and a 40³ lattice of 16
+  uniform random symbols (`40x3-u8-M16`, one or two digits a value, so
+  that it is read and written by the general text path):
+  `io.read_lattice` of each, and `io.write_lattice` of the three 40³
+  lattices. `inertia/40x3-N3`: `inertia_index` of the 40³ lattice of 3
+  states at radius 1, the library call behind `lvlm index`.
 - `cli`: `lvlm index --model --states --w 1` through `cli.main` on a 3-state
   real model and the 40³ state lattice (its fingerprint is the standard
-  output), and `cli.build_parser()` alone (its fingerprint is the help
-  text); both are timed after a first call in the process.
+  output), `lvlm decode --model --in --out` of the 40³ f64x2 grid under
+  that model, which writes a u8 state lattice (its fingerprint is the
+  written file's bytes), and `cli.build_parser()` alone (its fingerprint is
+  the help text); each is timed after a first call in the process.
 - `model_io`: `io.write_model` then `io.read_model` of the same file, for
   a real model with N = 64 states of M = 16 channels (16,384 covariance
   values, random I + G Gᵀ); its fingerprint is the written file's bytes.
@@ -93,10 +97,11 @@ first, so that a slow spell of the machine falls on both trees alike. Per
 case, each worker first makes one untimed call (warming caches and lazy
 set-up, and fingerprinting the output, which must agree across trees for
 results that should not change), then `--reps` timed calls; `--runs`
-repeats this with fresh workers. The file records every call's time, each
-tree's median, and, per case, the median and the first and third quartiles
-of the after/before ratios of the paired calls and how many pairs the after
-tree won.
+repeats this with fresh workers. The file records every call's time and
+minor page faults (`ru_minflt` of the worker before and after the call),
+each tree's median of both, and, per case, the median and the first and
+third quartiles of the after/before ratios of the paired calls and how many
+pairs the after tree won.
 
     python scripts/bench.py --out BENCH.json [--before ../parent/src] [--cases REGEX]
 """
@@ -109,6 +114,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -238,6 +244,8 @@ def cases(tmp):
         "40x3-u8": SymbolLattice.discrete(rng.integers(0, N, size=volume), M=N),
         "24x3-f64x2": SymbolLattice.real(rng.normal(size=(TEST_SIDE,) * 3 + (2,))),
     }
+    # its own stream, so that the cases below keep their inputs
+    lattices["40x3-u8-M16"] = SymbolLattice.discrete(np.random.default_rng(8).integers(0, 16, size=volume), M=16)
     for name, lat in lattices.items():
         path = tmp / f"{name}.lat"
         io.write_lattice(path, lat)
@@ -259,6 +267,17 @@ def cases(tmp):
         return code, stdout.getvalue()
 
     out.append(("cli/index", {"U": VOLUME_SIDE ** 3, "N": N, "w": 1}, index))
+    decoded = tmp / "decoded.lat"
+    decode_argv = ["decode", "--model", str(tmp / "model.txt"), "--in", str(tmp / "40x3-f64x2.lat"),
+                   "--out", str(decoded)]
+
+    def decode():
+        with contextlib.redirect_stdout(StringIO()):
+            if cli.main(decode_argv) != 0:
+                raise RuntimeError("lvlm decode failed")
+        return decoded  # fingerprinted by its bytes
+
+    out.append(("cli/decode", {"U": VOLUME_SIDE ** 3, "N": N, "M": 2, "w": real.w_l}, decode))
     volume_states = StateLattice.from_array(lattices["40x3-u8"].values, N=N)
     out.append((f"inertia/40x3-N{N}", {"U": VOLUME_SIDE ** 3, "N": N, "w": 1}, lambda: inertia_index(volume_states, 1)))
     out.append(("cli/build_parser", {}, cli.build_parser))
@@ -373,16 +392,19 @@ def cases(tmp):
 def serve():
     """Worker: build the cases of the lvlm on sys.path, write their shapes as
     one JSON line, then answer each request line `[case, fingerprint]` of
-    standard input by calling the case once and writing its time (and, when
-    asked, its output's fingerprint) as one JSON line."""
+    standard input by calling the case once and writing its time, its minor
+    page faults (and, when asked, its output's fingerprint) as one JSON
+    line."""
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: (shape, call) for name, shape, call in cases(Path(tmp))}
         print(json.dumps({name: shape for name, (shape, _) in table.items()}), flush=True)
         for line in sys.stdin:
             name, fingerprinted = json.loads(line)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t = time.perf_counter()
             value = table[name][1]()
-            reply = {"s": time.perf_counter() - t}
+            reply = {"s": time.perf_counter() - t,
+                     "minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}
             if fingerprinted:
                 reply["fingerprint"] = fingerprint(value)
             print(json.dumps(reply), flush=True)
@@ -408,7 +430,7 @@ class Worker:
 
 
 def measure(trees, runs, reps, pattern):
-    """{case: {"shape", side: {"calls_s", "fingerprint"}}}: per run, a worker
+    """{case: {"shape", side: {"calls_s", "calls_minflt", "fingerprint"}}}: per run, a worker
     per tree, driven call by call in lockstep, over the cases whose names
     `pattern` matches."""
     result = {}
@@ -419,13 +441,16 @@ def measure(trees, runs, reps, pattern):
             for name, shape in shapes.items():
                 if not pattern.search(name):
                     continue
-                entry = result.setdefault(name, {"shape": shape, **{side: {"calls_s": []} for side in trees}})
+                entry = result.setdefault(name, {"shape": shape,
+                                                 **{side: {"calls_s": [], "calls_minflt": []} for side in trees}})
                 for side, worker in workers.items():
                     entry[side].setdefault("fingerprint", worker.call(name, fingerprinted=True)["fingerprint"])
                 for rep in range(reps):
                     order = list(workers) if (run + rep) % 2 == 0 else list(reversed(workers))
                     for side in order:
-                        entry[side]["calls_s"].append(workers[side].call(name)["s"])
+                        reply = workers[side].call(name)
+                        entry[side]["calls_s"].append(reply["s"])
+                        entry[side]["calls_minflt"].append(reply["minflt"])
         finally:
             for worker in workers.values():
                 worker.close()
@@ -457,13 +482,15 @@ def main():
                     "numpy": np.__version__},
         "method": f"per case, {args.runs} runs of a worker process per tree, each making one untimed call "
                   f"then {args.reps} timed calls, the trees' calls alternating one by one; 's' is the median "
-                  "over all of a tree's calls, 'after_over_before' the median ratio of paired calls "
+                  "over all of a tree's calls and 'minflt' the median of their minor page faults, "
+                  "'after_over_before' the median ratio of paired calls "
                   "and 'after_over_before_quartiles' its first and third quartiles",
         "cases": measure(trees, args.runs, args.reps, re.compile(args.cases)),
     }
     for name, entry in report["cases"].items():
         for side in trees:
             entry[side]["s"] = statistics.median(entry[side]["calls_s"])
+            entry[side]["minflt"] = statistics.median(entry[side]["calls_minflt"])
         if args.before:
             pairs = list(zip(entry["before"]["calls_s"], entry["after"]["calls_s"]))
             ratios = [a / b for b, a in pairs]

@@ -39,13 +39,24 @@ def _one_line(text) -> str:
 class _Parser(argparse.ArgumentParser):
     """Raises `InputError` on a bad command line, and takes long options only
     whole: a prefix such as `--shap` or `--h` is an unknown option, not
-    `--shape` or `--help`. Subparsers are made of this class too."""
+    `--shape` or `--help`, and a subcommand reports it before the required
+    option it leaves missing. Subparsers are made of this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
+
+    def _parse_known_args(self, arg_strings, *args, **kwargs):
+        try:
+            return super()._parse_known_args(arg_strings, *args, **kwargs)
+        except InputError:  # from `error`, at a subcommand for a required option missing
+            # an unknown option parses as (None, s, None), from Python 3.12.7 as [(None, s, None, None)]
+            unknown = [s for s in arg_strings if self._parse_optional(s) in ((None, s, None), [(None, s, None, None)])]
+            if unknown and self._subparsers is None:
+                self.error(f"unrecognized arguments: {' '.join(unknown)}")
+            raise
 
 
 def _parse_matrix(text: str, name: str) -> np.ndarray:

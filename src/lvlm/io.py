@@ -12,13 +12,16 @@ by orjson, which rounds as np.fromstring does, in chunks of bounded size;
 a chunk orjson rejects, or one holding a bare `-0` (an integer 0 in JSON),
 goes to np.fromstring, so both accept the same text. A lattice file is
 read once: its header words are found by offset, and its body is parsed
-from a view of the file's bytes, so no copy of the body is made; a float
-body is parsed chunk by chunk into one array of the value count its header
-gives. Numbers written are formatted by orjson (`_format_rows`), in pieces
-of bounded size, each dumped flat and its separators turned into spaces and
-line breaks in one numpy pass: integers in decimal, floats as the shortest
-decimal that reads back as the same double. Writes go through a temp file
-and a rename, a command's outputs all or none (`all_or_none`).
+from a view of the file's bytes; a float body chunk by chunk into one array
+of the value count its header gives, a u8 body (or P2 raster) of one-digit
+values by byte arithmetic (`_parse_u8_body`), any other copied once for
+np.fromstring. Numbers written are formatted by orjson (`_format_rows`), in
+pieces of bounded size, each dumped flat and its separators turned into
+spaces and line breaks in one numpy pass: integers in decimal, floats as
+the shortest decimal that reads back as the same double; a lattice of at
+most 10 symbols or states by byte arithmetic (`_format_digits`). Writes go
+through a temp file and a rename, a command's outputs all or none
+(`all_or_none`).
 """
 
 from __future__ import annotations
@@ -69,6 +72,21 @@ def _format_rows(rows):
         text[commas[m - 1::m]] = ord("\n")
         text[-1] = ord("\n")  # the closing ']'
         yield text[1:].tobytes()
+
+
+def _format_digits(rows):
+    """`_format_rows` of integer rows in [0, 9] with at least one column, by
+    byte arithmetic: each value's digit and a space, the row's last space a
+    line break, in pieces of about _FORMAT_VALUES numbers."""
+    n, m = rows.shape
+    step = max(1, _FORMAT_VALUES // m)
+    for start in range(0, n, step):
+        piece = rows[start:start + step]
+        text = np.full((len(piece), 2 * m), ord(" "), dtype=np.uint8)
+        text[:, 0::2] = piece
+        text[:, 0::2] += ord("0")
+        text[:, -1] = ord("\n")
+        yield text.tobytes()
 
 
 def write_atomic(path, data):
@@ -132,7 +150,9 @@ def write_lattice(path, lat: SymbolLattice):
         raise InputError("u8 lattice values must fit in [0, 255]")
     dtype, per_row = ("u8", lengths[-1]) if lat.kind == "discrete" else (f"f64x{lat.M}", lat.M)
     header = f"{LATTICE_MAGIC} {lat.shape.d} {' '.join(map(str, lengths))} {dtype}\n"
-    write_atomic(path, itertools.chain([header.encode()], _format_rows(lat.values.reshape(-1, per_row))))
+    rows = lat.values.reshape(-1, per_row)
+    body = _format_digits(rows) if lat.kind == "discrete" and lat.M <= 10 else _format_rows(rows)
+    write_atomic(path, itertools.chain([header.encode()], body))
 
 
 # a sign with no digit after it, which np.fromstring reads as 0 or joins to
@@ -158,6 +178,20 @@ def _parse_values(text: bytes | memoryview | str, dtype) -> np.ndarray:
     if values.max(initial=0) == np.iinfo(np.int64).max:
         raise ValueError("integer out of range")
     return values
+
+
+def _parse_u8_body(text: bytes | memoryview, count: int) -> np.ndarray:
+    """The integers of `text` (see `_parse_values`), where `count` is how many
+    the caller expects: text of 2·count or 2·count − 1 bytes whose even
+    offsets are digits and odd ones ASCII whitespace is read by byte
+    arithmetic, with no copy of it; any other text by `_parse_values`."""
+    if len(text) in (2 * count, 2 * count - 1):
+        data = np.frombuffer(text, dtype=np.uint8)
+        digits, gaps = data[0::2] - np.uint8(ord("0")), data[1::2]  # a byte below '0' wraps past 9
+        # ASCII whitespace: ' ' and '\t' to '\r'
+        if digits.max(initial=0) <= 9 and ((gaps == ord(" ")) | (gaps - np.uint8(ord("\t")) <= 4)).all():
+            return digits.astype(np.int64)
+    return _parse_values(text, np.int64)
 
 
 # bytes of text per float parse, about 12,000 17-digit values: bounds the
@@ -266,7 +300,7 @@ def read_lattice(path, M: int | None = None) -> SymbolLattice:
         if m:
             arr, got = _parse_floats_into(text, count)
         else:
-            arr = _parse_values(text, np.int64)
+            arr = _parse_u8_body(text, count)
             got = arr.size
     except ValueError as e:
         raise InputError(f"{path}: malformed {dtype} value ({e})") from e
@@ -298,7 +332,7 @@ def read_pgm(path, M: int | None = None) -> SymbolLattice:
         if header[1] == b"P5":
             raster = np.frombuffer(data[pos:pos + width * height], dtype=np.uint8)
         else:
-            raster = _parse_values(data[pos:], np.int64)
+            raster = _parse_u8_body(memoryview(data)[pos:], width * height)
     except (ValueError, OverflowError) as e:
         raise InputError(f"{path}: malformed PGM file ({e})") from e
     if maxval > 255:

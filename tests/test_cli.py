@@ -551,6 +551,28 @@ def test_abbreviated_long_option_exits_1_writing_nothing(tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+# per subcommand with a required option, that option mistyped (argv, the
+# mistyped token): the unknown option is reported, not the required one it
+# leaves missing
+MISTYPED_REQUIRED_ARGVS = {
+    "synth": ("synth --shap 6x6 --n 2 --states-out q.lat", "--shap"),
+    "learn": ("learn --variant discrete --n 2 --in o.lat --outt m.lvlm", "--outt"),
+    "decode": ("decode --modle m.lvlm --in o.lat --out q.lat", "--modle"),
+    "evaluate": ("evaluate --model m.lvlm --inn=o.lat", "--inn=o.lat"),
+    "classify": ("classify --in o.lat --softmax --bundel b.txt", "--bundel"),
+    "quantize": ("quantize --in o.lat --nn 2 --out c.lvlm", "--nn"),
+}
+
+
+@pytest.mark.parametrize("argv, mistyped", MISTYPED_REQUIRED_ARGVS.values(), ids=MISTYPED_REQUIRED_ARGVS.keys())
+def test_mistyped_required_option_is_named(tmp_path, monkeypatch, capsys, argv, mistyped):
+    monkeypatch.chdir(tmp_path)
+    command = argv.split()[0]
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1 and out == "" and list(tmp_path.iterdir()) == []
+    assert err == f"lvlm: error: lvlm {command}: unrecognized arguments: {mistyped}\n"
+
+
 @pytest.mark.parametrize("n", ["1", "3"])
 @pytest.mark.parametrize("weight", ["nan", "-7", "1.5", "inf", "-0.0001", "1.0000001"])
 def test_synth_self_weight_outside_unit_interval_exits_1(tmp_path, capsys, n, weight):

@@ -91,27 +91,39 @@ def test_write_lattice_in_small_pieces_matches_per_value_format(tmp_path, monkey
 
 @st.composite
 def lattices_in_pieces(draw):
-    """(values, real, piece): a 1-d real lattice of M channels, or a 2-d u8
-    lattice of rows of M symbols, M from 1 to 17, written in pieces of
-    `piece` numbers (at least a row); unless a piece holds one row, the row
-    count is not a multiple of the rows per piece."""
+    """(values, symbols, piece): a 1-d real lattice of M channels (symbols
+    None), or a 2-d u8 lattice of rows of M values below `symbols` (1, 10 and
+    11 on either side of the one-digit writer's bound, or 256), M from 1 to
+    17, written in pieces of `piece` numbers (at least a row); unless a piece
+    holds one row, the row count is not a multiple of the rows per piece."""
     real, m, piece = draw(st.booleans()), draw(st.integers(1, 17)), draw(st.integers(1, 64))
     step = max(1, piece // m)  # rows per piece
     rows = step * draw(st.integers(0, 2)) + draw(st.integers(1, max(1, step - 1)))
     if real:
-        return draw(hnp.arrays(np.float64, (rows, m), elements=finite_floats())), True, piece
-    return draw(hnp.arrays(np.int64, (rows, m), elements=st.integers(0, 255))), False, piece
+        return draw(hnp.arrays(np.float64, (rows, m), elements=finite_floats())), None, piece
+    symbols = draw(st.sampled_from([1, 10, 11, 256]))
+    return draw(hnp.arrays(np.int64, (rows, m), elements=st.integers(0, symbols - 1))), symbols, piece
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=lattices_in_pieces())
 def test_write_lattice_in_pieces_matches_oracle_bytes(tmp_path, monkeypatch, case):
-    vals, real, piece = case
+    vals, symbols, piece = case
     p = tmp_path / "p.lat"
     with monkeypatch.context() as m:
         m.setattr(io, "_FORMAT_VALUES", piece)
-        io.write_lattice(p, SymbolLattice.real(vals) if real else SymbolLattice.discrete(vals, M=256))
-    assert p.read_bytes() == lattice_file_bytes(vals, real=real)
+        io.write_lattice(p, SymbolLattice.real(vals) if symbols is None else SymbolLattice.discrete(vals, M=symbols))
+    assert p.read_bytes() == lattice_file_bytes(vals, real=symbols is None)
+    assert io.read_lattice(p).values.tobytes() == vals.tobytes()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=hnp.arrays(np.int64, st.tuples(st.integers(0, 5), st.integers(1, 9)), elements=st.integers(0, 9)),
+       piece=st.integers(1, 20))
+def test_format_digits_matches_format_rows(monkeypatch, rows, piece):
+    # no rows, one row, one column, and pieces cut at whole rows
+    monkeypatch.setattr(io, "_FORMAT_VALUES", piece)
+    assert b"".join(io._format_digits(rows)) == b"".join(io._format_rows(rows))
 
 
 @pytest.mark.parametrize("piece", [1, 3, io._FORMAT_VALUES])
@@ -713,6 +725,61 @@ def test_parse_values_reads_and_rejects_as_fromstring(monkeypatch, body, chunk_b
             io._parse_values(body, np.float64)
     else:
         assert io._parse_values(body, np.float64).tobytes() == want.tobytes()
+
+
+ASCII_SPACES = list(" \t\n\r\x0b\x0c")
+
+
+@st.composite
+def one_digit_bodies(draw):
+    """(body, count): `count` one-digit numbers, each followed by one ASCII
+    whitespace byte, the last one's left off or not."""
+    digits = draw(st.lists(st.sampled_from("0123456789"), min_size=1, max_size=40))
+    body = "".join(digit + draw(st.sampled_from(ASCII_SPACES)) for digit in digits)
+    return (body if draw(st.booleans()) else body[:-1]).encode(), len(digits)
+
+
+def spied_parse_values(monkeypatch):
+    """The calls of io._parse_values from now on, which still parses."""
+    calls, parse = [], io._parse_values
+    monkeypatch.setattr(io, "_parse_values", lambda text, dtype: calls.append(bytes(text)) or parse(text, dtype))
+    return calls
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=one_digit_bodies())
+def test_one_digit_body_is_read_by_byte_arithmetic_as_fromstring(monkeypatch, case):
+    body, count = case
+    want = np.fromstring(body, dtype=np.int64, sep=" ")
+    assert io._parse_values(body, np.int64).tobytes() == want.tobytes()
+    with monkeypatch.context() as m:
+        general = spied_parse_values(m)
+        got = io._parse_u8_body(memoryview(body), count)
+    assert got.dtype == np.int64 and got.tobytes() == want.tobytes() and general == []
+
+
+# edits that break the one-digit layout wherever they go into a body:
+# doubled whitespace, CRLF, a sign, a leading zero, two digits, non-ASCII
+# bytes, a comma
+NEAR_MISSES = [b"  ", b"\r\n", b"+1", b"-0", b"07", b"12", b"\xe9", b"\xc2\xa0", b"1,"]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=one_digit_bodies(), data=st.data())
+def test_near_one_digit_body_takes_the_general_path(monkeypatch, case, data):
+    body, _ = case
+    at, edit = data.draw(st.integers(0, len(body))), data.draw(st.sampled_from(NEAR_MISSES))
+    body = body[:at] + edit + body[at + data.draw(st.integers(0, 1)):]
+    with monkeypatch.context() as m:
+        general = spied_parse_values(m)
+        try:  # no text but whitespace is no values, which np.fromstring reads as one -1
+            want = np.fromstring(body, dtype=np.int64, sep=" ") if body.strip() else np.empty(0, np.int64)
+        except ValueError:
+            with pytest.raises(ValueError):
+                io._parse_u8_body(body, (len(body) + 1) // 2)  # a count that lets the layout be tried
+        else:
+            assert io._parse_u8_body(body, (len(body) + 1) // 2).tobytes() == want.tobytes()
+    assert general == [body]
 
 
 def test_parse_values_reads_a_body_of_many_chunks_as_one():
